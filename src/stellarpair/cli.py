@@ -120,7 +120,7 @@ def _cmd_check(args) -> int:
             payload["sigma"] = _simplex_tokens(witness.sigma)
             payload["intersection_faces"] = [_simplex_tokens(s) for s in witness.intersection_faces]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-        return EXIT_OK if witness.holds else EXIT_DOMAIN
+        return EXIT_OK if witness.at_least_induced else EXIT_DOMAIN
     if args.predicate == "valid-edge":
         cx = sio.load_complex(args.complex).complex
         blockers = blocking_missing_simplices(cx, _labels(args.edge))

@@ -66,12 +66,6 @@ class Simplex:
     def issubset(self, other: "Simplex") -> bool:
         return self._vset <= other._vset
 
-    def intersection(self, other: "Simplex") -> "Simplex":
-        common = self._vset & other._vset
-        if not common:
-            return EMPTY_SIMPLEX
-        return Simplex(tuple(sorted(common)))
-
     def union(self, other: "Simplex") -> "Simplex":
         return Simplex(tuple(sorted(self._vset | other._vset)))
 
@@ -182,10 +176,6 @@ class SimplicialComplex:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_simplices(cls, simplices: Iterable) -> "SimplicialComplex":
-        return cls(as_simplex(s) for s in simplices)
-
-    @classmethod
     def _from_antichain(cls, facets: Iterable[Simplex]) -> "SimplicialComplex":
         """Trusted fast path for operations whose output is an antichain by construction."""
         return cls(frozenset(facets), _trusted=True)
@@ -257,16 +247,13 @@ class SimplicialComplex:
         """All nonempty faces grouped by dimension (cached)."""
         cache = self._faces_by_dim
         if cache is None:
-            seen: set[Simplex] = set()
+            # dedup raw vertex tuples first: one Simplex per face, not per (facet, subset)
+            grouped: dict[int, set[tuple[VertexLabel, ...]]] = {}
             for f in self.facets:
                 verts = f.vertices
                 for k in range(1, len(verts) + 1):
-                    for comb in combinations(verts, k):
-                        seen.add(Simplex(comb))
-            grouped: dict[int, set[Simplex]] = {}
-            for s in seen:
-                grouped.setdefault(s.dim, set()).add(s)
-            cache = {d: frozenset(g) for d, g in sorted(grouped.items())}
+                    grouped.setdefault(k - 1, set()).update(combinations(verts, k))
+            cache = {d: frozenset(map(Simplex, g)) for d, g in sorted(grouped.items())}
             self._faces_by_dim = cache
         return cache
 
@@ -283,7 +270,13 @@ class SimplicialComplex:
     # -- invariants ----------------------------------------------------
 
     def validate(self) -> None:
-        """Re-check structural invariants; raises StellarPairError on violation."""
+        """Re-check structural invariants; raises StellarPairError on violation.
+
+        Linear in facets x dimension (plus the sizes of the vertex->facet id
+        sets intersected): dominance is found through the cached facet index.
+        A dominated facet is reported against the first dominating facet in
+        canonical order.
+        """
         seen_tokens: set[tuple[str, ...]] = set()
         for f in self.facets:
             if len(f) == 0:
@@ -297,10 +290,12 @@ class SimplicialComplex:
                 raise StellarPairError(f"facet {f} stored twice")
             seen_tokens.add(toks)
         facets = self.sorted_facets()
+        index = self._facet_index()
         for i, f in enumerate(facets):
-            for j, g in enumerate(facets):
-                if i != j and f.issubset(g):
-                    raise StellarPairError(f"facet {f} is dominated by {g}")
+            ids = frozenset.intersection(*(index[v] for v in f.vertices))
+            if len(ids) > 1:
+                other = min(j for j in ids if j != i)
+                raise StellarPairError(f"facet {f} is dominated by {facets[other]}")
 
     # -- value semantics -------------------------------------------------
 

@@ -43,10 +43,6 @@ class InducednessWitness:
     intersection_faces: tuple[Simplex, ...] = ()
 
     @property
-    def holds(self) -> bool:
-        return self.verdict in (INDUCED, STRONGLY_INDUCED)
-
-    @property
     def at_least_induced(self) -> bool:
         return self.verdict in (INDUCED, STRONGLY_INDUCED)
 
@@ -225,11 +221,12 @@ def is_strongly_induced(sub: SimplicialComplex, ambient: SimplicialComplex) -> I
 
 def classify_pair(sub: SimplicialComplex, ambient: SimplicialComplex) -> InducednessWitness:
     """Most precise verdict for a subcomplex pair: strongly induced, induced,
-    or not induced (with witness)."""
-    verdict = is_induced(sub, ambient)
-    if verdict.verdict == NOT_INDUCED:
-        return verdict
-    strong = is_strongly_induced(sub, ambient)
-    if strong.verdict == STRONGLY_INDUCED:
-        return strong
-    return verdict
+    or not induced (with witness).
+
+    Strongly induced implies induced (a missing face with all vertices in
+    `sub` meets `sub` in two or more maximal pieces), so the strong scan runs
+    first, without its witness pass, and `is_induced` only on a violation."""
+    _require_subcomplex(sub, ambient)
+    if not _StrongScan(sub, ambient).has_violation():
+        return InducednessWitness(STRONGLY_INDUCED)
+    return is_induced(sub, ambient)

@@ -33,13 +33,7 @@ from .errors import (
     ScriptMismatchError,
     ScriptStepError,
 )
-from .inducedness import (
-    INDUCED,
-    STRONGLY_INDUCED,
-    InducednessWitness,
-    classify_pair,
-    is_strongly_induced,
-)
+from .inducedness import STRONGLY_INDUCED, InducednessWitness, classify_pair
 from .labels import VertexLabel, next_round, vlabel
 from .subdivision import biased_derived, edge_subdivide, derived_subdivision
 

@@ -20,7 +20,13 @@ from stellarpair import (
     star,
     vlabel,
 )
-from stellarpair.errors import AbsentFaceError, MalformedInputError, ResourceLimitError
+from stellarpair.errors import (
+    AbsentFaceError,
+    MalformedInputError,
+    ResourceLimitError,
+    StellarPairError,
+)
+from stellarpair.io import random_complex
 
 
 # -- strategies ---------------------------------------------------------
@@ -74,6 +80,17 @@ def test_equality_is_by_facet_set():
     b = from_facets([[2, 3], [1, 2], [2]])
     assert a == b and hash(a) == hash(b)
     assert a != from_facets([[1, 2]])
+
+
+@given(st.integers(0, 400))
+@settings(max_examples=60, deadline=None)
+def test_faces_match_brute_enumeration_by_dimension(seed):
+    cx = random_complex(7, 3, 0.5, seed)
+    expected: dict[int, set[Simplex]] = {}
+    for s in oracles.all_faces_brute(cx):
+        expected.setdefault(s.dim, set()).add(s)
+    assert cx.faces() == {d: frozenset(g) for d, g in expected.items()}
+    assert f_vector(cx) == tuple(len(expected[d]) for d in range(max(expected) + 1))
 
 
 # -- star / link --------------------------------------------------------
@@ -274,3 +291,51 @@ def test_as_simplex_accepts_labels_and_simplices():
     assert s.tokens() == ("1", "3")
     assert as_simplex(s) is s
     assert as_simplex("7").tokens() == ("7",)
+
+
+# -- validate -----------------------------------------------------------------
+
+def _validate_message(facets) -> str | None:
+    """`validate`'s error message on a trusted (unchecked) facet family, or None."""
+    try:
+        SimplicialComplex._from_antichain(map(Simplex.of, facets)).validate()
+    except StellarPairError as exc:
+        return str(exc)
+    return None
+
+
+def _pairwise_validate_message(facets) -> str | None:
+    """Reference: the same checks with dominance found by comparing every
+    ordered pair of facets in canonical order."""
+    family = frozenset(map(Simplex.of, facets))
+    if any(len(f) == 0 for f in family):
+        return "empty simplex stored as a facet"
+    ordered = sorted(family, key=Simplex.sort_key)
+    for f in ordered:
+        for g in ordered:
+            if f is not g and f.issubset(g):
+                return f"facet {f} is dominated by {g}"
+    return None
+
+
+def test_validate_reports_dominated_facet():
+    assert _validate_message([[1, 2, 3], [1, 2]]) == "facet {1,2} is dominated by {1,2,3}"
+
+
+def test_validate_reports_empty_facet():
+    assert _validate_message([[1, 2], []]) == "empty simplex stored as a facet"
+
+
+def test_validate_reports_first_of_two_dominated_facets():
+    # sorted order: {1,2} < {3,4} < {1,2,5} < {2,3,4} < {1,2,3,4}; {1,2} comes
+    # first and {1,2,5} is the first facet containing it
+    facets = [[1, 2, 3, 4], [2, 3, 4], [3, 4], [1, 2], [1, 2, 5]]
+    assert _validate_message(facets) == "facet {1,2} is dominated by {1,2,5}"
+    assert _validate_message(facets[:3]) == "facet {3,4} is dominated by {2,3,4}"
+
+
+@given(st.lists(st.sets(st.sampled_from(LABELS), max_size=4), min_size=1, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_validate_agrees_with_pairwise_dominance(facets):
+    # raw families: dominated facets, nested chains and the empty facet all occur
+    assert _validate_message(facets) == _pairwise_validate_message(facets)

@@ -23,7 +23,12 @@ from stellarpair.inducedness import (
     NOT_STRONGLY_INDUCED,
     STRONGLY_INDUCED,
 )
-from stellarpair.io import random_complex, random_subcomplex_pair
+from stellarpair.io import (
+    random_complex,
+    random_induced_pair,
+    random_strongly_induced_pair,
+    random_subcomplex_pair,
+)
 
 
 def tokens(simplex) -> tuple[str, ...]:
@@ -176,6 +181,36 @@ def test_classify_pair_levels(four_cycle, triangle):
     assert classify_pair(four_cycle, ambient).verdict == NOT_INDUCED
     assert classify_pair(from_facets([[1], [3]]), four_cycle).verdict == INDUCED
     assert classify_pair(from_facets([[1, 2]]), triangle).verdict == STRONGLY_INDUCED
+
+
+def _random_pair(kind: str, seed: int):
+    if kind == "subcomplex":
+        return random_subcomplex_pair(6, 2, 0.5, seed)
+    pair = (random_induced_pair if kind == "induced" else random_strongly_induced_pair)(5, 2, 0.5, seed)
+    return pair.sub, pair.ambient
+
+
+@given(st.sampled_from(["subcomplex", "induced", "strong"]), st.integers(0, 400))
+@settings(max_examples=90, deadline=None)
+def test_classify_pair_agrees_with_naive_oracles(kind, seed):
+    sub, ambient = _random_pair(kind, seed)
+    got = classify_pair(sub, ambient)
+    if oracles.naive_is_strongly_induced(sub, ambient):
+        assert got.verdict == STRONGLY_INDUCED
+        return
+    expected = INDUCED if oracles.naive_is_induced(sub, ambient) else NOT_INDUCED
+    assert got.verdict == expected
+    assert got == is_induced(sub, ambient)
+
+
+def test_classify_pair_sources_cover_every_verdict():
+    # the generators behind the property test above reach all three levels
+    verdicts = {
+        classify_pair(*_random_pair(kind, seed)).verdict
+        for kind in ("subcomplex", "induced", "strong")
+        for seed in range(12)
+    }
+    assert verdicts == {NOT_INDUCED, INDUCED, STRONGLY_INDUCED}
 
 
 def test_induced_subcomplex_restriction(tetra_boundary):
