@@ -38,24 +38,23 @@ def _blocker_candidates(cx: SimplicialComplex, e: Simplex):
             yield Simplex(tuple(sorted(e._vset | set(extra))))
 
 
+def _missing_through(cx: SimplicialComplex, e: Simplex):
+    """Missing simplices of the complex that contain the edge e, unordered."""
+    for s in _blocker_candidates(cx, e):
+        if s not in cx and all(b in cx for b in s.boundary()):
+            yield s
+
+
 def blocking_missing_simplices(cx: SimplicialComplex, edge) -> tuple[Simplex, ...]:
     """All missing simplices of the complex that contain the given edge."""
     e = _check_edge(cx, edge)
-    blockers = [
-        s
-        for s in _blocker_candidates(cx, e)
-        if s not in cx and all(b in cx for b in s.boundary())
-    ]
-    return tuple(sorted(blockers, key=Simplex.sort_key))
+    return tuple(sorted(_missing_through(cx, e), key=Simplex.sort_key))
 
 
 def is_valid_edge(cx: SimplicialComplex, edge) -> bool:
     """True iff no missing simplex of the complex contains the edge."""
     e = _check_edge(cx, edge)
-    for s in _blocker_candidates(cx, e):
-        if s not in cx and all(b in cx for b in s.boundary()):
-            return False
-    return True
+    return next(_missing_through(cx, e), None) is None
 
 
 def link_condition(cx: SimplicialComplex, edge) -> bool:
@@ -71,6 +70,15 @@ def link_condition(cx: SimplicialComplex, edge) -> bool:
     return faces_u & faces_v == faces_e
 
 
+def _substitute(cx: SimplicialComplex, e: Simplex, keep: VertexLabel) -> SimplicialComplex:
+    """Replace the other endpoint of e by `keep` everywhere; the reducing
+    constructor collapses degenerate images and merges duplicates."""
+    lose = e.vertices[1] if keep == e.vertices[0] else e.vertices[0]
+    return SimplicialComplex(
+        Simplex(tuple(sorted(f._vset - {lose} | {keep}))) if lose in f._vset else f for f in cx.facets
+    )
+
+
 def contract_edge(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex:
     """Contract a valid edge: the non-surviving label is replaced by the
     survivor everywhere, degenerate images collapse, duplicates merge."""
@@ -78,15 +86,7 @@ def contract_edge(cx: SimplicialComplex, edge, survivor=None) -> SimplicialCompl
     blockers = blocking_missing_simplices(cx, e)
     if blockers:
         raise InvalidEdgeError(e, blockers)
-    u, v = e.vertices
-    keep: VertexLabel = u if survivor is None else vlabel(survivor)
-    if keep not in (u, v):
+    keep: VertexLabel = e.vertices[0] if survivor is None else vlabel(survivor)
+    if keep not in e.vertices:
         raise MalformedInputError(f"survivor {keep} is not an endpoint of {e}")
-    lose = v if keep == u else u
-    new_facets = []
-    for f in cx.facets:
-        if lose in f._vset:
-            new_facets.append(Simplex(tuple(sorted(f._vset - {lose} | {keep}))))
-        else:
-            new_facets.append(f)
-    return SimplicialComplex(new_facets)
+    return _substitute(cx, e, keep)

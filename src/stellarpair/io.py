@@ -109,28 +109,23 @@ def parse_script_document(text: str) -> MoveScript:
             f"{where}.edge",
             "expected a pair of label strings",
         )
-        _expect(edge[0] != edge[1], f"{where}.edge", "edge labels must differ")
         if op == "subdivide":
             new_label = raw.get("new_label")
             _expect(isinstance(new_label, str) and new_label != "", f"{where}.new_label", "expected a nonempty string")
-            moves.append(Move.subdivide(edge, new_label))
         else:
             survivor = raw.get("survivor")
             if survivor is not None:
                 _expect(isinstance(survivor, str) and survivor != "", f"{where}.survivor", "expected a nonempty string")
-                _expect(survivor in edge, f"{where}.survivor", "survivor must be an endpoint of the edge")
-            moves.append(Move.contract(edge, survivor))
+        try:
+            moves.append(Move.subdivide(edge, new_label) if op == "subdivide" else Move.contract(edge, survivor))
+        except MalformedInputError as exc:
+            raise MalformedInputError(f"{where}: {exc}") from exc
     target_map = data.get("target_map")
-    mapping = None
     if target_map is not None:
         _expect(isinstance(target_map, dict), "target_map", "expected an object of label pairs")
         for k, v in target_map.items():
             _expect(isinstance(v, str) and v != "", f"target_map[{k!r}]", "expected a nonempty string")
-        from .labels import vlabel
-
-        mapping = {vlabel(k): vlabel(v) for k, v in target_map.items()}
-        _expect(len(set(mapping.values())) == len(mapping), "target_map", "must be injective")
-    return MoveScript(tuple(moves), target_map=mapping)
+    return MoveScript(tuple(moves), target_map=target_map)
 
 
 def script_document_dict(script: MoveScript) -> dict:

@@ -21,11 +21,10 @@ from .complexes import (
     relabel_complex,
 )
 from .canonical import isomorphism
-from .contraction import blocking_missing_simplices, contract_edge
+from .contraction import contract_edge
 from .errors import (
     AbsentFaceError,
     DomainError,
-    InvalidEdgeError,
     InvariantViolationError,
     MalformedInputError,
     NotASubcomplexError,
@@ -59,6 +58,8 @@ class Move:
             raise MalformedInputError("subdivide move needs a new_label")
         if self.op == CONTRACT and self.new_label is not None:
             raise MalformedInputError("contract move takes no new_label")
+        if self.op == CONTRACT and self.survivor is not None and self.survivor not in self.edge:
+            raise MalformedInputError(f"contract survivor {self.survivor} is not an endpoint of the edge")
 
     @classmethod
     def subdivide(cls, edge, new_label) -> "Move":
@@ -108,9 +109,6 @@ class ComplexPair:
     sub: SimplicialComplex
     ambient: SimplicialComplex
     status: InducednessWitness
-
-    def euler_ambient(self) -> int:
-        return euler_characteristic(self.ambient)
 
 
 @dataclass(frozen=True)
@@ -194,14 +192,7 @@ def pair_contract_edge(pair: ComplexPair, edge, survivor=None) -> ComplexPair:
     e = as_simplex(edge)
     if e not in pair.sub:
         raise AbsentFaceError(f"{e} is not an edge of the subcomplex")
-    blockers = blocking_missing_simplices(pair.sub, e)
-    if blockers:
-        raise InvalidEdgeError(e, blockers)
-    keep = min(e.vertices) if survivor is None else vlabel(survivor)
-    new_sub = contract_edge(pair.sub, e, keep)
-    new_ambient = contract_edge(pair.ambient, e, keep)
-    new_ambient.validate()
-    out = pair_new(new_sub, new_ambient)
+    out = pair_new(contract_edge(pair.sub, e, survivor), contract_edge(pair.ambient, e, survivor))
     if out.status.verdict != STRONGLY_INDUCED:
         raise InvariantViolationError(
             f"pair edge contraction lost strong inducedness: {out.status}",
@@ -217,13 +208,12 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
 
 
 def _step(pair: ComplexPair, stage: str, move: Move | None) -> PipelineStep:
-    pair.ambient.validate()
     return PipelineStep(
         stage=stage,
         move=move,
         f_sub=f_vector(pair.sub),
         f_ambient=f_vector(pair.ambient),
-        euler_ambient=pair.euler_ambient(),
+        euler_ambient=euler_characteristic(pair.ambient),
         strongly_induced=pair.status.verdict == STRONGLY_INDUCED,
     )
 
@@ -251,19 +241,26 @@ def pipeline_run(
             raise ScriptStepError(i, exc) from exc
         steps.append(_step(pair, move.op, move))
 
-    final_map: dict[VertexLabel, VertexLabel] | None
-    if script.target_map is not None:
-        final_map = {vlabel(k): vlabel(v) for k, v in script.target_map.items()}
-        missing = [v for v in pair.sub.vertex_set() if v not in final_map]
-        if missing:
-            raise ScriptMismatchError(
-                f"target_map does not cover final subcomplex vertices: {sorted(str(v) for v in missing)}"
-            )
-        if relabel_complex(pair.sub, final_map) != target:
-            raise ScriptMismatchError("script did not transform the subcomplex into the target")
-    else:
-        final_map = isomorphism(pair.sub, target)
-        if final_map is None:
-            raise ScriptMismatchError("final subcomplex is not isomorphic to the target")
-    report = PipelineReport(steps=tuple(steps), final_isomorphism=final_map)
+    report = PipelineReport(steps=tuple(steps), final_isomorphism=_target_map(pair.sub, target, script))
     return pair.ambient, report
+
+
+def _target_map(
+    result: SimplicialComplex, target: SimplicialComplex, script: MoveScript
+) -> dict[VertexLabel, VertexLabel]:
+    """The map carrying a script's result onto the target: the script's
+    target_map, which must cover the result and relabel it to the target,
+    or else an isomorphism.  Raises ScriptMismatchError when neither fits."""
+    if script.target_map is None:
+        found = isomorphism(result, target)
+        if found is None:
+            raise ScriptMismatchError("final subcomplex is not isomorphic to the target")
+        return found
+    missing = [v for v in result.vertex_set() if v not in script.target_map]
+    if missing:
+        raise ScriptMismatchError(
+            f"target_map does not cover final subcomplex vertices: {sorted(str(v) for v in missing)}"
+        )
+    if relabel_complex(result, script.target_map) != target:
+        raise ScriptMismatchError("script did not transform the subcomplex into the target")
+    return dict(script.target_map)

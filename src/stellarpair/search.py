@@ -14,9 +14,9 @@ from collections import deque
 
 from .canonical import DEFAULT_VERTEX_GUARD, canonical_form, isomorphism
 from .complexes import Simplex, SimplicialComplex
-from .contraction import contract_edge, is_valid_edge
-from .errors import DomainError, ResourceLimitError, ScriptStepError
-from .pairs import CONTRACT, SUBDIVIDE, Move, MoveScript
+from .contraction import _substitute, contract_edge, is_valid_edge
+from .errors import DomainError, ResourceLimitError, ScriptMismatchError, ScriptStepError
+from .pairs import SUBDIVIDE, Move, MoveScript, _target_map
 from .subdivision import edge_subdivide
 
 DEFAULT_STATE_BUDGET = 100_000
@@ -90,7 +90,7 @@ def search_script(
         for e in _edges(state):
             if is_valid_edge(state, e):
                 keep = min(e.vertices)
-                successors.append((contract_edge(state, e, keep), Move.contract(e.vertices, keep)))
+                successors.append((_substitute(state, e, keep), Move.contract(e.vertices, keep)))
         for nxt, move in successors:
             form = canonical_form(nxt, guard=guard)
             if form in visited:
@@ -110,10 +110,8 @@ def replay_script(source: SimplicialComplex, script: MoveScript) -> SimplicialCo
         try:
             if move.op == SUBDIVIDE:
                 cx = edge_subdivide(cx, move.edge, move.new_label)
-            elif move.op == CONTRACT:
-                cx = contract_edge(cx, move.edge, move.survivor)
             else:
-                raise DomainError(f"unknown move op {move.op!r}")
+                cx = contract_edge(cx, move.edge, move.survivor)
         except DomainError as exc:
             raise ScriptStepError(i, exc) from exc
     return cx
@@ -123,9 +121,8 @@ def verify_script(source: SimplicialComplex, script: MoveScript, target: Simplic
     """Replay `script` on `source` and test the result against `target`:
     via the script's target_map when present, by isomorphism otherwise."""
     result = replay_script(source, script)
-    if script.target_map is not None:
-        from .complexes import relabel_complex
-
-        covered = all(v in script.target_map for v in result.vertex_set())
-        return covered and relabel_complex(result, script.target_map) == target
-    return isomorphism(result, target) is not None
+    try:
+        _target_map(result, target, script)
+    except ScriptMismatchError:
+        return False
+    return True

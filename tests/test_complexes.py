@@ -339,3 +339,9 @@ def test_validate_reports_first_of_two_dominated_facets():
 def test_validate_agrees_with_pairwise_dominance(facets):
     # raw families: dominated facets, nested chains and the empty facet all occur
     assert _validate_message(facets) == _pairwise_validate_message(facets)
+
+
+def test_debug_validation_rechecks_trusted_construction(debug_validation):
+    # the debug hook runs validate inside the constructor, trusted path included
+    with pytest.raises(StellarPairError, match=r"facet \{1,2\} is dominated by \{1,2,3\}"):
+        SimplicialComplex._from_antichain(map(Simplex.of, [[1, 2, 3], [1, 2]]))

@@ -102,6 +102,15 @@ def test_script_document_validation():
     assert parsed.moves[0].survivor == vlabel("1")
 
 
+def test_script_document_move_errors_name_the_move():
+    # Move's own checks run on parsed moves; the error says which move failed
+    ok = '{"op": "subdivide", "edge": ["1","2"], "new_label": "v"}'
+    with pytest.raises(MalformedInputError, match=r"^moves\[1\]: contract survivor 9"):
+        parse_script_document('{"moves": [%s, {"op": "contract", "edge": ["1","2"], "survivor": "9"}]}' % ok)
+    with pytest.raises(MalformedInputError, match=r"^moves\[1\]: a move edge needs exactly two distinct labels"):
+        parse_script_document('{"moves": [%s, {"op": "contract", "edge": ["2","2"]}]}' % ok)
+
+
 # -- generators -------------------------------------------------------------------
 
 def test_random_complex_is_deterministic():

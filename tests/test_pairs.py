@@ -23,6 +23,7 @@ from stellarpair import (
     pipeline_run,
     relabel_complex,
     search_script,
+    verify_script,
     vlabel,
 )
 from stellarpair.errors import (
@@ -213,6 +214,8 @@ def test_move_validation():
         Move("frobnicate", (vlabel("1"), vlabel("2")))
     with pytest.raises(MalformedInputError):
         Move.subdivide(("1", "2"), None)
+    with pytest.raises(MalformedInputError):
+        Move.contract(("1", "2"), "9")
     assert Move.contract(("2", "1")).survivor == vlabel("1")
 
 
@@ -264,6 +267,23 @@ def test_pipeline_script_mismatch():
     bad = MoveScript(script.moves[:2], target_map=None)
     with pytest.raises(ScriptMismatchError):
         pipeline_run(ambient, sub, target, bad)
+
+
+def test_pipeline_target_map_must_cover_final_subcomplex():
+    ambient, sub, target, script = tetra_path_setup()
+    partial = MoveScript(script.moves, target_map={"1": "a"})
+    with pytest.raises(ScriptMismatchError, match="target_map does not cover final subcomplex vertices"):
+        pipeline_run(ambient, sub, target, partial)
+    derived_sub, _ = derived_subdivision(sub, round=next_round(ambient.vertex_set()))
+    assert verify_script(derived_sub, script, target)
+    assert not verify_script(derived_sub, partial, target)
+
+
+def test_pipeline_under_debug_validation(debug_validation):
+    ambient, sub, target, script = tetra_path_setup()
+    final, report = pipeline_run(ambient, sub, target, script)
+    assert all(s.strongly_induced for s in report.steps)
+    assert is_pseudomanifold(final, 2)
 
 
 def test_pipeline_step_error_carries_index():
