@@ -58,8 +58,10 @@ from .pairs import (
     pair_new,
     pair_subdivide_edge,
     pipeline_run,
+    replay_script,
+    verify_script,
 )
-from .search import replay_script, search_script, verify_script
+from .search import search_script
 from . import errors
 
 __version__ = "0.1.0"

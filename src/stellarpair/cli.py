@@ -29,8 +29,8 @@ from .errors import (
     StellarPairError,
 )
 from .inducedness import is_induced, is_strongly_induced, missing_simplices
-from .pairs import pipeline_run
-from .search import search_script, verify_script
+from .pairs import pipeline_run, verify_script
+from .search import search_script
 from .subdivision import biased_derived, derived_subdivision, edge_subdivide, stellar_subdivide
 
 EXIT_OK = 0

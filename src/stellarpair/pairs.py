@@ -42,7 +42,13 @@ CONTRACT = "contract"
 
 @dataclass(frozen=True)
 class Move:
-    """One edge subdivision or one valid edge contraction on the subcomplex."""
+    """One edge subdivision or one valid edge contraction on the subcomplex.
+
+    Construction puts a move in normal form: the edge, the new label and
+    the survivor are interned vertex labels, the edge has exactly two
+    distinct endpoints, and a contraction without a survivor keeps the
+    smaller endpoint (by token).
+    """
 
     op: str
     edge: tuple[VertexLabel, VertexLabel]
@@ -52,26 +58,30 @@ class Move:
     def __post_init__(self):
         if self.op not in (SUBDIVIDE, CONTRACT):
             raise MalformedInputError(f"unknown move op {self.op!r}")
-        if len(self.edge) != 2 or self.edge[0] == self.edge[1]:
+        # a lone label is one vertex, not an edge to iterate over
+        edge = () if isinstance(self.edge, (str, int, VertexLabel)) else tuple(map(VertexLabel.of, self.edge))
+        if len(edge) != 2 or edge[0] == edge[1]:
             raise MalformedInputError("a move edge needs exactly two distinct labels")
+        object.__setattr__(self, "edge", edge)
         if self.op == SUBDIVIDE and self.new_label is None:
             raise MalformedInputError("subdivide move needs a new_label")
         if self.op == CONTRACT and self.new_label is not None:
             raise MalformedInputError("contract move takes no new_label")
-        if self.op == CONTRACT and self.survivor is not None and self.survivor not in self.edge:
-            raise MalformedInputError(f"contract survivor {self.survivor} is not an endpoint of the edge")
+        if self.new_label is not None:
+            object.__setattr__(self, "new_label", vlabel(self.new_label))
+        if self.op == CONTRACT:
+            keep = min(edge) if self.survivor is None else vlabel(self.survivor)
+            if keep not in edge:
+                raise MalformedInputError(f"contract survivor {keep} is not an endpoint of the edge")
+            object.__setattr__(self, "survivor", keep)
 
     @classmethod
     def subdivide(cls, edge, new_label) -> "Move":
-        a, b = edge
-        return cls(SUBDIVIDE, (vlabel(a), vlabel(b)), new_label=vlabel(new_label))
+        return cls(SUBDIVIDE, edge, new_label=new_label)
 
     @classmethod
     def contract(cls, edge, survivor=None) -> "Move":
-        a, b = edge
-        e = (vlabel(a), vlabel(b))
-        keep = min(e) if survivor is None else vlabel(survivor)
-        return cls(CONTRACT, e, survivor=keep)
+        return cls(CONTRACT, edge, survivor=survivor)
 
     def describe(self) -> str:
         a, b = sorted(self.edge)
@@ -150,61 +160,53 @@ def pair_biased(pair: ComplexPair) -> ComplexPair:
             witness=pair.status,
         )
     new_ambient, _ = biased_derived(pair.sub, pair.ambient)
-    out = pair_new(pair.sub, new_ambient)
+    failure = "biased derived subdivision failed to produce a strongly induced pair"
+    return _strong_pair(pair.sub, new_ambient, failure)
+
+
+def _strong_pair(sub: SimplicialComplex, ambient: SimplicialComplex, failure: str) -> ComplexPair:
+    """The pair of `sub` in `ambient`, which must come out strongly induced."""
+    out = pair_new(sub, ambient)
     if out.status.verdict != STRONGLY_INDUCED:
-        raise InvariantViolationError(
-            f"biased derived subdivision failed to produce a strongly induced pair: {out.status}",
-            witness=out.status,
-        )
+        raise InvariantViolationError(f"{failure}: {out.status}", witness=out.status)
     return out
 
 
-def _require_strong(pair: ComplexPair, what: str) -> None:
+def _apply(cx: SimplicialComplex, move: Move) -> SimplicialComplex:
+    """Apply a move to a bare complex."""
+    if move.op == SUBDIVIDE:
+        return edge_subdivide(cx, move.edge, move.new_label)
+    return contract_edge(cx, move.edge, move.survivor)
+
+
+def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
+    """Apply a move on an edge of the subcomplex of a strongly induced pair to
+    both components; after a subdivision the ambient complex is re-biased."""
+    what = "pair edge subdivision" if move.op == SUBDIVIDE else "pair edge contraction"
     if pair.status.verdict != STRONGLY_INDUCED:
         raise PreconditionError(
             f"{what} needs a strongly induced pair, status is {pair.status}",
             witness=pair.status,
         )
+    e = as_simplex(move.edge)
+    if e not in pair.sub:
+        raise AbsentFaceError(f"{e} is not an edge of the subcomplex")
+    new_sub = _apply(pair.sub, move)
+    new_ambient = _apply(pair.ambient, move)
+    if move.op == SUBDIVIDE:
+        new_ambient, _ = biased_derived(new_sub, new_ambient)
+    return _strong_pair(new_sub, new_ambient, f"{what} lost strong inducedness")
 
 
 def pair_subdivide_edge(pair: ComplexPair, edge, new_label) -> ComplexPair:
     """Subdivide an edge of the subcomplex in both components, then re-bias
-    the ambient complex around the new pair."""
-    _require_strong(pair, "pair edge subdivision")
-    e = as_simplex(edge)
-    if e not in pair.sub:
-        raise AbsentFaceError(f"{e} is not an edge of the subcomplex")
-    new_sub = edge_subdivide(pair.sub, e, new_label)
-    new_ambient = edge_subdivide(pair.ambient, e, new_label)
-    new_ambient, _ = biased_derived(new_sub, new_ambient)
-    out = pair_new(new_sub, new_ambient)
-    if out.status.verdict != STRONGLY_INDUCED:
-        raise InvariantViolationError(
-            f"pair edge subdivision lost strong inducedness: {out.status}",
-            witness=out.status,
-        )
-    return out
+    the ambient complex around the new pair (see `apply_move`)."""
+    return apply_move(pair, Move.subdivide(edge, new_label))
 
 
 def pair_contract_edge(pair: ComplexPair, edge, survivor=None) -> ComplexPair:
-    """Contract a valid edge of the subcomplex in both components."""
-    _require_strong(pair, "pair edge contraction")
-    e = as_simplex(edge)
-    if e not in pair.sub:
-        raise AbsentFaceError(f"{e} is not an edge of the subcomplex")
-    out = pair_new(contract_edge(pair.sub, e, survivor), contract_edge(pair.ambient, e, survivor))
-    if out.status.verdict != STRONGLY_INDUCED:
-        raise InvariantViolationError(
-            f"pair edge contraction lost strong inducedness: {out.status}",
-            witness=out.status,
-        )
-    return out
-
-
-def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
-    if move.op == SUBDIVIDE:
-        return pair_subdivide_edge(pair, move.edge, move.new_label)
-    return pair_contract_edge(pair, move.edge, move.survivor)
+    """Contract a valid edge of the subcomplex in both components (see `apply_move`)."""
+    return apply_move(pair, Move.contract(edge, survivor))
 
 
 def _step(pair: ComplexPair, stage: str, move: Move | None) -> PipelineStep:
@@ -264,3 +266,25 @@ def _target_map(
     if relabel_complex(result, script.target_map) != target:
         raise ScriptMismatchError("script did not transform the subcomplex into the target")
     return dict(script.target_map)
+
+
+def replay_script(source: SimplicialComplex, script: MoveScript) -> SimplicialComplex:
+    """Replay a script on a bare complex; step failures carry their index."""
+    cx = source
+    for i, move in enumerate(script.moves):
+        try:
+            cx = _apply(cx, move)
+        except DomainError as exc:
+            raise ScriptStepError(i, exc) from exc
+    return cx
+
+
+def verify_script(source: SimplicialComplex, script: MoveScript, target: SimplicialComplex) -> bool:
+    """Replay `script` on `source` and test the result against `target`:
+    via the script's target_map when present, by isomorphism otherwise."""
+    result = replay_script(source, script)
+    try:
+        _target_map(result, target, script)
+    except ScriptMismatchError:
+        return False
+    return True

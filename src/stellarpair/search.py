@@ -14,9 +14,9 @@ from collections import deque
 
 from .canonical import DEFAULT_VERTEX_GUARD, canonical_form, isomorphism
 from .complexes import Simplex, SimplicialComplex
-from .contraction import _substitute, contract_edge, is_valid_edge
-from .errors import DomainError, ResourceLimitError, ScriptMismatchError, ScriptStepError
-from .pairs import SUBDIVIDE, Move, MoveScript, _target_map
+from .contraction import _substitute, is_valid_edge
+from .errors import ResourceLimitError
+from .pairs import Move, MoveScript
 from .subdivision import edge_subdivide
 
 DEFAULT_STATE_BUDGET = 100_000
@@ -89,8 +89,8 @@ def search_script(
                 successors.append((edge_subdivide(state, e, fresh), Move.subdivide(e.vertices, fresh)))
         for e in _edges(state):
             if is_valid_edge(state, e):
-                keep = min(e.vertices)
-                successors.append((_substitute(state, e, keep), Move.contract(e.vertices, keep)))
+                move = Move.contract(e.vertices)
+                successors.append((_substitute(state, e, move.survivor), move))
         for nxt, move in successors:
             form = canonical_form(nxt, guard=guard)
             if form in visited:
@@ -101,28 +101,3 @@ def search_script(
                 return MoveScript(path, target_map=isomorphism(nxt, target, guard=guard))
             queue.append((nxt, path))
     return None
-
-
-def replay_script(source: SimplicialComplex, script: MoveScript) -> SimplicialComplex:
-    """Replay a script on a bare complex; step failures carry their index."""
-    cx = source
-    for i, move in enumerate(script.moves):
-        try:
-            if move.op == SUBDIVIDE:
-                cx = edge_subdivide(cx, move.edge, move.new_label)
-            else:
-                cx = contract_edge(cx, move.edge, move.survivor)
-        except DomainError as exc:
-            raise ScriptStepError(i, exc) from exc
-    return cx
-
-
-def verify_script(source: SimplicialComplex, script: MoveScript, target: SimplicialComplex) -> bool:
-    """Replay `script` on `source` and test the result against `target`:
-    via the script's target_map when present, by isomorphism otherwise."""
-    result = replay_script(source, script)
-    try:
-        _target_map(result, target, script)
-    except ScriptMismatchError:
-        return False
-    return True

@@ -19,7 +19,6 @@ from .errors import AbsentFaceError, DomainError, NamingError
 from .inducedness import _require_subcomplex
 from .labels import VertexLabel, next_round, vlabel
 
-STELLAR = "stellar"
 DERIVED = "derived"
 BIASED = "biased"
 
@@ -30,9 +29,12 @@ class SubdivisionRecord:
 
     kind: str
     round: int | None = None
-    sigma: Simplex | None = None
-    subdivided_faces: tuple[Simplex, ...] = ()
     new_labels: Mapping[Simplex, VertexLabel] = field(default_factory=dict)
+
+    @property
+    def subdivided_faces(self) -> tuple[Simplex, ...]:
+        """The faces that got a new vertex, in canonical order."""
+        return tuple(sorted(self.new_labels, key=Simplex.sort_key))
 
 
 def stellar_subdivide(cx: SimplicialComplex, simplex, new_label) -> SimplicialComplex:
@@ -133,13 +135,7 @@ def derived_subdivision(
     """
     rnd = next_round(cx.vertex_set()) if round is None else round
     result, labels = _relative_derived(cx, lambda fs: False, rnd)
-    record = SubdivisionRecord(
-        kind=DERIVED,
-        round=rnd,
-        subdivided_faces=tuple(sorted(labels, key=Simplex.sort_key)),
-        new_labels=labels,
-    )
-    return result, record
+    return result, SubdivisionRecord(kind=DERIVED, round=rnd, new_labels=labels)
 
 
 def biased_derived(
@@ -156,10 +152,4 @@ def biased_derived(
     result, labels = _relative_derived(
         ambient, lambda fs: Simplex(tuple(sorted(fs))) in sub, rnd
     )
-    record = SubdivisionRecord(
-        kind=BIASED,
-        round=rnd,
-        subdivided_faces=tuple(sorted(labels, key=Simplex.sort_key)),
-        new_labels=labels,
-    )
-    return result, record
+    return result, SubdivisionRecord(kind=BIASED, round=rnd, new_labels=labels)

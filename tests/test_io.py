@@ -84,6 +84,13 @@ def test_script_round_trip():
     assert parsed.moves == script.moves
     assert parsed.target_map == {vlabel("1"): vlabel("a"), vlabel("2"): vlabel("b")}
     assert serialize_script_document(parsed) == text
+    # moves from the raw constructor serialize the same: interned labels, default survivor
+    raw = MoveScript(
+        (Move("subdivide", ("1", "2"), new_label="v"), Move("contract", (vlabel("2"), vlabel("v")))),
+        target_map={"1": "a", "2": "b"},
+    )
+    assert serialize_script_document(raw) == text
+    assert parse_script_document(serialize_script_document(raw)).moves == raw.moves
 
 
 def test_script_document_validation():

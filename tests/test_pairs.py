@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from stellarpair import (
     Move,
     MoveScript,
+    VertexLabel,
+    apply_move,
     derived_subdivision,
     edge_subdivide,
     euler_characteristic,
@@ -14,6 +16,7 @@ from stellarpair import (
     is_pseudomanifold,
     is_strongly_induced,
     is_subcomplex,
+    is_valid_edge,
     next_round,
     pair_biased,
     pair_contract_edge,
@@ -22,6 +25,7 @@ from stellarpair import (
     pair_subdivide_edge,
     pipeline_run,
     relabel_complex,
+    replay_script,
     search_script,
     verify_script,
     vlabel,
@@ -149,6 +153,8 @@ def test_pair_subdivide_edge_requires_strong(four_cycle):
 def test_pair_subdivide_edge_needs_edge_of_sub():
     with pytest.raises(AbsentFaceError):
         pair_subdivide_edge(edge_in_triangle_pair(), [1, 3], "v")
+    with pytest.raises(MalformedInputError, match="a move edge needs exactly two distinct labels"):
+        pair_subdivide_edge(edge_in_triangle_pair(), [1, 2, 3], "v")
 
 
 @given(st.integers(0, 500))
@@ -187,6 +193,28 @@ def test_pair_contract_invalid_edge(hollow_triangle):
     with pytest.raises(InvalidEdgeError) as exc:
         pair_contract_edge(pair, [1, 2], 1)
     assert [b.tokens() for b in exc.value.blockers] == [("1", "2", "3")]
+    with pytest.raises(MalformedInputError, match="contract survivor 3 is not an endpoint of the edge"):
+        pair_contract_edge(pair, [1, 2], 3)
+
+
+@given(st.integers(0, 500))
+@settings(max_examples=30, deadline=None)
+def test_apply_move_sub_matches_bare_replay(seed):
+    # the pair move does to the subcomplex exactly what the bare replay does
+    pair = random_strongly_induced_pair(5, 2, 0.45, seed)
+    edges = sorted(pair.sub.faces().get(1, ()))
+    if not edges:
+        return
+    moves = [Move.subdivide(edges[seed % len(edges)].vertices, "w")]
+    valid = [e for e in edges if is_valid_edge(pair.sub, e)]
+    if valid:
+        e = valid[seed % len(valid)]
+        moves.append(Move.contract(e.vertices, e.vertices[seed % 2]))
+    for move in moves:
+        out = apply_move(pair, move)
+        assert out.sub == replay_script(pair.sub, MoveScript((move,)))
+        if move.op == "contract":
+            assert out.ambient == replay_script(pair.ambient, MoveScript((move,)))
 
 
 @given(st.integers(0, 500))
@@ -217,6 +245,16 @@ def test_move_validation():
     with pytest.raises(MalformedInputError):
         Move.contract(("1", "2"), "9")
     assert Move.contract(("2", "1")).survivor == vlabel("1")
+    with pytest.raises(MalformedInputError):
+        Move.subdivide("12", "v")  # one label, not the edge 1-2
+    # the raw constructor gives the same normal form as the helpers
+    raw = Move("contract", (vlabel("1"), vlabel("2")))
+    assert raw.survivor is vlabel("1")
+    assert raw.describe() == "contract 1,2 -> 1"
+    raw = Move("subdivide", ("1", "2"), new_label="v")
+    assert raw.edge == (vlabel("1"), vlabel("2"))
+    assert all(isinstance(v, VertexLabel) for v in raw.edge + (raw.new_label,))
+    assert raw == Move.subdivide(("1", "2"), "v")
 
 
 def test_script_fresh_labels():
