@@ -4,7 +4,11 @@ Every negative verdict carries a re-checkable counterexample; ties are
 broken toward the canonically least simplex (dimension first, then
 lexicographic) so the verdicts are reproducible.
 
-The strong-inducedness scan exploits two facts: the verdict for a face
+The strong-inducedness scan is local: it keeps only the ambient facets
+that meet the subcomplex's vertices, since no other facet can change the
+verdict or the witness (proof sketch in `_StrongScan`).  Its cost is one
+linear filter over the ambient facets, then work proportional to the
+facets kept.  Within them it exploits two facts: the verdict for a face
 depends only on the set of facets containing it (memoized per facet
 support), and the subcomplex faces inside one ambient facet depend only
 on the facet's trace on the subcomplex's vertices.  The hot path is pure
@@ -55,10 +59,15 @@ class InducednessWitness:
         return self.verdict
 
 
+def _not_a_subcomplex(sub: SimplicialComplex, is_face) -> NotASubcomplexError:
+    """The error naming the first facet of `sub` (canonical order) that `is_face` rejects."""
+    bad = next(f for f in sub.sorted_facets() if not is_face(f))
+    return NotASubcomplexError(f"facet {bad} of the subcomplex is not a face of the ambient complex")
+
+
 def _require_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> None:
     if not is_subcomplex(sub, ambient):
-        bad = next(f for f in sub.sorted_facets() if f not in ambient)
-        raise NotASubcomplexError(f"facet {bad} of the subcomplex is not a face of the ambient complex")
+        raise _not_a_subcomplex(sub, ambient.__contains__)
 
 
 def missing_simplices(cx: SimplicialComplex, max_dim: int | None = None) -> set[Simplex]:
@@ -116,18 +125,37 @@ def is_induced(sub: SimplicialComplex, ambient: SimplicialComplex) -> Inducednes
 
 
 class _StrongScan:
-    """Shared machinery for the strong-inducedness fast scan and witness pass."""
+    """Strong-inducedness fast scan and witness pass over the neighbourhood
+    N = {F in ambient.facets : F meets V(sub)} of the subcomplex.
+
+    Restricting to N is exact:
+    - `sub ∩ star(σ)` is the union of `sub ∩ F` over the facets F ⊇ σ;
+    - a facet with no vertex in `sub` adds nothing to that union;
+    - so every σ with a nonempty intersection is a face of some facet in N,
+      and its maximal intersection pieces are the same over N as over all
+      facets.
+    Hence the scan over N gives the same verdict, and the witness pass over
+    the faces of N finds the same least witness (by `Simplex.sort_key`) with
+    the same `intersection_faces`.  The cost is one linear filter over the
+    ambient facets, then work proportional to N.
+
+    Construction also checks that `sub` is a subcomplex: an ambient facet
+    holding a sub facet g meets V(sub), so it lies in N, and g is an ambient
+    face iff its `support` (the AND of its vertices' facet bits) is nonzero.
+    """
 
     def __init__(self, sub: SimplicialComplex, ambient: SimplicialComplex):
         self.sub = sub
-        self.facets = ambient.sorted_facets()
-        self.gamma_verts = sub.vertex_set()
+        self.gamma_verts = gamma = sub.vertex_set()
+        self.facets = [f for f in ambient.facets if not gamma.isdisjoint(f._vset)]
         self.gamma_facet_sets = [f._vset for f in sub.facets]
         self.vmask: dict[VertexLabel, int] = {}
         for i, f in enumerate(self.facets):
             bit = 1 << i
             for v in f.vertices:
                 self.vmask[v] = self.vmask.get(v, 0) | bit
+        if not all(self.support(g) for g in sub.facets):
+            raise _not_a_subcomplex(sub, self.support)
         # maximal sub-faces within a facet, keyed by the facet's vertex trace on sub
         self._trace_pieces: dict[frozenset, tuple[frozenset, ...]] = {}
         self._pieces_by_facet: list[tuple[frozenset, ...]] = [
@@ -137,8 +165,6 @@ class _StrongScan:
 
     def _pieces(self, facet: Simplex) -> tuple[frozenset, ...]:
         trace = frozenset(v for v in facet.vertices if v in self.gamma_verts)
-        if not trace:
-            return ()
         got = self._trace_pieces.get(trace)
         if got is None:
             cuts = {g & trace for g in self.gamma_facet_sets}
@@ -146,6 +172,14 @@ class _StrongScan:
             got = tuple(c for c in cuts if not any(c is not d and c <= d for d in cuts))
             self._trace_pieces[trace] = got
         return got
+
+    def support(self, simplex: Simplex) -> int:
+        """Bitmask of the kept facets containing the nonempty `simplex`."""
+        get = self.vmask.get
+        mask = -1
+        for v in simplex.vertices:
+            mask &= get(v, 0)
+        return mask
 
     def maximal_for(self, support: int) -> tuple[frozenset, ...]:
         got = self._support_maximal.get(support)
@@ -195,11 +229,7 @@ class _StrongScan:
                     ambient_faces.append(s)
         ambient_faces.sort(key=Simplex.sort_key)
         for sigma in ambient_faces:
-            support = None
-            for v in sigma.vertices:
-                m = self.vmask[v]
-                support = m if support is None else support & m
-            maximal = self.maximal_for(support)
+            maximal = self.maximal_for(self.support(sigma))
             if len(maximal) <= 1 or sigma in self.sub:
                 continue
             faces = tuple(
@@ -212,7 +242,6 @@ class _StrongScan:
 def is_strongly_induced(sub: SimplicialComplex, ambient: SimplicialComplex) -> InducednessWitness:
     """For every ambient face sigma outside `sub`, does `sub` meet the closed
     star of sigma in at most a single simplex (possibly the empty one)?"""
-    _require_subcomplex(sub, ambient)
     scan = _StrongScan(sub, ambient)
     if not scan.has_violation():
         return InducednessWitness(STRONGLY_INDUCED)
@@ -226,7 +255,6 @@ def classify_pair(sub: SimplicialComplex, ambient: SimplicialComplex) -> Induced
     Strongly induced implies induced (a missing face with all vertices in
     `sub` meets `sub` in two or more maximal pieces), so the strong scan runs
     first, without its witness pass, and `is_induced` only on a violation."""
-    _require_subcomplex(sub, ambient)
     if not _StrongScan(sub, ambient).has_violation():
         return InducednessWitness(STRONGLY_INDUCED)
     return is_induced(sub, ambient)

@@ -67,6 +67,8 @@ class Move:
             raise MalformedInputError("subdivide move needs a new_label")
         if self.op == CONTRACT and self.new_label is not None:
             raise MalformedInputError("contract move takes no new_label")
+        if self.op == SUBDIVIDE and self.survivor is not None:
+            raise MalformedInputError("subdivide move takes no survivor")
         if self.new_label is not None:
             object.__setattr__(self, "new_label", vlabel(self.new_label))
         if self.op == CONTRACT:

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from stellarpair import (
+    Simplex,
+    SimplicialComplex,
+    biased_derived,
     classify_pair,
     derived_subdivision,
     from_facets,
@@ -13,6 +19,9 @@ from stellarpair import (
     is_strongly_induced,
     missing_simplices,
     next_round,
+    pair_biased,
+    pair_new,
+    pair_subdivide_edge,
     star,
     vlabel,
 )
@@ -22,6 +31,7 @@ from stellarpair.inducedness import (
     NOT_INDUCED,
     NOT_STRONGLY_INDUCED,
     STRONGLY_INDUCED,
+    _StrongScan,
 )
 from stellarpair.io import (
     random_complex,
@@ -218,3 +228,96 @@ def test_induced_subcomplex_restriction(tetra_boundary):
     assert sub == from_facets([[1, 2, 3]])
     assert is_induced(sub, tetra_boundary).verdict == INDUCED
     assert induced_subcomplex(tetra_boundary, [vlabel("9")]).is_empty
+
+
+# -- locality: the strong scan keeps only the facets that meet the subcomplex ---------
+
+def least_violation(sub, ambient):
+    """(sigma, maximal faces of sub ∩ star(sigma)) for the `Simplex.sort_key`-least
+    ambient face sigma outside `sub` whose closed star meets `sub` in two or more
+    maximal faces, or None; straight from the definition, over every ambient face."""
+    sub_faces = oracles.all_faces_brute(sub)
+    for sigma in sorted(oracles.all_faces_brute(ambient), key=Simplex.sort_key):
+        if sigma in sub_faces:
+            continue
+        star_faces = oracles.all_faces_brute(
+            SimplicialComplex([f for f in ambient.facets if sigma.issubset(f)])
+        )
+        common = star_faces & sub_faces
+        maximal = [s for s in common if not any(s != t and s.issubset(t) for t in common)]
+        if len(maximal) > 1:
+            return sigma, tuple(sorted(maximal, key=Simplex.sort_key))
+    return None
+
+
+def _local_pair(kind: str, seed: int):
+    """A pair whose subcomplex is a small part of the ambient: 1-4 random faces of
+    a biased or derived ambient, or the pair after a `pair_subdivide_edge`."""
+    n = 4 + seed % 2
+    if kind == "subdivided":
+        for s in itertools.count(seed):
+            pair = pair_biased(random_induced_pair(n, 2, 0.5, s))
+            edges = [f for f in pair.sub.all_faces() if len(f) == 2]
+            if edges:
+                moved = pair_subdivide_edge(pair, edges[s % len(edges)].vertices, "w")
+                return moved.sub, moved.ambient
+    base_sub, base = random_subcomplex_pair(n + 1, 2, 0.6, seed)
+    ambient = biased_derived(base_sub, base)[0] if kind == "biased" else derived_subdivision(base)[0]
+    rng = random.Random(seed)
+    faces = ambient.all_faces()
+    return SimplicialComplex(rng.choice(faces) for _ in range(rng.randint(1, 4))), ambient
+
+
+@given(st.sampled_from(["biased", "derived", "subdivided"]), st.integers(0, 400))
+@settings(max_examples=60, deadline=None)
+def test_local_strong_scan_agrees_with_definition(kind, seed):
+    sub, ambient = _local_pair(kind, seed)
+    near = {f for f in ambient.facets if not sub.vertex_set().isdisjoint(f.vertices)}
+    assert set(_StrongScan(sub, ambient).facets) == near
+    got = is_strongly_induced(sub, ambient)
+    strong = oracles.naive_is_strongly_induced(sub, ambient)
+    assert (got.verdict == STRONGLY_INDUCED) == strong
+    assert (classify_pair(sub, ambient).verdict == STRONGLY_INDUCED) == strong
+    expected = least_violation(sub, ambient)
+    if strong:
+        assert expected is None
+        return
+    assert got.verdict == NOT_STRONGLY_INDUCED
+    assert (got.sigma, got.intersection_faces) == expected
+
+
+def test_local_strong_scan_sources_reach_both_verdicts():
+    # the generator behind the property test above gives violations and strong pairs
+    verdicts = {
+        is_strongly_induced(*_local_pair(kind, seed)).verdict
+        for kind in ("biased", "derived", "subdivided")
+        for seed in range(6)
+    }
+    assert verdicts == {STRONGLY_INDUCED, NOT_STRONGLY_INDUCED}
+
+
+# -- the subcomplex precondition ------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "facets, bad",
+    [
+        # every vertex is in the 4-cycle, but {1,3} and {2,4} are not faces of it
+        ([[2, 4], [1, 2], [1, 3]], "{1,3}"),
+        # 5 and 7 are not vertices of the 4-cycle
+        ([[4, 5], [1, 2], [3, 7]], "{3,7}"),
+    ],
+)
+def test_strong_checks_require_subcomplex(four_cycle, facets, bad):
+    sub = from_facets(facets)
+    message = f"facet {bad} of the subcomplex is not a face of the ambient complex"
+    for check in (classify_pair, is_strongly_induced, pair_new):
+        with pytest.raises(NotASubcomplexError) as err:
+            check(sub, four_cycle)
+        assert str(err.value) == message
+
+
+def test_empty_sub_is_strongly_induced(four_cycle):
+    empty = SimplicialComplex([])
+    assert classify_pair(empty, four_cycle).verdict == STRONGLY_INDUCED
+    assert is_strongly_induced(empty, four_cycle).verdict == STRONGLY_INDUCED
+    assert pair_new(empty, four_cycle).status.verdict == STRONGLY_INDUCED

@@ -247,6 +247,8 @@ def test_move_validation():
     assert Move.contract(("2", "1")).survivor == vlabel("1")
     with pytest.raises(MalformedInputError):
         Move.subdivide("12", "v")  # one label, not the edge 1-2
+    with pytest.raises(MalformedInputError, match="subdivide move takes no survivor"):
+        Move("subdivide", ("1", "2"), new_label="v", survivor="x")
     # the raw constructor gives the same normal form as the helpers
     raw = Move("contract", (vlabel("1"), vlabel("2")))
     assert raw.survivor is vlabel("1")
