@@ -27,11 +27,11 @@ def _check_edge(cx: SimplicialComplex, edge) -> Simplex:
 def _blocker_candidates(cx: SimplicialComplex, e: Simplex):
     """Vertex sets containing e whose pairs are all edges of cx."""
     u, v = e.vertices
-    common = [
-        w
-        for w in cx.vertices()
-        if w not in (u, v) and Simplex(tuple(sorted((u, w)))) in cx and Simplex(tuple(sorted((v, w)))) in cx
-    ]
+    # common neighbours of u and v, read off their stars; sorted for a stable candidate order
+    star_u, star_v = (
+        set().union(*(f._vset for f in cx.facets_containing(Simplex((x,))))) for x in (u, v)
+    )
+    common = sorted(star_u & star_v - {u, v})
     top_extra = cx.dim  # a missing simplex has dimension <= dim+1, so <= dim extra vertices beyond e
     for size in range(1, max(top_extra, 0) + 1):
         for extra in combinations(common, size):
@@ -83,7 +83,7 @@ def contract_edge(cx: SimplicialComplex, edge, survivor=None) -> SimplicialCompl
     """Contract a valid edge: the non-surviving label is replaced by the
     survivor everywhere, degenerate images collapse, duplicates merge."""
     e = _check_edge(cx, edge)
-    blockers = blocking_missing_simplices(cx, e)
+    blockers = tuple(sorted(_missing_through(cx, e), key=Simplex.sort_key))
     if blockers:
         raise InvalidEdgeError(e, blockers)
     keep: VertexLabel = e.vertices[0] if survivor is None else vlabel(survivor)

@@ -4,21 +4,23 @@ Every negative verdict carries a re-checkable counterexample; ties are
 broken toward the canonically least simplex (dimension first, then
 lexicographic) so the verdicts are reproducible.
 
-The strong-inducedness scan is local: it keeps only the ambient facets
-that meet the subcomplex's vertices, since no other facet can change the
-verdict or the witness (proof sketch in `_StrongScan`).  Its cost is one
-linear filter over the ambient facets, then work proportional to the
-facets kept.  Within them it exploits two facts: the verdict for a face
-depends only on the set of facets containing it (memoized per facet
-support), and the subcomplex faces inside one ambient facet depend only
-on the facet's trace on the subcomplex's vertices.  The hot path is pure
-integer bitmask arithmetic; simplices are only materialized when a
-witness has to be reported.
+One scan answers all three predicates (`is_induced`,
+`is_strongly_induced`, `classify_pair`).  It is local: it keeps only the
+ambient facets that meet the subcomplex's vertices, since no other facet
+can change a verdict or a witness (proof sketch in `_StrongScan`).  Its
+cost is one linear filter over the ambient facets, then work
+proportional to the facets kept.  Within them it exploits two facts: the
+verdict for a face depends only on the set of facets containing it
+(memoized per facet support), and the subcomplex faces inside one
+ambient facet depend only on the facet's trace on the subcomplex's
+vertices.  The hot path is pure integer bitmask arithmetic; simplices
+are only materialized when a violation is found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .complexes import Simplex, SimplicialComplex, is_subcomplex
 from .errors import NotASubcomplexError
@@ -99,34 +101,14 @@ def missing_simplices(cx: SimplicialComplex, max_dim: int | None = None) -> set[
 
 def is_induced(sub: SimplicialComplex, ambient: SimplicialComplex) -> InducednessWitness:
     """Is every ambient face with all vertices in `sub` a face of `sub`?"""
-    _require_subcomplex(sub, ambient)
-    keep = sub.vertex_set()
-    trace_ok: dict[tuple[VertexLabel, ...], bool] = {}
-    offended = False
-    for f in ambient.facets:
-        common = tuple(v for v in f.vertices if v in keep)
-        if not common:
-            continue
-        ok = trace_ok.get(common)
-        if ok is None:
-            ok = Simplex(common) in sub
-            trace_ok[common] = ok
-        if not ok:
-            offended = True
-            break
-    if not offended:
-        return InducednessWitness(INDUCED)
-    offenders = [
-        s
-        for s in ambient.all_faces()
-        if all(v in keep for v in s.vertices) and s not in sub
-    ]
-    return InducednessWitness(NOT_INDUCED, offending_simplex=min(offenders, key=Simplex.sort_key))
+    return _StrongScan(sub, ambient).induced()
 
 
 class _StrongScan:
-    """Strong-inducedness fast scan and witness pass over the neighbourhood
-    N = {F in ambient.facets : F meets V(sub)} of the subcomplex.
+    """The one inducedness engine: a scan of the neighbourhood
+    N = {F in ambient.facets : F meets V(sub)} of the subcomplex for
+    violations, i.e. ambient faces outside `sub` whose closed star meets
+    `sub` in two or more maximal pieces.
 
     Restricting to N is exact:
     - `sub ∩ star(σ)` is the union of `sub ∩ F` over the facets F ⊇ σ;
@@ -134,10 +116,10 @@ class _StrongScan:
     - so every σ with a nonempty intersection is a face of some facet in N,
       and its maximal intersection pieces are the same over N as over all
       facets.
-    Hence the scan over N gives the same verdict, and the witness pass over
-    the faces of N finds the same least witness (by `Simplex.sort_key`) with
-    the same `intersection_faces`.  The cost is one linear filter over the
-    ambient facets, then work proportional to N.
+    Hence N has the same violations as the whole ambient, so the verdicts
+    and the least witnesses (by `Simplex.sort_key`) are the same.  The cost
+    is one linear filter over the ambient facets, then work proportional
+    to N.
 
     Construction also checks that `sub` is a subcomplex: an ambient facet
     holding a sub facet g meets V(sub), so it lies in N, and g is an ambient
@@ -145,7 +127,6 @@ class _StrongScan:
     """
 
     def __init__(self, sub: SimplicialComplex, ambient: SimplicialComplex):
-        self.sub = sub
         self.gamma_verts = gamma = sub.vertex_set()
         self.facets = [f for f in ambient.facets if not gamma.isdisjoint(f._vset)]
         self.gamma_facet_sets = [f._vset for f in sub.facets]
@@ -194,17 +175,17 @@ class _StrongScan:
             self._support_maximal[support] = got
         return got
 
-    def has_violation(self) -> bool:
-        """Integer-only scan over every facet's subsets."""
+    def _violations(self) -> Iterator[Simplex]:
+        """Every violation, once per kept facet holding it.  Integer-only
+        subset scan of each facet; a simplex is built only for a violation."""
         for i, facet in enumerate(self.facets):
             verts = facet.vertices
-            m = len(verts)
             masks = [self.vmask[v] for v in verts]
             pieces = self._pieces_by_facet[i]
             piece_bits = [
                 sum(1 << j for j, v in enumerate(verts) if v in p) for p in pieces
             ]
-            size = 1 << m
+            size = 1 << len(verts)
             sup = [0] * size
             for t in range(1, size):
                 low = t & -t
@@ -215,46 +196,55 @@ class _StrongScan:
                 if len(self.maximal_for(sup_t)) > 1:
                     # the face is a violation unless it lies in the subcomplex
                     if not any(t & ~pb == 0 for pb in piece_bits):
-                        return True
-        return False
+                        yield Simplex(tuple(v for k, v in enumerate(verts) if t >> k & 1))
+
+    def has_violation(self) -> bool:
+        return next(self._violations(), None) is not None
 
     def witness(self) -> InducednessWitness:
-        """Locate the (dimension, lexicographic)-least violating face."""
-        ambient_faces: list[Simplex] = []
-        seen: set[Simplex] = set()
-        for facet in self.facets:
-            for s in facet.subfaces():
-                if s not in seen:
-                    seen.add(s)
-                    ambient_faces.append(s)
-        ambient_faces.sort(key=Simplex.sort_key)
-        for sigma in ambient_faces:
-            maximal = self.maximal_for(self.support(sigma))
-            if len(maximal) <= 1 or sigma in self.sub:
-                continue
-            faces = tuple(
-                sorted((Simplex(tuple(sorted(p))) for p in maximal), key=Simplex.sort_key)
+        """STRONGLY_INDUCED, or the (dimension, lexicographic)-least violation."""
+        sigma = min(self._violations(), key=Simplex.sort_key, default=None)
+        if sigma is None:
+            return InducednessWitness(STRONGLY_INDUCED)
+        faces = tuple(
+            sorted(
+                (Simplex(tuple(sorted(p))) for p in self.maximal_for(self.support(sigma))),
+                key=Simplex.sort_key,
             )
-            return InducednessWitness(NOT_STRONGLY_INDUCED, sigma=sigma, intersection_faces=faces)
-        raise AssertionError("violation vanished between scan and witness pass")
+        )
+        return InducednessWitness(NOT_STRONGLY_INDUCED, sigma=sigma, intersection_faces=faces)
+
+    def induced(self) -> InducednessWitness:
+        """INDUCED iff every kept facet's trace on V(sub) is its own single
+        piece, i.e. a face of `sub`.  Otherwise the witness is the least
+        violation with all vertices in V(sub): every ambient face missing
+        from `sub` with all its vertices in V(sub) is a violation (see
+        `classify_pair`)."""
+        if all(pieces == (trace,) for trace, pieces in self._trace_pieces.items()):
+            return InducednessWitness(INDUCED)
+        gamma = self.gamma_verts
+        offender = min(
+            (s for s in self._violations() if s._vset <= gamma), key=Simplex.sort_key
+        )
+        return InducednessWitness(NOT_INDUCED, offending_simplex=offender)
 
 
 def is_strongly_induced(sub: SimplicialComplex, ambient: SimplicialComplex) -> InducednessWitness:
     """For every ambient face sigma outside `sub`, does `sub` meet the closed
     star of sigma in at most a single simplex (possibly the empty one)?"""
-    scan = _StrongScan(sub, ambient)
-    if not scan.has_violation():
-        return InducednessWitness(STRONGLY_INDUCED)
-    return scan.witness()
+    return _StrongScan(sub, ambient).witness()
 
 
 def classify_pair(sub: SimplicialComplex, ambient: SimplicialComplex) -> InducednessWitness:
     """Most precise verdict for a subcomplex pair: strongly induced, induced,
-    or not induced (with witness).
+    or not induced (with witness), all from one `_StrongScan`.
 
-    Strongly induced implies induced (a missing face with all vertices in
-    `sub` meets `sub` in two or more maximal pieces), so the strong scan runs
-    first, without its witness pass, and `is_induced` only on a violation."""
-    if not _StrongScan(sub, ambient).has_violation():
+    Strongly induced implies induced: a face missing from `sub` with all
+    its vertices in V(sub) is a violation, since `sub ∩ star` holds all its
+    vertices, and a single maximal piece holding them would put the face in
+    `sub`.  So the scan looks for any violation first, and only on one asks
+    whether the pair is induced."""
+    scan = _StrongScan(sub, ambient)
+    if not scan.has_violation():
         return InducednessWitness(STRONGLY_INDUCED)
-    return is_induced(sub, ambient)
+    return scan.induced()

@@ -70,15 +70,21 @@ def edge_subdivide(cx: SimplicialComplex, edge, new_label) -> SimplicialComplex:
 def _relative_derived(
     ambient: SimplicialComplex,
     in_sub: Callable[[frozenset[VertexLabel]], bool],
-    rnd: int,
-) -> tuple[SimplicialComplex, dict[Simplex, VertexLabel]]:
+    rnd: int | None,
+) -> tuple[SimplicialComplex, int, dict[Simplex, VertexLabel]]:
     """Facets of the subdivision that stellar-subdivides every face outside
-    the subcomplex (dimension >= 1), largest faces first.
+    the subcomplex (dimension >= 1), largest faces first, with the barycenter
+    round and the new labels.  The round defaults to the next fresh one; an
+    older round could reuse a label of the ambient, so it is rejected.
 
     Every facet arises from an ordering of a facet's vertices: the longest
     prefix that is a face of the subcomplex survives as-is, and each longer
     prefix contributes its barycenter (or itself, for a lone vertex).
     """
+    fresh = next_round(ambient.vertex_set())
+    rnd = fresh if rnd is None else rnd
+    if rnd < fresh:
+        raise NamingError(f"round {rnd} is not fresh for the complex: the next fresh round is {fresh}")
     bary: dict[frozenset[VertexLabel], VertexLabel] = {}
     sub_memo: dict[frozenset[VertexLabel], bool] = {}
     cells: set[Simplex] = set()
@@ -121,7 +127,7 @@ def _relative_derived(
                         continue
                 cell.append(blabel(frozenset(running)))
             cells.add(Simplex(tuple(sorted(cell))))
-    return SimplicialComplex._from_antichain(cells), recorded
+    return SimplicialComplex._from_antichain(cells), rnd, recorded
 
 
 def derived_subdivision(
@@ -131,10 +137,10 @@ def derived_subdivision(
 
     Vertices of the result are the nonempty faces of the input; original
     vertices keep their labels and higher faces get barycenter labels for
-    the given (or next fresh) round.
+    the given (or next fresh) round; a given round that is not fresh raises
+    `NamingError`.
     """
-    rnd = next_round(cx.vertex_set()) if round is None else round
-    result, labels = _relative_derived(cx, lambda fs: False, rnd)
+    result, rnd, labels = _relative_derived(cx, lambda fs: False, round)
     return result, SubdivisionRecord(kind=DERIVED, round=rnd, new_labels=labels)
 
 
@@ -148,8 +154,7 @@ def biased_derived(
     `sub` (dimension >= 1), in reverse order of inclusion; `sub` survives
     unchanged as a subcomplex of the result."""
     _require_subcomplex(sub, ambient)
-    rnd = next_round(ambient.vertex_set()) if round is None else round
-    result, labels = _relative_derived(
-        ambient, lambda fs: Simplex(tuple(sorted(fs))) in sub, rnd
+    result, rnd, labels = _relative_derived(
+        ambient, lambda fs: Simplex(tuple(sorted(fs))) in sub, round
     )
     return result, SubdivisionRecord(kind=BIASED, round=rnd, new_labels=labels)

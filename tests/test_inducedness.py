@@ -143,6 +143,17 @@ def test_induced_but_not_strongly(four_cycle):
 
 # -- properties ---------------------------------------------------------------
 
+def least_missing_face(sub, ambient):
+    """The `Simplex.sort_key`-least ambient face with all vertices in V(sub)
+    that `sub` misses, or None; by enumeration of every ambient face."""
+    keep = sub.vertex_set()
+    sub_faces = oracles.all_faces_brute(sub)
+    missing = [
+        s for s in oracles.all_faces_brute(ambient) if s._vset <= keep and s not in sub_faces
+    ]
+    return min(missing, key=Simplex.sort_key, default=None)
+
+
 @given(st.integers(0, 400))
 @settings(max_examples=80, deadline=None)
 def test_strongly_induced_implies_induced(seed):
@@ -153,6 +164,7 @@ def test_strongly_induced_implies_induced(seed):
         assert induced
     assert induced == oracles.naive_is_induced(sub, ambient)
     assert strong == oracles.naive_is_strongly_induced(sub, ambient)
+    assert induced or is_induced(sub, ambient).offending_simplex == least_missing_face(sub, ambient)
 
 
 @given(st.integers(0, 400))
@@ -278,6 +290,11 @@ def test_local_strong_scan_agrees_with_definition(kind, seed):
     strong = oracles.naive_is_strongly_induced(sub, ambient)
     assert (got.verdict == STRONGLY_INDUCED) == strong
     assert (classify_pair(sub, ambient).verdict == STRONGLY_INDUCED) == strong
+    missing = least_missing_face(sub, ambient)
+    induced = is_induced(sub, ambient)
+    assert (induced.verdict, induced.offending_simplex) == (
+        (INDUCED, None) if missing is None else (NOT_INDUCED, missing)
+    )
     expected = least_violation(sub, ambient)
     if strong:
         assert expected is None

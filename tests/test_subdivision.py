@@ -142,6 +142,20 @@ def test_derived_round_increments():
     assert twice.num_vertices() == 3 + 2  # 3 vertices + 2 new edge barycenters
 
 
+def test_stale_round_is_rejected():
+    # a round-0 barycenter of {1,2} would be the existing vertex b{1,2}@0, gluing the two components
+    cx = from_facets([["1", "2"], ["b{1,2}@0", "3"]])
+    edge = from_facets([["1", "2"]])
+    with pytest.raises(NamingError):
+        derived_subdivision(cx, round=0)
+    with pytest.raises(NamingError):
+        biased_derived(edge, cx, round=0)
+    out, record = derived_subdivision(cx, round=1)
+    assert (out, record) == derived_subdivision(cx)
+    assert out.num_vertices() == 6
+    assert biased_derived(edge, cx, round=1) == biased_derived(edge, cx)
+
+
 # -- biased ---------------------------------------------------------------------
 
 def test_biased_edge_in_triangle_exact_facets():
