@@ -30,7 +30,6 @@ from .inducedness import (
     classify_pair,
     is_induced,
     is_strongly_induced,
-    missing_simplices,
 )
 from .subdivision import (
     SubdivisionRecord,
@@ -44,6 +43,7 @@ from .contraction import (
     contract_edge,
     is_valid_edge,
     link_condition,
+    missing_simplices,
 )
 from .pairs import (
     ComplexPair,

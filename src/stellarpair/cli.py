@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / positive verdict, 1 domain errors and negative
-verdicts (invalid edge, not induced, no script found), 2 malformed input,
-3 resource limits.  Structured diagnostics go to stderr as JSON.
+verdicts (invalid edge, not induced, no script found), 2 malformed or
+unreadable input, 3 resource limits.  Structured diagnostics go to stderr as JSON.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import sys
 from . import io as sio
 from .complexes import (
     SimplicialComplex,
-    euler_characteristic,
+    _alternating_sum,
     f_vector,
     is_pseudomanifold,
 )
-from .contraction import blocking_missing_simplices, contract_edge
+from .contraction import blocking_missing_simplices, contract_edge, missing_simplices
 from .errors import (
     DomainError,
     InvalidEdgeError,
@@ -28,7 +28,7 @@ from .errors import (
     ScriptStepError,
     StellarPairError,
 )
-from .inducedness import is_induced, is_strongly_induced, missing_simplices
+from .inducedness import is_induced, is_strongly_induced
 from .pairs import pipeline_run, verify_script
 from .search import search_script
 from .subdivision import biased_derived, derived_subdivision, edge_subdivide, stellar_subdivide
@@ -69,13 +69,14 @@ def _simplex_tokens(s) -> list[str]:
 def _cmd_info(args) -> int:
     doc = sio.load_complex(args.complex)
     cx = doc.complex
+    f = f_vector(cx)
     data = {
         "name": doc.name,
         "dimension": cx.dim,
         "vertices": cx.num_vertices(),
         "facets": len(cx.facets),
-        "f_vector": list(f_vector(cx)),
-        "euler_characteristic": euler_characteristic(cx),
+        "f_vector": list(f),
+        "euler_characteristic": _alternating_sum(f),
         "pseudomanifold": is_pseudomanifold(cx, cx.dim),
     }
     _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", args.out)
@@ -338,8 +339,11 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         _diag({"error": "resource-limit", "message": str(exc), **exc.stats})
         return EXIT_RESOURCE
-    except (MalformedInputError, OSError) as exc:
+    except MalformedInputError as exc:
         _diag({"error": "malformed-input", "message": str(exc)})
+        return EXIT_MALFORMED
+    except OSError as exc:
+        _diag({"error": "io", "message": str(exc), "path": exc.filename})
         return EXIT_MALFORMED
     except StellarPairError as exc:
         _diag({"error": "internal", "message": str(exc)})

@@ -3,14 +3,15 @@
 A :class:`Simplex` is a sorted, duplicate-free tuple of interned vertex
 labels; a :class:`SimplicialComplex` is the downward closure of an
 antichain of facets.  Complexes are immutable values: every operation
-returns a new complex, and the lazily built face cache is filled with an
-idempotent assignment so concurrent readers are safe.
+returns a new complex.  Faces are not stored: each face reader enumerates
+them from the facets.  The lazy caches (vertex set, sorted facets, facet
+index) are filled by idempotent assignment, so concurrent readers are safe.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .errors import AbsentFaceError, MalformedInputError, StellarPairError
@@ -72,13 +73,6 @@ class Simplex:
     def difference(self, labels) -> "Simplex":
         drop = {vlabel(x) for x in labels}
         return Simplex(tuple(v for v in self.vertices if v not in drop))
-
-    def subfaces(self, include_self: bool = True) -> Iterator["Simplex"]:
-        """All nonempty subsimplices."""
-        top = len(self.vertices) if include_self else len(self.vertices) - 1
-        for k in range(1, top + 1):
-            for comb in combinations(self.vertices, k):
-                yield Simplex(comb)
 
     def boundary(self) -> Iterator["Simplex"]:
         """Codimension-one subfaces."""
@@ -157,7 +151,7 @@ def _reduce_to_antichain(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
 class SimplicialComplex:
     """A downward-closed family of simplices, stored by its facet antichain."""
 
-    __slots__ = ("facets", "_faces_by_dim", "_vertex_to_facets", "_facet_list", "_vertices")
+    __slots__ = ("facets", "_vertex_to_facets", "_facet_list", "_vertices")
 
     facets: frozenset[Simplex]
 
@@ -166,7 +160,6 @@ class SimplicialComplex:
             self.facets = facets
         else:
             self.facets = _reduce_to_antichain(facets)
-        self._faces_by_dim = None
         self._vertex_to_facets = None
         self._facet_list = None
         self._vertices = None
@@ -243,29 +236,26 @@ class SimplicialComplex:
             return True
         return bool(self.facets_containing(s))
 
+    def _face_tuples(self) -> dict[int, set[tuple[VertexLabel, ...]]]:
+        """The distinct vertex tuples of the nonempty faces, keyed by dimension
+        (each facet adds its dimensions in increasing order, so the keys run 0..dim)."""
+        grouped: dict[int, set[tuple[VertexLabel, ...]]] = {}
+        for f in self.facets:
+            verts = f.vertices
+            for k in range(1, len(verts) + 1):
+                grouped.setdefault(k - 1, set()).update(combinations(verts, k))
+        return grouped
+
     def faces(self) -> dict[int, frozenset[Simplex]]:
-        """All nonempty faces grouped by dimension (cached)."""
-        cache = self._faces_by_dim
-        if cache is None:
-            # dedup raw vertex tuples first: one Simplex per face, not per (facet, subset)
-            grouped: dict[int, set[tuple[VertexLabel, ...]]] = {}
-            for f in self.facets:
-                verts = f.vertices
-                for k in range(1, len(verts) + 1):
-                    grouped.setdefault(k - 1, set()).update(combinations(verts, k))
-            cache = {d: frozenset(map(Simplex, g)) for d, g in sorted(grouped.items())}
-            self._faces_by_dim = cache
-        return cache
+        """All nonempty faces grouped by dimension."""
+        return {d: frozenset(map(Simplex, g)) for d, g in self._face_tuples().items()}
 
     def all_faces(self) -> list[Simplex]:
         """All nonempty faces in canonical (dimension, lexicographic) order."""
-        out: list[Simplex] = []
-        for _, group in sorted(self.faces().items()):
-            out.extend(sorted(group, key=Simplex.sort_key))
-        return out
+        return sorted(chain.from_iterable(self.faces().values()), key=Simplex.sort_key)
 
     def face_count(self) -> int:
-        return sum(len(g) for g in self.faces().values())
+        return sum(map(len, self._face_tuples().values()))
 
     # -- invariants ----------------------------------------------------
 
@@ -351,15 +341,16 @@ def link(cx: SimplicialComplex, simplex) -> SimplicialComplex:
 
 def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
     """Face counts by dimension, f_0 through f_dim."""
-    faces = cx.faces()
-    if not faces:
-        return ()
-    top = max(faces)
-    return tuple(len(faces.get(d, ())) for d in range(top + 1))
+    return tuple(map(len, cx._face_tuples().values()))
+
+
+def _alternating_sum(f: tuple[int, ...]) -> int:
+    """The Euler characteristic of a complex with f-vector `f`."""
+    return sum(count if d % 2 == 0 else -count for d, count in enumerate(f))
 
 
 def euler_characteristic(cx: SimplicialComplex) -> int:
-    return sum(count if d % 2 == 0 else -count for d, count in enumerate(f_vector(cx)))
+    return _alternating_sum(f_vector(cx))
 
 
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:

@@ -38,11 +38,34 @@ def _blocker_candidates(cx: SimplicialComplex, e: Simplex):
             yield Simplex(tuple(sorted(e._vset | set(extra))))
 
 
+def _is_missing(cx: SimplicialComplex, s: Simplex) -> bool:
+    """True iff s is not a face of the complex but every boundary face of s is."""
+    return s not in cx and all(b in cx for b in s.boundary())
+
+
 def _missing_through(cx: SimplicialComplex, e: Simplex):
     """Missing simplices of the complex that contain the edge e, unordered."""
-    for s in _blocker_candidates(cx, e):
-        if s not in cx and all(b in cx for b in s.boundary()):
-            yield s
+    return (s for s in _blocker_candidates(cx, e) if _is_missing(cx, s))
+
+
+def missing_simplices(cx: SimplicialComplex, max_dim: int | None = None) -> set[Simplex]:
+    """All minimal non-faces whose full boundary lies in the complex.
+
+    Candidates never exceed dimension dim(cx)+1, since every proper face of a
+    missing simplex must be present; `max_dim` can lower that bound.
+    """
+    top_card = cx.dim + 2 if max_dim is None else min(cx.dim + 2, max_dim + 1)
+    verts = cx.vertices()
+    shells_by_dim = cx._face_tuples()
+    # each candidate is a face (its shell) plus one vertex above the shell's last
+    candidates = (
+        Simplex(shell + (w,))
+        for card in range(2, top_card + 1)
+        for shell in shells_by_dim[card - 2]
+        for w in verts
+        if w > shell[-1]
+    )
+    return {s for s in candidates if _is_missing(cx, s)}
 
 
 def blocking_missing_simplices(cx: SimplicialComplex, edge) -> tuple[Simplex, ...]:
@@ -64,9 +87,7 @@ def link_condition(cx: SimplicialComplex, edge) -> bool:
     """
     e = _check_edge(cx, edge)
     u, v = e.vertices
-    faces_u = {s for group in link(cx, [u]).faces().values() for s in group}
-    faces_v = {s for group in link(cx, [v]).faces().values() for s in group}
-    faces_e = {s for group in link(cx, e).faces().values() for s in group}
+    faces_u, faces_v, faces_e = (set().union(*link(cx, s)._face_tuples().values()) for s in ([u], [v], e))
     return faces_u & faces_v == faces_e
 
 

@@ -72,33 +72,6 @@ def _require_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> N
         raise _not_a_subcomplex(sub, ambient.__contains__)
 
 
-def missing_simplices(cx: SimplicialComplex, max_dim: int | None = None) -> set[Simplex]:
-    """All minimal non-faces whose full boundary lies in the complex.
-
-    Candidates never exceed dimension dim(cx)+1, since every proper face of a
-    missing simplex must be present; `max_dim` can lower that bound.
-    """
-    top_card = cx.dim + 2
-    if max_dim is not None:
-        top_card = min(top_card, max_dim + 1)
-    verts = cx.vertices()
-    faces = cx.faces()
-    found: set[Simplex] = set()
-    for card in range(2, top_card + 1):
-        shells = faces.get(card - 2, ())
-        for shell in shells:
-            top = shell.vertices[-1]
-            for w in verts:
-                if w <= top:
-                    continue
-                candidate = Simplex(shell.vertices + (w,))
-                if candidate in cx:
-                    continue
-                if all(b in cx for b in candidate.boundary()):
-                    found.add(candidate)
-    return found
-
-
 def is_induced(sub: SimplicialComplex, ambient: SimplicialComplex) -> InducednessWitness:
     """Is every ambient face with all vertices in `sub` a face of `sub`?"""
     return _StrongScan(sub, ambient).induced()

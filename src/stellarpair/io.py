@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -83,9 +84,16 @@ def serialize_complex_document(doc: ComplexDocument) -> str:
     return _canonical_json(complex_document_dict(doc))
 
 
-def load_complex(path: str) -> ComplexDocument:
+def _read_text(path: str) -> str:
+    """The contents of the file at `path`, or of standard input when `path` is ``-``."""
+    if path == "-":
+        return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_complex_document(fh.read())
+        return fh.read()
+
+
+def load_complex(path: str) -> ComplexDocument:
+    return parse_complex_document(_read_text(path))
 
 
 def save_complex(doc: ComplexDocument, path: str) -> None:
@@ -148,8 +156,7 @@ def serialize_script_document(script: MoveScript) -> str:
 
 
 def load_script(path: str) -> MoveScript:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_script_document(fh.read())
+    return parse_script_document(_read_text(path))
 
 
 def report_dict(report: PipelineReport) -> dict:

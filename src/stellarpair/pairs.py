@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .complexes import (
     SimplicialComplex,
+    _alternating_sum,
     as_simplex,
-    euler_characteristic,
     f_vector,
     is_subcomplex,
     relabel_complex,
@@ -212,12 +212,13 @@ def pair_contract_edge(pair: ComplexPair, edge, survivor=None) -> ComplexPair:
 
 
 def _step(pair: ComplexPair, stage: str, move: Move | None) -> PipelineStep:
+    f_ambient = f_vector(pair.ambient)
     return PipelineStep(
         stage=stage,
         move=move,
         f_sub=f_vector(pair.sub),
-        f_ambient=f_vector(pair.ambient),
-        euler_ambient=euler_characteristic(pair.ambient),
+        f_ambient=f_ambient,
+        euler_ambient=_alternating_sum(f_ambient),
         strongly_induced=pair.status.verdict == STRONGLY_INDUCED,
     )
 

@@ -23,7 +23,7 @@ DEFAULT_STATE_BUDGET = 100_000
 
 
 def _edges(cx: SimplicialComplex) -> list[Simplex]:
-    return sorted(cx.faces().get(1, ()), key=Simplex.sort_key)
+    return sorted(map(Simplex, cx._face_tuples().get(1, ())), key=Simplex.sort_key)
 
 
 def _fresh_label_base(cx: SimplicialComplex, prefix: str) -> int:
@@ -83,11 +83,12 @@ def search_script(
                 visited=len(visited),
             )
         successors: list[tuple[SimplicialComplex, Move]] = []
+        edges = _edges(state)
         if state.num_vertices() < max_vertices:
             fresh = f"{label_prefix}{base + len(moves)}"
-            for e in _edges(state):
+            for e in edges:
                 successors.append((edge_subdivide(state, e, fresh), Move.subdivide(e.vertices, fresh)))
-        for e in _edges(state):
+        for e in edges:
             if is_valid_edge(state, e):
                 move = Move.contract(e.vertices)
                 successors.append((_substitute(state, e, move.survivor), move))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -89,15 +90,31 @@ def test_check_missing_and_valid_edge(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["valid"] is True
 
 
-def test_malformed_document_exits_two(tmp_path, capsys):
+def test_malformed_document_exits_two(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"facets": [["1","1"]]}')
     assert main(["info", "--complex", str(bad)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
+    monkeypatch.setattr("sys.stdin", io.StringIO(bad.read_text()))
+    assert main(["info", "--complex", "-"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
 
 
 def test_missing_file_exits_two(tmp_path, capsys):
-    assert main(["info", "--complex", str(tmp_path / "nope.json")]) == 2
+    path = str(tmp_path / "nope.json")
+    assert main(["info", "--complex", path]) == 2
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "io"
+    assert diag["path"] == path
+
+
+def test_info_reads_stdin(monkeypatch, capsys):
+    doc = ComplexDocument("piped", from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]))
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_complex_document(doc)))
+    assert main(["info", "--complex", "-"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["name"] == "piped"
+    assert data["f_vector"] == [4, 6, 4]
 
 
 def test_resource_limit_exits_three(tmp_path, capsys):
@@ -125,12 +142,15 @@ def test_random_strong_pair_outputs(tmp_path):
     assert main(["check", "strong", "--sub", str(sub), "--ambient", str(ambient)]) == 0
 
 
-def test_search_and_verify_script(tmp_path, capsys):
+def test_search_and_verify_script(tmp_path, monkeypatch, capsys):
     src = write_complex(tmp_path / "src.json", [[1, 2], [2, 3]])
     dst = write_complex(tmp_path / "dst.json", [["a", "b"]])
     script = tmp_path / "script.json"
     assert main(["search", "--source", src, "--to", dst, "--max-depth", "2", "--max-vertices", "6", "--out", str(script)]) == 0
     assert main(["verify-script", "--source", src, "--script", str(script), "--to", dst]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    monkeypatch.setattr("sys.stdin", io.StringIO(script.read_text()))
+    assert main(["verify-script", "--source", src, "--script", "-", "--to", dst]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
 
 

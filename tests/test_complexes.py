@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,7 @@ from stellarpair import (
     Simplex,
     SimplicialComplex,
     as_simplex,
+    derived_subdivision,
     euler_characteristic,
     f_vector,
     from_facets,
@@ -284,6 +288,24 @@ def test_face_cache_is_concurrency_safe():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(lambda _: f_vector(cx), range(32)))
     assert len(set(results)) == 1
+
+
+def test_face_counts_leave_no_faces_behind():
+    cx = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+    for _ in range(3):
+        cx, _ = derived_subdivision(cx)
+    assert len(cx.facets) == 864
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert f_vector(cx) == (434, 1296, 864)
+        assert euler_characteristic(cx) == 2
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the complex is still alive here, so anything it cached would still be traced
+    assert held < 16 * 1024
 
 
 def test_as_simplex_accepts_labels_and_simplices():
