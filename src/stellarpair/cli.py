@@ -47,11 +47,8 @@ def _labels(raw: str) -> list[str]:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write `text` to the file `out`, or to standard output when `out` is unset or ``-``."""
+    sio._write_text(text, out or "-")
 
 
 def _emit_complex(cx: SimplicialComplex, name: str, out: str | None) -> None:
@@ -60,10 +57,6 @@ def _emit_complex(cx: SimplicialComplex, name: str, out: str | None) -> None:
 
 def _diag(payload: dict) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _simplex_tokens(s) -> list[str]:
-    return [v.token for v in s.vertices]
 
 
 def _cmd_info(args) -> int:
@@ -116,22 +109,22 @@ def _cmd_check(args) -> int:
         witness = is_induced(sub, ambient) if args.predicate == "induced" else is_strongly_induced(sub, ambient)
         payload: dict = {"verdict": witness.verdict}
         if witness.offending_simplex is not None:
-            payload["offending_simplex"] = _simplex_tokens(witness.offending_simplex)
+            payload["offending_simplex"] = list(witness.offending_simplex)
         if witness.sigma is not None:
-            payload["sigma"] = _simplex_tokens(witness.sigma)
-            payload["intersection_faces"] = [_simplex_tokens(s) for s in witness.intersection_faces]
+            payload["sigma"] = list(witness.sigma)
+            payload["intersection_faces"] = [list(s) for s in witness.intersection_faces]
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
         return EXIT_OK if witness.at_least_induced else EXIT_DOMAIN
     if args.predicate == "valid-edge":
         cx = sio.load_complex(args.complex).complex
         blockers = blocking_missing_simplices(cx, _labels(args.edge))
-        payload = {"valid": not blockers, "blockers": [_simplex_tokens(b) for b in blockers]}
+        payload = {"valid": not blockers, "blockers": [list(b) for b in blockers]}
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
         return EXIT_OK if not blockers else EXIT_DOMAIN
     # missing
     cx = sio.load_complex(args.complex).complex
-    missing = sorted(missing_simplices(cx, args.max_dim), key=lambda s: s.sort_key())
-    payload = {"missing_simplices": [_simplex_tokens(s) for s in missing]}
+    missing = sorted(missing_simplices(cx, args.max_dim))
+    payload = {"missing_simplices": [list(s) for s in missing]}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
@@ -196,17 +189,17 @@ def _cmd_random(args) -> int:
         pair = sio.random_induced_pair(args.vertices, args.max_dim, args.density, args.seed)
     else:
         pair = sio.random_strongly_induced_pair(args.vertices, args.max_dim, args.density, args.seed)
-    if args.sub_out:
-        sio.save_complex(sio.ComplexDocument("sub", pair.sub), args.sub_out)
-    if args.ambient_out:
-        sio.save_complex(sio.ComplexDocument("ambient", pair.ambient), args.ambient_out)
-    if not args.sub_out and not args.ambient_out:
-        combined = {
-            "ambient": sio.complex_document_dict(sio.ComplexDocument("ambient", pair.ambient)),
-            "status": pair.status.verdict,
-            "sub": sio.complex_document_dict(sio.ComplexDocument("sub", pair.sub)),
-        }
-        _emit(json.dumps(combined, indent=2, sort_keys=True) + "\n", args.out)
+    if args.sub_out or args.ambient_out:
+        # a component without a file of its own goes to --out, or else to standard output
+        _emit_complex(pair.sub, "sub", args.sub_out or args.out)
+        _emit_complex(pair.ambient, "ambient", args.ambient_out or args.out)
+        return EXIT_OK
+    combined = {
+        "ambient": sio.complex_document_dict(sio.ComplexDocument("ambient", pair.ambient)),
+        "status": pair.status.verdict,
+        "sub": sio.complex_document_dict(sio.ComplexDocument("sub", pair.sub)),
+    }
+    _emit(json.dumps(combined, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 
@@ -323,7 +316,7 @@ def main(argv=None) -> int:
             {
                 "error": "invalid-edge",
                 "message": str(exc),
-                "blockers": [_simplex_tokens(b) for b in exc.blockers],
+                "blockers": [list(b) for b in exc.blockers],
             }
         )
         return EXIT_DOMAIN

@@ -29,9 +29,9 @@ def set_debug_validation(enabled: bool) -> bool:
 
 
 class Simplex:
-    """A finite set of vertex labels, kept sorted by token."""
+    """A finite set of vertex labels, kept sorted."""
 
-    __slots__ = ("vertices", "_vset", "_hash", "_key")
+    __slots__ = ("vertices", "_vset", "_hash")
 
     vertices: tuple[VertexLabel, ...]
 
@@ -40,7 +40,6 @@ class Simplex:
         self.vertices = vertices
         self._vset = frozenset(vertices)
         self._hash = hash(vertices)
-        self._key = None
 
     @classmethod
     def of(cls, labels: Iterable) -> "Simplex":
@@ -54,15 +53,11 @@ class Simplex:
         return len(self.vertices) - 1
 
     def sort_key(self) -> tuple:
-        """Canonical order: by dimension first, then lexicographically by tokens."""
-        key = self._key
-        if key is None:
-            key = (len(self.vertices), tuple(v.token for v in self.vertices))
-            self._key = key
-        return key
+        """Canonical order: by dimension first, then lexicographically by labels."""
+        return (len(self.vertices), self.vertices)
 
     def tokens(self) -> tuple[str, ...]:
-        return self.sort_key()[1]
+        return self.vertices
 
     def issubset(self, other: "Simplex") -> bool:
         return self._vset <= other._vset
@@ -102,9 +97,7 @@ class Simplex:
         return self.sort_key() < other.sort_key()
 
     def __str__(self):
-        if not self.vertices:
-            return "{}"
-        return "{" + ",".join(v.token for v in self.vertices) + "}"
+        return "{" + ",".join(self.vertices) + "}"
 
     def __repr__(self):
         return f"Simplex({[v.token for v in self.vertices]})"
@@ -117,7 +110,7 @@ def as_simplex(value) -> Simplex:
     """Coerce a Simplex or an iterable of labels into a Simplex."""
     if isinstance(value, Simplex):
         return value
-    if isinstance(value, (str, int, VertexLabel)):
+    if isinstance(value, (str, int)):
         return Simplex.of([value])
     return Simplex.of(value)
 
@@ -267,18 +260,18 @@ class SimplicialComplex:
         A dominated facet is reported against the first dominating facet in
         canonical order.
         """
-        seen_tokens: set[tuple[str, ...]] = set()
+        seen: set[tuple[VertexLabel, ...]] = set()
         for f in self.facets:
             if len(f) == 0:
                 raise StellarPairError("empty simplex stored as a facet")
-            toks = f.tokens()
-            if list(toks) != sorted(toks):
+            verts = f.vertices
+            if list(verts) != sorted(verts):
                 raise StellarPairError(f"facet {f} is not sorted canonically")
-            if len(set(toks)) != len(toks):
+            if len(set(verts)) != len(verts):
                 raise StellarPairError(f"facet {f} carries duplicate vertices")
-            if toks in seen_tokens:
+            if verts in seen:
                 raise StellarPairError(f"facet {f} stored twice")
-            seen_tokens.add(toks)
+            seen.add(verts)
         facets = self.sorted_facets()
         index = self._facet_index()
         for i, f in enumerate(facets):
@@ -310,7 +303,7 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
     """
     simplices = []
     for raw in facets:
-        if isinstance(raw, (str, int, VertexLabel)):
+        if isinstance(raw, (str, int)):
             raise MalformedInputError(f"facet must be a list of labels, got {raw!r}")
         labels = [vlabel(x) for x in raw]
         if not labels:

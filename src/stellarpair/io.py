@@ -72,7 +72,7 @@ def parse_complex_document(text: str) -> ComplexDocument:
 
 
 def complex_document_dict(doc: ComplexDocument) -> dict:
-    facets = [[v.token for v in f.vertices] for f in doc.complex.sorted_facets()]
+    facets = [list(f.vertices) for f in doc.complex.sorted_facets()]
     return {"name": doc.name, "facets": facets}
 
 
@@ -92,13 +92,21 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _write_text(text: str, path: str) -> None:
+    """Write `text` to the file at `path`, or to standard output when `path` is ``-``."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def load_complex(path: str) -> ComplexDocument:
     return parse_complex_document(_read_text(path))
 
 
 def save_complex(doc: ComplexDocument, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_complex_document(doc))
+    _write_text(serialize_complex_document(doc), path)
 
 
 def parse_script_document(text: str) -> MoveScript:
@@ -139,15 +147,15 @@ def parse_script_document(text: str) -> MoveScript:
 def script_document_dict(script: MoveScript) -> dict:
     moves = []
     for m in script.moves:
-        entry: dict = {"op": m.op, "edge": sorted(v.token for v in m.edge)}
+        entry: dict = {"op": m.op, "edge": sorted(m.edge)}
         if m.op == "subdivide":
-            entry["new_label"] = m.new_label.token
+            entry["new_label"] = m.new_label
         else:
-            entry["survivor"] = m.survivor.token
+            entry["survivor"] = m.survivor
         moves.append(entry)
     data: dict = {"moves": moves}
     if script.target_map is not None:
-        data["target_map"] = {k.token: v.token for k, v in sorted(script.target_map.items())}
+        data["target_map"] = dict(sorted(script.target_map.items()))
     return data
 
 
@@ -175,7 +183,7 @@ def report_dict(report: PipelineReport) -> dict:
     iso = report.final_isomorphism
     return {
         "steps": steps,
-        "final_isomorphism": None if iso is None else {k.token: v.token for k, v in sorted(iso.items())},
+        "final_isomorphism": None if iso is None else dict(sorted(iso.items())),
     }
 
 

@@ -3,8 +3,10 @@
 Original vertices are opaque strings.  Vertices created by subdivision
 rounds are barycenter labels "b{l1,l2,...}@r": the sorted labels of the
 subdivided face plus a round counter, so repeated subdivisions can never
-collide.  Labels are interned process-wide, which makes equality an
-identity check and gives every label a stable total order (by token).
+collide.  A label is a ``str`` subclass equal to its token, so hashing,
+equality and the total order are the token's.  Labels are interned
+process-wide: each token has one label object, and the barycenter parse
+is recorded once, in the label's class, when the token is first interned.
 """
 
 from __future__ import annotations
@@ -63,22 +65,20 @@ def _barycenter_token(constituents: Iterable[str], rnd: int) -> str:
     return "b{" + ",".join(sorted(constituents)) + "}@" + str(rnd)
 
 
-class VertexLabel:
-    """An interned vertex label. Use :func:`vlabel` or :meth:`barycenter` to obtain one."""
+class VertexLabel(str):
+    """A vertex label: a ``str`` equal to its token, so it hashes, compares
+    and sorts as its token does.  Use :func:`vlabel` or :meth:`barycenter`
+    to obtain one."""
 
-    __slots__ = ("token", "kind", "face", "round", "_hash")
+    __slots__ = ()
 
-    token: str
-    kind: str
-    face: tuple[str, ...] | None
-    round: int | None
+    kind = ORIGINAL
+    face: tuple[str, ...] | None = None
+    round: int | None = None
 
-    def __init__(self, token: str, kind: str, face, rnd):
-        self.token = token
-        self.kind = kind
-        self.face = face
-        self.round = rnd
-        self._hash = hash(token)
+    @property
+    def token(self) -> str:
+        return str(self)
 
     @classmethod
     def of(cls, token) -> "VertexLabel":
@@ -94,12 +94,8 @@ class VertexLabel:
         with _INTERN_LOCK:
             lbl = _INTERN.get(token)
             if lbl is None:
-                parsed = _parse_barycenter(token)
-                if parsed is None:
-                    lbl = cls(token, ORIGINAL, None, None)
-                else:
-                    lbl = cls(token, BARYCENTER, parsed[0], parsed[1])
-                _INTERN[token] = lbl
+                label_type = VertexLabel if _parse_barycenter(token) is None else _Barycenter
+                lbl = _INTERN[token] = label_type(token)
         return lbl
 
     @classmethod
@@ -108,37 +104,24 @@ class VertexLabel:
             raise MalformedInputError("subdivision round must be nonnegative")
         return cls.of(_barycenter_token(constituents, rnd))
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, VertexLabel):
-            return self.token == other.token
-        return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other: "VertexLabel"):
-        return self.token < other.token
-
-    def __le__(self, other: "VertexLabel"):
-        return self.token <= other.token
-
-    def __gt__(self, other: "VertexLabel"):
-        return self.token > other.token
-
-    def __ge__(self, other: "VertexLabel"):
-        return self.token >= other.token
-
-    def __str__(self):
-        return self.token
-
     def __repr__(self):
-        return f"VertexLabel({self.token!r})"
+        return f"VertexLabel({str.__repr__(self)})"
+
+
+class _Barycenter(VertexLabel):
+    """A label whose token is a canonical barycenter token ``b{...}@r``."""
+
+    __slots__ = ()
+
+    kind = BARYCENTER
+
+    @property
+    def face(self) -> tuple[str, ...]:
+        return _parse_barycenter(self)[0]
+
+    @property
+    def round(self) -> int:
+        return int(self[self.rindex("@") + 1 :])
 
 
 def vlabel(token) -> VertexLabel:

@@ -59,7 +59,7 @@ class Move:
         if self.op not in (SUBDIVIDE, CONTRACT):
             raise MalformedInputError(f"unknown move op {self.op!r}")
         # a lone label is one vertex, not an edge to iterate over
-        edge = () if isinstance(self.edge, (str, int, VertexLabel)) else tuple(map(VertexLabel.of, self.edge))
+        edge = () if isinstance(self.edge, (str, int)) else tuple(map(VertexLabel.of, self.edge))
         if len(edge) != 2 or edge[0] == edge[1]:
             raise MalformedInputError("a move edge needs exactly two distinct labels")
         object.__setattr__(self, "edge", edge)

@@ -26,11 +26,11 @@ def _edges(cx: SimplicialComplex) -> list[Simplex]:
     return sorted(map(Simplex, cx._face_tuples().get(1, ())), key=Simplex.sort_key)
 
 
-def _fresh_label_base(cx: SimplicialComplex, prefix: str) -> int:
-    pattern = re.compile(re.escape(prefix) + r"(\d+)$")
+def _fresh_label_base(cx: SimplicialComplex) -> int:
+    """The least k such that no label n<j> with j >= k is taken."""
     taken = [-1]
     for v in cx.vertex_set():
-        m = pattern.fullmatch(v.token)
+        m = re.fullmatch(r"n(\d+)", v)
         if m:
             taken.append(int(m.group(1)))
     return max(taken) + 1
@@ -43,7 +43,6 @@ def search_script(
     max_vertices: int,
     *,
     max_states: int = DEFAULT_STATE_BUDGET,
-    label_prefix: str = "n",
 ) -> MoveScript | None:
     """A script of edge subdivisions and valid edge contractions turning
     `source` into a complex isomorphic to `target`, or None within bounds.
@@ -60,13 +59,14 @@ def search_script(
             )
     guard = max(DEFAULT_VERTEX_GUARD, max_vertices)
     goal = canonical_form(target, guard=guard)
-    if canonical_form(source, guard=guard) == goal:
+    start_form = canonical_form(source, guard=guard)
+    if start_form == goal:
         return MoveScript((), target_map=isomorphism(source, target, guard=guard))
 
-    base = _fresh_label_base(source, label_prefix)
+    base = _fresh_label_base(source)
     start: tuple[SimplicialComplex, tuple[Move, ...]] = (source, ())
     queue = deque([start])
-    visited = {canonical_form(source, guard=guard)}
+    visited = {start_form}
     expanded = 0
 
     while queue:
@@ -85,7 +85,7 @@ def search_script(
         successors: list[tuple[SimplicialComplex, Move]] = []
         edges = _edges(state)
         if state.num_vertices() < max_vertices:
-            fresh = f"{label_prefix}{base + len(moves)}"
+            fresh = f"n{base + len(moves)}"
             for e in edges:
                 successors.append((edge_subdivide(state, e, fresh), Move.subdivide(e.vertices, fresh)))
         for e in edges:

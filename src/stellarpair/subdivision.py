@@ -100,7 +100,7 @@ def _relative_derived(
     def blabel(fs: frozenset[VertexLabel]) -> VertexLabel:
         got = bary.get(fs)
         if got is None:
-            got = VertexLabel.barycenter((v.token for v in fs), rnd)
+            got = VertexLabel.barycenter(fs, rnd)
             bary[fs] = got
             recorded[Simplex(tuple(sorted(fs)))] = got
         return got

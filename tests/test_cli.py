@@ -142,6 +142,35 @@ def test_random_strong_pair_outputs(tmp_path):
     assert main(["check", "strong", "--sub", str(sub), "--ambient", str(ambient)]) == 0
 
 
+def test_dash_out_writes_standard_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["random", "complex", "--vertices", "4", "--seed", "1"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr().out == plain
+    pair = ["random", "induced-pair", "--vertices", "5", "--seed", "2"]
+    assert main(pair + ["--sub-out", "s.json", "--ambient-out", "a.json"]) == 0
+    assert main(pair + ["--sub-out", "-", "--ambient-out", "-"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "s.json").read_text() + (tmp_path / "a.json").read_text()
+    assert not (tmp_path / "-").exists()
+
+
+def test_random_pair_with_one_output_file_emits_the_other(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["random", "strong-pair", "--vertices", "5", "--seed", "3"]
+    assert main(argv + ["--sub-out", "s.json", "--ambient-out", "a.json"]) == 0
+    sub, ambient = (tmp_path / "s.json").read_text(), (tmp_path / "a.json").read_text()
+    capsys.readouterr()
+    assert main(argv + ["--sub-out", "only-sub.json"]) == 0
+    assert (tmp_path / "only-sub.json").read_text() == sub
+    assert capsys.readouterr().out == ambient
+    assert main(argv + ["--ambient-out", "only-ambient.json", "--out", "rest.json"]) == 0
+    assert (tmp_path / "only-ambient.json").read_text() == ambient
+    assert (tmp_path / "rest.json").read_text() == sub
+    assert capsys.readouterr().out == ""
+
+
 def test_search_and_verify_script(tmp_path, monkeypatch, capsys):
     src = write_complex(tmp_path / "src.json", [[1, 2], [2, 3]])
     dst = write_complex(tmp_path / "dst.json", [["a", "b"]])

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,3 +65,45 @@ def test_barycenter_parse_round_trip(tokens, rnd):
     assert again.kind == BARYCENTER
     assert again.face == tuple(sorted(tokens))
     assert again.round == rnd
+
+
+_plain = st.text(alphabet="abc123", min_size=1, max_size=4)
+
+
+def _spell(parts, rnd, reverse=False, pad=""):
+    return "b{" + ",".join(sorted(parts, reverse=reverse)) + "}@" + pad + str(rnd)
+
+
+# (token, kind, face, round) as the label must report them
+_original = _plain.map(lambda t: (t, ORIGINAL, None, None))
+_canonical = st.builds(
+    lambda parts, rnd: (_spell(parts, rnd), BARYCENTER, tuple(sorted(parts)), rnd),
+    st.lists(_plain, min_size=1, max_size=3, unique=True),
+    st.integers(0, 20),
+)
+_nested = st.builds(
+    lambda parts, rnd: (_spell(parts, rnd), BARYCENTER, tuple(sorted(parts)), rnd),
+    st.lists(_plain | _canonical.map(lambda c: c[0]), min_size=1, max_size=3, unique=True),
+    st.integers(0, 20),
+)
+_noncanonical = st.builds(
+    lambda parts, rnd, reverse: (_spell(parts, rnd, reverse, "" if reverse else "0"), ORIGINAL, None, None),
+    st.lists(_plain, min_size=2, max_size=3, unique=True),
+    st.integers(0, 20),
+    st.booleans(),
+)
+
+
+@given(st.lists(_original | _canonical | _nested | _noncanonical, min_size=1, max_size=6))
+def test_label_is_its_token(cases):
+    tokens = [c[0] for c in cases]
+    labels = [vlabel(t) for t in tokens]
+    for (token, kind, face, rnd), lbl in zip(cases, labels):
+        assert lbl == token and hash(lbl) == hash(token)
+        assert lbl.token == token and type(lbl.token) is str
+        assert (lbl.kind, lbl.face, lbl.round) == (kind, face, rnd)
+        assert not hasattr(lbl, "__dict__")
+    assert [lbl.token for lbl in sorted(labels)] == sorted(tokens)
+    assert json.dumps(labels, indent=2) == json.dumps(tokens, indent=2)
+    as_json = [json.dumps(dict(zip(xs, xs)), sort_keys=True) for xs in (labels, tokens)]
+    assert as_json[0] == as_json[1]
