@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complexes import Simplex, SimplicialComplex, as_simplex, link
+from .complexes import Simplex, SimplicialComplex, _reduce_to_antichain, as_simplex, link
 from .errors import AbsentFaceError, DomainError, InvalidEdgeError, MalformedInputError
 from .labels import VertexLabel, vlabel
 
@@ -92,12 +92,28 @@ def link_condition(cx: SimplicialComplex, edge) -> bool:
 
 
 def _substitute(cx: SimplicialComplex, e: Simplex, keep: VertexLabel) -> SimplicialComplex:
-    """Replace the other endpoint of e by `keep` everywhere; the reducing
-    constructor collapses degenerate images and merges duplicates."""
+    """Replace the other endpoint `lose` of e by `keep` everywhere.
+
+    Only the facets at the edge are reduced: the images of the facets
+    holding `lose`, and the facets holding `keep` but not `lose`.  The
+    reduction collapses degenerate images and merges duplicates.  Every
+    other facet g passes through as it is, since no image I = F - lose + keep
+    can dominate it or be dominated by it.  I holds `keep` and g does not,
+    so g cannot contain I, and g ⊆ I would give g ⊆ F - lose ⊆ F, with
+    g ≠ F because F holds `lose` and g does not; the facets of `cx` form an
+    antichain, so that is impossible.
+    """
     lose = e.vertices[1] if keep == e.vertices[0] else e.vertices[0]
-    return SimplicialComplex(
-        Simplex(tuple(sorted(f._vset - {lose} | {keep}))) if lose in f._vset else f for f in cx.facets
-    )
+    at_edge: list[Simplex] = []
+    rest: list[Simplex] = []
+    for f in cx.facets:
+        if lose in f._vset:
+            at_edge.append(Simplex(tuple(sorted(f._vset - {lose} | {keep}))))
+        elif keep in f._vset:
+            at_edge.append(f)
+        else:
+            rest.append(f)
+    return SimplicialComplex._from_antichain(_reduce_to_antichain(at_edge).union(rest))
 
 
 def contract_edge(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex:

@@ -14,13 +14,14 @@ from __future__ import annotations
 import threading
 from typing import Iterable
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, NamingError
 
 ORIGINAL = "original"
 BARYCENTER = "barycenter"
 
 _INTERN: dict[str, "VertexLabel"] = {}
 _INTERN_LOCK = threading.Lock()
+_RESERVED = frozenset(",{}")
 
 
 def _parse_barycenter(token: str) -> tuple[tuple[str, ...], int] | None:
@@ -135,4 +136,25 @@ def next_round(labels: Iterable[VertexLabel]) -> int:
     for lbl in labels:
         if lbl.kind == BARYCENTER and lbl.round > best:
             best = lbl.round
+    return best + 1
+
+
+def _barycenter_round(labels: Iterable[VertexLabel]) -> int:
+    """`next_round` for labels that barycenter tokens will be spelled from.
+
+    A label outside the canonical barycenter spelling must not hold `,`,
+    `{` or `}`: the token joins constituents with `,` unescaped, so the edge
+    {`a,b`, `c`} would spell the barycenter of the triangle {a, b, c}.
+    Such a label raises `NamingError`.  Canonical barycenter labels are
+    safe, since their commas sit inside balanced braces.
+    """
+    best = -1
+    for lbl in labels:
+        if lbl.kind == BARYCENTER:
+            if lbl.round > best:
+                best = lbl.round
+        elif not _RESERVED.isdisjoint(lbl):
+            raise NamingError(
+                f"label {lbl} holds ',', '{{' or '}}', which barycenter labels reserve"
+            )
     return best + 1

@@ -2,10 +2,14 @@
 
 Keeps a subcomplex strongly induced in its ambient complex while edge
 subdivisions and valid edge contractions are replayed on the subcomplex:
-subdivisions are followed by a biased derived subdivision of the new
-pair, contractions extend to the ambient complex directly.  The pipeline
-turns a triangulation containing a subdivision of a target complex into
-one containing the target itself.
+contractions extend to the ambient complex directly, and subdivisions are
+followed by a re-bias that is local to the new vertex w.  The re-bias is
+the biased derived subdivision that protects the new subcomplex and every
+ambient face missing the vertices of star(w), so facets away from w stay
+as they are.  If that result is not strongly induced, the move falls back
+once to the global biased derived subdivision of the new pair.  The
+pipeline turns a triangulation containing a subdivision of a target
+complex into one containing the target itself.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
 )
 from .inducedness import STRONGLY_INDUCED, InducednessWitness, classify_pair
 from .labels import VertexLabel, next_round, vlabel
-from .subdivision import biased_derived, edge_subdivide, derived_subdivision
+from .subdivision import _rebias_near, biased_derived, derived_subdivision, edge_subdivide
 
 SUBDIVIDE = "subdivide"
 CONTRACT = "contract"
@@ -144,13 +148,28 @@ def pair_new(sub: SimplicialComplex, ambient: SimplicialComplex) -> ComplexPair:
     return ComplexPair(sub, ambient, classify_pair(sub, ambient))
 
 
+def _derived(
+    sub: SimplicialComplex, ambient: SimplicialComplex
+) -> tuple[SimplicialComplex, SimplicialComplex]:
+    """`pair_derive`'s two complexes, unclassified: the derived subcomplex is
+    always induced in the derived ambient."""
+    rnd = next_round(ambient.vertex_set())
+    new_ambient, _ = derived_subdivision(ambient, round=rnd)
+    new_sub, _ = derived_subdivision(sub, round=rnd)
+    return new_sub, new_ambient
+
+
 def pair_derive(pair: ComplexPair) -> ComplexPair:
     """Derive both components in one round, so the derived subcomplex is
     exactly the derived ambient restricted to the subcomplex's chains."""
-    rnd = next_round(pair.ambient.vertex_set())
-    new_ambient, _ = derived_subdivision(pair.ambient, round=rnd)
-    new_sub, _ = derived_subdivision(pair.sub, round=rnd)
-    return pair_new(new_sub, new_ambient)
+    return pair_new(*_derived(pair.sub, pair.ambient))
+
+
+def _biased(sub: SimplicialComplex, ambient: SimplicialComplex) -> ComplexPair:
+    """The biased derived subdivision of an induced pair, checked once."""
+    new_ambient, _ = biased_derived(sub, ambient)
+    failure = "biased derived subdivision failed to produce a strongly induced pair"
+    return _strong_pair(sub, new_ambient, failure)
 
 
 def pair_biased(pair: ComplexPair) -> ComplexPair:
@@ -161,9 +180,7 @@ def pair_biased(pair: ComplexPair) -> ComplexPair:
             f"biased derived subdivision needs an induced pair, status is {pair.status}",
             witness=pair.status,
         )
-    new_ambient, _ = biased_derived(pair.sub, pair.ambient)
-    failure = "biased derived subdivision failed to produce a strongly induced pair"
-    return _strong_pair(pair.sub, new_ambient, failure)
+    return _biased(pair.sub, pair.ambient)
 
 
 def _strong_pair(sub: SimplicialComplex, ambient: SimplicialComplex, failure: str) -> ComplexPair:
@@ -183,7 +200,14 @@ def _apply(cx: SimplicialComplex, move: Move) -> SimplicialComplex:
 
 def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
     """Apply a move on an edge of the subcomplex of a strongly induced pair to
-    both components; after a subdivision the ambient complex is re-biased."""
+    both components.
+
+    After a subdivision with new vertex w the ambient complex is re-biased
+    locally: faces in the new subcomplex and faces missing the vertices of
+    star(w) are protected, everything else gets a barycenter (`_rebias_near`).
+    The pair's own strong-inducedness check decides: if the local result
+    fails it, the global biased derived subdivision of the new pair runs
+    once instead.  A contraction needs no re-bias."""
     what = "pair edge subdivision" if move.op == SUBDIVIDE else "pair edge contraction"
     if pair.status.verdict != STRONGLY_INDUCED:
         raise PreconditionError(
@@ -196,13 +220,18 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
     new_sub = _apply(pair.sub, move)
     new_ambient = _apply(pair.ambient, move)
     if move.op == SUBDIVIDE:
+        local = pair_new(new_sub, _rebias_near(new_sub, new_ambient, move.new_label))
+        if local.status.verdict == STRONGLY_INDUCED:
+            return local
         new_ambient, _ = biased_derived(new_sub, new_ambient)
     return _strong_pair(new_sub, new_ambient, f"{what} lost strong inducedness")
 
 
 def pair_subdivide_edge(pair: ComplexPair, edge, new_label) -> ComplexPair:
     """Subdivide an edge of the subcomplex in both components, then re-bias
-    the ambient complex around the new pair (see `apply_move`)."""
+    the ambient complex around the new vertex, falling back to the global
+    biased derived subdivision if that is not strongly induced (see
+    `apply_move`)."""
     return apply_move(pair, Move.subdivide(edge, new_label))
 
 
@@ -237,7 +266,7 @@ def pipeline_run(
     """
     if not is_subcomplex(sub, ambient):
         raise NotASubcomplexError("the subdivided target is not a subcomplex of the input triangulation")
-    pair = pair_biased(pair_derive(pair_new(sub, ambient)))
+    pair = _biased(*_derived(sub, ambient))
     steps = [_step(pair, "init", None)]
     for i, move in enumerate(script.moves):
         try:

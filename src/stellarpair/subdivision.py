@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 from .complexes import Simplex, SimplicialComplex, as_simplex
 from .errors import AbsentFaceError, DomainError, NamingError
 from .inducedness import _require_subcomplex
-from .labels import VertexLabel, next_round, vlabel
+from .labels import VertexLabel, _barycenter_round, vlabel
 
 DERIVED = "derived"
 BIASED = "biased"
@@ -75,13 +75,14 @@ def _relative_derived(
     """Facets of the subdivision that stellar-subdivides every face outside
     the subcomplex (dimension >= 1), largest faces first, with the barycenter
     round and the new labels.  The round defaults to the next fresh one; an
-    older round could reuse a label of the ambient, so it is rejected.
+    older round could reuse a label of the ambient, so it is rejected, and
+    so is an ambient label that could spell a barycenter (`_barycenter_round`).
 
     Every facet arises from an ordering of a facet's vertices: the longest
     prefix that is a face of the subcomplex survives as-is, and each longer
     prefix contributes its barycenter (or itself, for a lone vertex).
     """
-    fresh = next_round(ambient.vertex_set())
+    fresh = _barycenter_round(ambient.vertex_set())
     rnd = fresh if rnd is None else rnd
     if rnd < fresh:
         raise NamingError(f"round {rnd} is not fresh for the complex: the next fresh round is {fresh}")
@@ -158,3 +159,25 @@ def biased_derived(
         ambient, lambda fs: Simplex(tuple(sorted(fs))) in sub, round
     )
     return result, SubdivisionRecord(kind=BIASED, round=rnd, new_labels=labels)
+
+
+def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLabel) -> SimplicialComplex:
+    """The biased derived subdivision of `ambient` that subdivides only the
+    faces outside `sub` that meet `near`, the vertex set of the closed star
+    of `w`:
+    `biased_derived(sub ∪ induced_subcomplex(ambient, V - near), ambient)`.
+
+    `_relative_derived` only asks about ambient faces, and an ambient face
+    lies in that induced subcomplex iff it misses `near`, so the protected
+    set is a predicate and no union complex is built.  Facets missing `near`
+    come through unchanged.  `sub` must be a subcomplex of `ambient`; it is
+    not checked here.
+    """
+    near: set[VertexLabel] = set()
+    for f in ambient.facets:
+        if w in f._vset:
+            near |= f._vset
+    result, _, _ = _relative_derived(
+        ambient, lambda fs: fs.isdisjoint(near) or Simplex(tuple(sorted(fs))) in sub, None
+    )
+    return result

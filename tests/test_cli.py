@@ -74,6 +74,12 @@ def test_subdivide_edge_and_derived(tmp_path, capsys):
     assert len(data["facets"]) == 6
 
 
+def test_subdivide_rejects_a_label_that_spells_a_barycenter(tmp_path, capsys):
+    path = write_complex(tmp_path / "c.json", [["a,b", "c"], ["a", "b", "c"]])
+    assert main(["subdivide", "derived", "--complex", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "domain"
+
+
 def test_subdivide_biased_matches_fixture(tmp_path, capsys, edge_in_triangle_files):
     sub, _ = edge_in_triangle_files
     ambient = write_complex(tmp_path / "tri.json", [[1, 2, 3]], "delta")

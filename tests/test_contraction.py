@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stellarpair import (
+    Simplex,
+    SimplicialComplex,
     blocking_missing_simplices,
     contract_edge,
     edge_subdivide,
@@ -128,3 +130,28 @@ def test_subdivide_contract_round_trip(seed):
     assert is_valid_edge(subdivided, ["w", a])
     back = contract_edge(subdivided, ["w", a], a)
     assert isomorphism(back, cx) is not None
+
+
+def _contract_by_definition(cx, e, keep):
+    """Contraction as substitution in every facet, reduced as a whole."""
+    lose = next(v for v in e.vertices if v != keep)
+    return SimplicialComplex(Simplex.of(keep if v == lose else v for v in f.vertices) for f in cx.facets)
+
+
+@given(st.integers(0, 1000))
+@settings(max_examples=80, deadline=None)
+def test_contraction_matches_substitution_of_every_facet(seed):
+    # non-pure random complexes, every valid edge, both survivors
+    cx = random_complex(4 + seed % 4, 1 + seed % 3, 0.5, seed)
+    for e in sorted(cx.faces().get(1, ())):
+        if not is_valid_edge(cx, e):
+            continue
+        for keep in e.vertices:
+            assert contract_edge(cx, e, keep) == _contract_by_definition(cx, e, keep)
+
+
+def test_contraction_collapses_an_edge_facet_to_a_vertex():
+    # a lone edge becomes a vertex facet; next to a triangle its image is absorbed
+    for keep in ("1", "2"):
+        assert contract_edge(from_facets([[1, 2], [3, 4]]), [1, 2], keep) == from_facets([[keep], [3, 4]])
+        assert contract_edge(from_facets([[1, 2], [2, 3, 5]]), [1, 2], keep) == from_facets([[keep, 3, 5]])

@@ -3,16 +3,21 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+import stellarpair.pairs as pairs_module
 from stellarpair import (
     Move,
     MoveScript,
+    SimplicialComplex,
     VertexLabel,
     apply_move,
+    biased_derived,
     derived_subdivision,
     edge_subdivide,
     euler_characteristic,
     f_vector,
     from_facets,
+    induced_subcomplex,
     is_pseudomanifold,
     is_strongly_induced,
     is_subcomplex,
@@ -27,6 +32,7 @@ from stellarpair import (
     relabel_complex,
     replay_script,
     search_script,
+    star,
     verify_script,
     vlabel,
 )
@@ -39,7 +45,7 @@ from stellarpair.errors import (
     ScriptMismatchError,
     ScriptStepError,
 )
-from stellarpair.inducedness import INDUCED, NOT_INDUCED, STRONGLY_INDUCED
+from stellarpair.inducedness import INDUCED, NOT_INDUCED, STRONGLY_INDUCED, classify_pair
 from stellarpair.io import random_induced_pair, random_strongly_induced_pair
 
 
@@ -169,6 +175,65 @@ def test_pair_subdivide_randomized_strong_inducedness(seed):
     assert out.status.verdict == STRONGLY_INDUCED
     assert out.sub == edge_subdivide(pair.sub, e, "w")
     assert is_strongly_induced(out.sub, out.ambient).verdict == STRONGLY_INDUCED
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_local_rebias_is_the_biased_schedule_protecting_away_from_w(seed):
+    # the ambient after a pair subdivision is the stellar schedule of every face
+    # that meets star(w) and lies outside the new subcomplex; random ambients are non-pure
+    n, dim, density = 4 + seed % 4, 1 + (seed // 4) % 3, (0.3, 0.45, 0.6)[(seed // 12) % 3]
+    pair = random_strongly_induced_pair(n, dim, density, seed)
+    edges = sorted(pair.sub.faces().get(1, ()))
+    if not edges:
+        return
+    e = edges[seed % len(edges)]
+    out = pair_subdivide_edge(pair, e, "w")
+    subdivided = edge_subdivide(pair.ambient, e, "w")
+    away = induced_subcomplex(subdivided, subdivided.vertex_set() - star(subdivided, ["w"]).vertex_set())
+    protected = SimplicialComplex(list(out.sub.facets) + list(away.facets))
+    assert out.ambient == oracles.schedule_biased(protected, subdivided)
+    assert out.status.verdict == STRONGLY_INDUCED
+    assert euler_characteristic(out.ambient) == euler_characteristic(pair.ambient)
+    if len(out.ambient.facets) <= 40:
+        assert oracles.naive_is_strongly_induced(out.sub, out.ambient)
+
+
+def test_failed_local_rebias_falls_back_to_global(monkeypatch):
+    # without a re-bias the subdivided edge-in-triangle pair is not strongly
+    # induced, so the move has to take the global biased derived subdivision
+    calls = []
+
+    def no_rebias(sub, ambient, w):
+        calls.append(w)
+        return ambient
+
+    monkeypatch.setattr(pairs_module, "_rebias_near", no_rebias)
+    pair = edge_in_triangle_pair()
+    new_sub = edge_subdivide(pair.sub, [1, 2], "v")
+    new_ambient = edge_subdivide(pair.ambient, [1, 2], "v")
+    assert classify_pair(new_sub, new_ambient).verdict != STRONGLY_INDUCED
+    expected = pair_new(new_sub, biased_derived(new_sub, new_ambient)[0])
+    assert expected.status.verdict == STRONGLY_INDUCED
+    assert apply_move(pair, Move.subdivide([1, 2], "v")) == expected
+    assert calls == ["v"]
+
+
+def test_tetrahedron_subdivision_chain_grows_slowly():
+    # six pair subdivisions along one edge of the derived, biased tetrahedron/path pair
+    tetra = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+    pair = pair_biased(pair_derive(pair_new(from_facets([[1, 2], [2, 3]]), tetra)))
+    sizes = [len(pair.ambient.facets)]
+    prev = "b{1,2}@0"
+    for j in range(6):
+        pair = pair_subdivide_edge(pair, ["1", prev], f"w{j}")
+        prev = f"w{j}"
+        sizes.append(len(pair.ambient.facets))
+        # checked per move, so a global re-bias (x6 per move) fails before it explodes
+        assert sizes[-1] < 2 * sizes[-2], sizes
+    assert sizes == [136, 236, 384, 628, 1064, 1884, 3472]
+    assert is_pseudomanifold(pair.ambient, 2)
+    assert euler_characteristic(pair.ambient) == 2
 
 
 # -- edge contraction of pairs --------------------------------------------------------

@@ -156,6 +156,18 @@ def test_stale_round_is_rejected():
     assert biased_derived(edge, cx, round=1) == biased_derived(edge, cx)
 
 
+def test_labels_that_could_spell_a_barycenter_are_rejected():
+    # the edge {a,b, c} and the triangle {a, b, c} would both get the barycenter b{a,b,c}@0
+    cx = from_facets([["a,b", "c"], ["a", "b", "c"]])
+    with pytest.raises(NamingError, match="a,b"):
+        derived_subdivision(cx)
+    with pytest.raises(NamingError):
+        biased_derived(from_facets([["a", "b"]]), cx)
+    for label in ("x{", "y}", "b{1,2}@x"):
+        with pytest.raises(NamingError):
+            derived_subdivision(from_facets([[label, "c"]]))
+
+
 # -- biased ---------------------------------------------------------------------
 
 def test_biased_edge_in_triangle_exact_facets():
