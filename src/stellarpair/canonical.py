@@ -73,7 +73,7 @@ def _canonical_rank(cx: SimplicialComplex, guard: int) -> tuple[CanonicalForm, d
             guard=guard,
         )
     vid = {v: i for i, v in enumerate(verts)}
-    facet_members = [tuple(vid[v] for v in f.vertices) for f in cx.sorted_facets()]
+    facet_members = [tuple(vid[v] for v in f) for f in cx.sorted_facets()]
     facets_of: list[list[int]] = [[] for _ in range(n)]
     for i, members in enumerate(facet_members):
         for v in members:
@@ -164,7 +164,7 @@ def isomorphism(
     mapping = {v: by_rank[i] for v, i in rank_a.items()}
     # paranoia: the composed map must carry facets onto facets
     image = frozenset(
-        Simplex(tuple(sorted(mapping[v] for v in f.vertices))) for f in a.facets
+        Simplex(sorted(mapping[v] for v in f)) for f in a.facets
     )
     if image != b.facets:
         raise AssertionError("canonical labeling produced an inconsistent bijection")

@@ -13,6 +13,7 @@ import sys
 
 from . import io as sio
 from .complexes import (
+    Simplex,
     SimplicialComplex,
     _alternating_sum,
     f_vector,
@@ -123,7 +124,7 @@ def _cmd_check(args) -> int:
         return EXIT_OK if not blockers else EXIT_DOMAIN
     # missing
     cx = sio.load_complex(args.complex).complex
-    missing = sorted(missing_simplices(cx, args.max_dim))
+    missing = sorted(missing_simplices(cx, args.max_dim), key=Simplex.sort_key)
     payload = {"missing_simplices": [list(s) for s in missing]}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK

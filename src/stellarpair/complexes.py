@@ -1,11 +1,13 @@
 """Abstract simplicial complexes stored by facets.
 
-A :class:`Simplex` is a sorted, duplicate-free tuple of interned vertex
-labels; a :class:`SimplicialComplex` is the downward closure of an
-antichain of facets.  Complexes are immutable values: every operation
-returns a new complex.  Faces are not stored: each face reader enumerates
-them from the facets.  The lazy caches (vertex set, sorted facets, facet
-index) are filled by idempotent assignment, so concurrent readers are safe.
+A :class:`Simplex` is the sorted, duplicate-free tuple of its interned
+vertex labels, and equals, hashes and compares as that tuple; canonical
+order is `key=Simplex.sort_key`.  A :class:`SimplicialComplex` is the
+downward closure of an antichain of facets.  Complexes are immutable
+values: every operation returns a new complex.  Faces are not stored:
+each face reader enumerates them from the facets.  The lazy caches
+(vertex set, sorted facets, facet index) are filled by idempotent
+assignment, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -28,79 +30,65 @@ def set_debug_validation(enabled: bool) -> bool:
     return old
 
 
-class Simplex:
-    """A finite set of vertex labels, kept sorted."""
+class Simplex(tuple):
+    """A finite set of vertex labels: the sorted, duplicate-free tuple of them.
 
-    __slots__ = ("vertices", "_vset", "_hash")
+    A simplex equals, hashes and compares as that tuple, so `<` and a bare
+    `sorted()` are lexicographic; canonical order (dimension first) is
+    `key=Simplex.sort_key`.  `Simplex(vertices)` is the trusted constructor:
+    `vertices` must already be sorted and duplicate-free.
+    """
 
-    vertices: tuple[VertexLabel, ...]
-
-    def __init__(self, vertices: tuple[VertexLabel, ...]):
-        # Trusted constructor: `vertices` must already be sorted and duplicate-free.
-        self.vertices = vertices
-        self._vset = frozenset(vertices)
-        self._hash = hash(vertices)
+    __slots__ = ()
 
     @classmethod
     def of(cls, labels: Iterable) -> "Simplex":
         """Build a simplex from label-ish values, with set semantics (duplicates merge)."""
         if isinstance(labels, Simplex):
             return labels
-        return cls(tuple(sorted(set(vlabel(x) for x in labels))))
+        return cls(sorted(set(vlabel(x) for x in labels)))
+
+    @property
+    def vertices(self) -> "Simplex":
+        """The simplex itself: it is its sorted vertex tuple."""
+        return self
+
+    @property
+    def _vset(self) -> frozenset[VertexLabel]:
+        """The vertex set, built on each read; the library uses `frozenset(simplex)`."""
+        return frozenset(self)
 
     @property
     def dim(self) -> int:
-        return len(self.vertices) - 1
+        return len(self) - 1
 
     def sort_key(self) -> tuple:
         """Canonical order: by dimension first, then lexicographically by labels."""
-        return (len(self.vertices), self.vertices)
+        return (len(self), self)
 
     def tokens(self) -> tuple[str, ...]:
-        return self.vertices
+        return self
 
     def issubset(self, other: "Simplex") -> bool:
-        return self._vset <= other._vset
+        return set(self).issubset(other)
 
     def union(self, other: "Simplex") -> "Simplex":
-        return Simplex(tuple(sorted(self._vset | other._vset)))
+        return Simplex(sorted(set(self).union(other)))
 
     def difference(self, labels) -> "Simplex":
         drop = {vlabel(x) for x in labels}
-        return Simplex(tuple(v for v in self.vertices if v not in drop))
+        return Simplex(v for v in self if v not in drop)
 
     def boundary(self) -> Iterator["Simplex"]:
         """Codimension-one subfaces."""
-        for i in range(len(self.vertices)):
-            yield Simplex(self.vertices[:i] + self.vertices[i + 1 :])
-
-    def __len__(self):
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __contains__(self, label):
-        return vlabel(label) in self._vset
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if isinstance(other, Simplex):
-            return self.vertices == other.vertices
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other: "Simplex"):
-        return self.sort_key() < other.sort_key()
+        for i in range(len(self)):
+            yield Simplex(self[:i] + self[i + 1 :])
 
     def __str__(self):
-        return "{" + ",".join(self.vertices) + "}"
+        return "{" + ",".join(self) + "}"
 
     def __repr__(self):
-        return f"Simplex({[v.token for v in self.vertices]})"
+        return f"Simplex({[v.token for v in self]})"
 
 
 EMPTY_SIMPLEX = Simplex(())
@@ -123,7 +111,7 @@ def _reduce_to_antichain(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
         if len(s) == 0:
             continue
         candidates: set[int] | None = None
-        for v in s.vertices:
+        for v in s:
             ids = by_vertex.get(v)
             if ids is None:
                 candidates = None
@@ -136,7 +124,7 @@ def _reduce_to_antichain(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
             continue  # some kept facet contains every vertex of s
         idx = len(kept)
         kept.append(s)
-        for v in s.vertices:
+        for v in s:
             by_vertex.setdefault(v, set()).add(idx)
     return frozenset(kept)
 
@@ -179,7 +167,7 @@ class SimplicialComplex:
     def vertex_set(self) -> frozenset[VertexLabel]:
         verts = self._vertices
         if verts is None:
-            verts = frozenset(v for f in self.facets for v in f.vertices)
+            verts = frozenset(chain.from_iterable(self.facets))
             self._vertices = verts
         return verts
 
@@ -201,7 +189,7 @@ class SimplicialComplex:
         if index is None:
             build: dict[VertexLabel, set[int]] = {}
             for i, f in enumerate(self.sorted_facets()):
-                for v in f.vertices:
+                for v in f:
                     build.setdefault(v, set()).add(i)
             index = {v: frozenset(ids) for v, ids in build.items()}
             self._vertex_to_facets = index
@@ -213,7 +201,7 @@ class SimplicialComplex:
             return self.sorted_facets()
         index = self._facet_index()
         ids: frozenset[int] | None = None
-        for v in simplex.vertices:
+        for v in simplex:
             got = index.get(v)
             if got is None:
                 return ()
@@ -234,9 +222,8 @@ class SimplicialComplex:
         (each facet adds its dimensions in increasing order, so the keys run 0..dim)."""
         grouped: dict[int, set[tuple[VertexLabel, ...]]] = {}
         for f in self.facets:
-            verts = f.vertices
-            for k in range(1, len(verts) + 1):
-                grouped.setdefault(k - 1, set()).update(combinations(verts, k))
+            for k in range(1, len(f) + 1):
+                grouped.setdefault(k - 1, set()).update(combinations(f, k))
         return grouped
 
     def faces(self) -> dict[int, frozenset[Simplex]]:
@@ -260,22 +247,21 @@ class SimplicialComplex:
         A dominated facet is reported against the first dominating facet in
         canonical order.
         """
-        seen: set[tuple[VertexLabel, ...]] = set()
+        seen: set[Simplex] = set()
         for f in self.facets:
             if len(f) == 0:
                 raise StellarPairError("empty simplex stored as a facet")
-            verts = f.vertices
-            if list(verts) != sorted(verts):
+            if list(f) != sorted(f):
                 raise StellarPairError(f"facet {f} is not sorted canonically")
-            if len(set(verts)) != len(verts):
+            if len(set(f)) != len(f):
                 raise StellarPairError(f"facet {f} carries duplicate vertices")
-            if verts in seen:
+            if f in seen:
                 raise StellarPairError(f"facet {f} stored twice")
-            seen.add(verts)
+            seen.add(f)
         facets = self.sorted_facets()
         index = self._facet_index()
         for i, f in enumerate(facets):
-            ids = frozenset.intersection(*(index[v] for v in f.vertices))
+            ids = frozenset.intersection(*(index[v] for v in f))
             if len(ids) > 1:
                 other = min(j for j in ids if j != i)
                 raise StellarPairError(f"facet {f} is dominated by {facets[other]}")
@@ -310,7 +296,7 @@ def from_facets(facets: Iterable[Iterable]) -> SimplicialComplex:
             raise MalformedInputError("facet must be a nonempty list of labels")
         if len(set(labels)) != len(labels):
             raise MalformedInputError(f"duplicate label within facet {[str(x) for x in labels]}")
-        simplices.append(Simplex(tuple(sorted(labels))))
+        simplices.append(Simplex(sorted(labels)))
     return SimplicialComplex(simplices)
 
 
@@ -329,7 +315,7 @@ def link(cx: SimplicialComplex, simplex) -> SimplicialComplex:
     hits = cx.facets_containing(s)
     if not hits:
         raise AbsentFaceError(f"{s} is not a face of the complex")
-    return SimplicialComplex(f.difference(s.vertices) for f in hits)
+    return SimplicialComplex(f.difference(s) for f in hits)
 
 
 def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
@@ -356,9 +342,9 @@ def induced_subcomplex(cx: SimplicialComplex, labels: Iterable) -> SimplicialCom
     keep = {vlabel(x) for x in labels}
     restricted = []
     for f in cx.facets:
-        common = [v for v in f.vertices if v in keep]
+        common = Simplex(v for v in f if v in keep)
         if common:
-            restricted.append(Simplex(tuple(common)))
+            restricted.append(common)
     return SimplicialComplex(restricted)
 
 
@@ -372,7 +358,7 @@ def relabel_complex(cx: SimplicialComplex, mapping: dict) -> SimplicialComplex:
     if len(set(image.values())) != len(image):
         raise MalformedInputError("relabeling is not injective on the complex's vertices")
     return SimplicialComplex._from_antichain(
-        Simplex(tuple(sorted(image[v] for v in f.vertices))) for f in cx.facets
+        Simplex(sorted(image[v] for v in f)) for f in cx.facets
     )
 
 

@@ -26,16 +26,16 @@ def _check_edge(cx: SimplicialComplex, edge) -> Simplex:
 
 def _blocker_candidates(cx: SimplicialComplex, e: Simplex):
     """Vertex sets containing e whose pairs are all edges of cx."""
-    u, v = e.vertices
+    u, v = e
     # common neighbours of u and v, read off their stars; sorted for a stable candidate order
     star_u, star_v = (
-        set().union(*(f._vset for f in cx.facets_containing(Simplex((x,))))) for x in (u, v)
+        set().union(*cx.facets_containing(Simplex((x,)))) for x in (u, v)
     )
     common = sorted(star_u & star_v - {u, v})
     top_extra = cx.dim  # a missing simplex has dimension <= dim+1, so <= dim extra vertices beyond e
     for size in range(1, max(top_extra, 0) + 1):
         for extra in combinations(common, size):
-            yield Simplex(tuple(sorted(e._vset | set(extra))))
+            yield Simplex(sorted((u, v) + extra))
 
 
 def _is_missing(cx: SimplicialComplex, s: Simplex) -> bool:
@@ -86,7 +86,7 @@ def link_condition(cx: SimplicialComplex, edge) -> bool:
     Equivalent to `is_valid_edge`; kept as an independent oracle.
     """
     e = _check_edge(cx, edge)
-    u, v = e.vertices
+    u, v = e
     faces_u, faces_v, faces_e = (set().union(*link(cx, s)._face_tuples().values()) for s in ([u], [v], e))
     return faces_u & faces_v == faces_e
 
@@ -103,13 +103,13 @@ def _substitute(cx: SimplicialComplex, e: Simplex, keep: VertexLabel) -> Simplic
     g ≠ F because F holds `lose` and g does not; the facets of `cx` form an
     antichain, so that is impossible.
     """
-    lose = e.vertices[1] if keep == e.vertices[0] else e.vertices[0]
+    lose = e[1] if keep == e[0] else e[0]
     at_edge: list[Simplex] = []
     rest: list[Simplex] = []
     for f in cx.facets:
-        if lose in f._vset:
-            at_edge.append(Simplex(tuple(sorted(f._vset - {lose} | {keep}))))
-        elif keep in f._vset:
+        if lose in f:
+            at_edge.append(Simplex(sorted(set(f) - {lose} | {keep})))
+        elif keep in f:
             at_edge.append(f)
         else:
             rest.append(f)
@@ -123,7 +123,7 @@ def contract_edge(cx: SimplicialComplex, edge, survivor=None) -> SimplicialCompl
     blockers = tuple(sorted(_missing_through(cx, e), key=Simplex.sort_key))
     if blockers:
         raise InvalidEdgeError(e, blockers)
-    keep: VertexLabel = e.vertices[0] if survivor is None else vlabel(survivor)
-    if keep not in e.vertices:
+    keep: VertexLabel = e[0] if survivor is None else vlabel(survivor)
+    if keep not in e:
         raise MalformedInputError(f"survivor {keep} is not an endpoint of {e}")
     return _substitute(cx, e, keep)

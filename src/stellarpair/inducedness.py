@@ -101,12 +101,12 @@ class _StrongScan:
 
     def __init__(self, sub: SimplicialComplex, ambient: SimplicialComplex):
         self.gamma_verts = gamma = sub.vertex_set()
-        self.facets = [f for f in ambient.facets if not gamma.isdisjoint(f._vset)]
-        self.gamma_facet_sets = [f._vset for f in sub.facets]
+        self.facets = [f for f in ambient.facets if not gamma.isdisjoint(f)]
+        self.gamma_facet_sets = [frozenset(f) for f in sub.facets]
         self.vmask: dict[VertexLabel, int] = {}
         for i, f in enumerate(self.facets):
             bit = 1 << i
-            for v in f.vertices:
+            for v in f:
                 self.vmask[v] = self.vmask.get(v, 0) | bit
         if not all(self.support(g) for g in sub.facets):
             raise _not_a_subcomplex(sub, self.support)
@@ -118,7 +118,7 @@ class _StrongScan:
         self._support_maximal: dict[int, tuple[frozenset, ...]] = {}
 
     def _pieces(self, facet: Simplex) -> tuple[frozenset, ...]:
-        trace = frozenset(v for v in facet.vertices if v in self.gamma_verts)
+        trace = self.gamma_verts.intersection(facet)
         got = self._trace_pieces.get(trace)
         if got is None:
             cuts = {g & trace for g in self.gamma_facet_sets}
@@ -131,7 +131,7 @@ class _StrongScan:
         """Bitmask of the kept facets containing the nonempty `simplex`."""
         get = self.vmask.get
         mask = -1
-        for v in simplex.vertices:
+        for v in simplex:
             mask &= get(v, 0)
         return mask
 
@@ -152,13 +152,12 @@ class _StrongScan:
         """Every violation, once per kept facet holding it.  Integer-only
         subset scan of each facet; a simplex is built only for a violation."""
         for i, facet in enumerate(self.facets):
-            verts = facet.vertices
-            masks = [self.vmask[v] for v in verts]
+            masks = [self.vmask[v] for v in facet]
             pieces = self._pieces_by_facet[i]
             piece_bits = [
-                sum(1 << j for j, v in enumerate(verts) if v in p) for p in pieces
+                sum(1 << j for j, v in enumerate(facet) if v in p) for p in pieces
             ]
-            size = 1 << len(verts)
+            size = 1 << len(facet)
             sup = [0] * size
             for t in range(1, size):
                 low = t & -t
@@ -169,7 +168,7 @@ class _StrongScan:
                 if len(self.maximal_for(sup_t)) > 1:
                     # the face is a violation unless it lies in the subcomplex
                     if not any(t & ~pb == 0 for pb in piece_bits):
-                        yield Simplex(tuple(v for k, v in enumerate(verts) if t >> k & 1))
+                        yield Simplex(v for k, v in enumerate(facet) if t >> k & 1)
 
     def has_violation(self) -> bool:
         return next(self._violations(), None) is not None
@@ -181,7 +180,7 @@ class _StrongScan:
             return InducednessWitness(STRONGLY_INDUCED)
         faces = tuple(
             sorted(
-                (Simplex(tuple(sorted(p))) for p in self.maximal_for(self.support(sigma))),
+                (Simplex(sorted(p)) for p in self.maximal_for(self.support(sigma))),
                 key=Simplex.sort_key,
             )
         )
@@ -197,7 +196,7 @@ class _StrongScan:
             return InducednessWitness(INDUCED)
         gamma = self.gamma_verts
         offender = min(
-            (s for s in self._violations() if s._vset <= gamma), key=Simplex.sort_key
+            (s for s in self._violations() if gamma.issuperset(s)), key=Simplex.sort_key
         )
         return InducednessWitness(NOT_INDUCED, offending_simplex=offender)
 

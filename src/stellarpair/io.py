@@ -72,7 +72,7 @@ def parse_complex_document(text: str) -> ComplexDocument:
 
 
 def complex_document_dict(doc: ComplexDocument) -> dict:
-    facets = [list(f.vertices) for f in doc.complex.sorted_facets()]
+    facets = [list(f) for f in doc.complex.sorted_facets()]
     return {"name": doc.name, "facets": facets}
 
 

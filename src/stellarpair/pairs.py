@@ -37,7 +37,7 @@ from .errors import (
     ScriptStepError,
 )
 from .inducedness import STRONGLY_INDUCED, InducednessWitness, classify_pair
-from .labels import VertexLabel, next_round, vlabel
+from .labels import VertexLabel, vlabel
 from .subdivision import _rebias_near, biased_derived, derived_subdivision, edge_subdivide
 
 SUBDIVIDE = "subdivide"
@@ -153,9 +153,8 @@ def _derived(
 ) -> tuple[SimplicialComplex, SimplicialComplex]:
     """`pair_derive`'s two complexes, unclassified: the derived subcomplex is
     always induced in the derived ambient."""
-    rnd = next_round(ambient.vertex_set())
-    new_ambient, _ = derived_subdivision(ambient, round=rnd)
-    new_sub, _ = derived_subdivision(sub, round=rnd)
+    new_ambient, record = derived_subdivision(ambient)
+    new_sub, _ = derived_subdivision(sub, round=record.round)
     return new_sub, new_ambient
 
 

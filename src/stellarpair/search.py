@@ -87,10 +87,10 @@ def search_script(
         if state.num_vertices() < max_vertices:
             fresh = f"n{base + len(moves)}"
             for e in edges:
-                successors.append((edge_subdivide(state, e, fresh), Move.subdivide(e.vertices, fresh)))
+                successors.append((edge_subdivide(state, e, fresh), Move.subdivide(e, fresh)))
         for e in edges:
             if is_valid_edge(state, e):
-                move = Move.contract(e.vertices)
+                move = Move.contract(e)
                 successors.append((_substitute(state, e, move.survivor), move))
         for nxt, move in successors:
             form = canonical_form(nxt, guard=guard)

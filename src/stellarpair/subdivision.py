@@ -54,8 +54,8 @@ def stellar_subdivide(cx: SimplicialComplex, simplex, new_label) -> SimplicialCo
         raise NamingError(f"label {v} already names a vertex of the complex")
     new_facets = [f for f in cx.facets if not s.issubset(f)]
     for f in hits:
-        for w in s.vertices:
-            new_facets.append(Simplex(tuple(sorted(f._vset - {w} | {v}))))
+        for w in s:
+            new_facets.append(Simplex(sorted(set(f) - {w} | {v})))
     return SimplicialComplex._from_antichain(new_facets)
 
 
@@ -103,15 +103,14 @@ def _relative_derived(
         if got is None:
             got = VertexLabel.barycenter(fs, rnd)
             bary[fs] = got
-            recorded[Simplex(tuple(sorted(fs)))] = got
+            recorded[Simplex(sorted(fs))] = got
         return got
 
     for facet in ambient.facets:
-        verts = facet.vertices
-        if member(facet._vset):
+        if member(frozenset(facet)):
             cells.add(facet)
             continue
-        for perm in permutations(verts):
+        for perm in permutations(facet):
             cell: list[VertexLabel] = []
             running: set[VertexLabel] = set()
             chain_started = False
@@ -127,7 +126,7 @@ def _relative_derived(
                         cell.append(v)
                         continue
                 cell.append(blabel(frozenset(running)))
-            cells.add(Simplex(tuple(sorted(cell))))
+            cells.add(Simplex(sorted(cell)))
     return SimplicialComplex._from_antichain(cells), rnd, recorded
 
 
@@ -156,7 +155,7 @@ def biased_derived(
     unchanged as a subcomplex of the result."""
     _require_subcomplex(sub, ambient)
     result, rnd, labels = _relative_derived(
-        ambient, lambda fs: Simplex(tuple(sorted(fs))) in sub, round
+        ambient, lambda fs: Simplex(sorted(fs)) in sub, round
     )
     return result, SubdivisionRecord(kind=BIASED, round=rnd, new_labels=labels)
 
@@ -175,9 +174,9 @@ def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLa
     """
     near: set[VertexLabel] = set()
     for f in ambient.facets:
-        if w in f._vset:
-            near |= f._vset
+        if w in f:
+            near.update(f)
     result, _, _ = _relative_derived(
-        ambient, lambda fs: fs.isdisjoint(near) or Simplex(tuple(sorted(fs))) in sub, None
+        ambient, lambda fs: fs.isdisjoint(near) or Simplex(sorted(fs)) in sub, None
     )
     return result

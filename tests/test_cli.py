@@ -94,6 +94,12 @@ def test_check_missing_and_valid_edge(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["missing_simplices"] == [["1", "3"], ["2", "4"]]
     assert main(["check", "valid-edge", "--complex", path, "--edge", "1,2"]) == 0
     assert json.loads(capsys.readouterr().out)["valid"] is True
+    # mixed dimensions: canonical order puts the edges before the triangle
+    path = write_complex(tmp_path / "d.json", [[1, 2], [2, 3], [1, 3], [4]])
+    assert main(["check", "missing", "--complex", path]) == 0
+    assert json.loads(capsys.readouterr().out)["missing_simplices"] == [
+        ["1", "4"], ["2", "4"], ["3", "4"], ["1", "2", "3"]
+    ]
 
 
 def test_malformed_document_exits_two(tmp_path, monkeypatch, capsys):

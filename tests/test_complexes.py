@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from stellarpair import (
     isomorphism,
     link,
     relabel_complex,
+    set_debug_validation,
     star,
     vlabel,
 )
@@ -306,6 +309,61 @@ def test_face_counts_leave_no_faces_behind():
         tracemalloc.stop()
     # the complex is still alive here, so anything it cached would still be traced
     assert held < 16 * 1024
+
+
+def test_a_facet_costs_no_more_than_its_tuple():
+    cx = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+    for _ in range(3):
+        cx, _ = derived_subdivision(cx)
+    tuples = [tuple(f) for f in cx.facets]
+    assert len(tuples) == 864
+    # the debug re-check would fill the facet index, which is not the facets' cost
+    old = set_debug_validation(False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rebuilt = SimplicialComplex._from_antichain(Simplex(t) for t in tuples)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        set_debug_validation(old)
+    assert rebuilt == cx
+    # a tuple of three label pointers plus its frozenset slot: about 110 B
+    assert held / len(tuples) < 200
+
+
+_labels = st.text(alphabet="abc12{},", min_size=1, max_size=3)
+
+
+@given(st.lists(st.sets(_labels, max_size=5), min_size=1, max_size=6))
+def test_simplex_is_its_vertex_tuple(label_sets):
+    # no Python-level comparison, hash or membership: each would cost every set lookup
+    assert Simplex.__eq__ is tuple.__eq__
+    assert Simplex.__hash__ is tuple.__hash__
+    assert Simplex.__lt__ is tuple.__lt__
+    assert "__contains__" not in vars(Simplex)
+    assert 1 not in Simplex.of([1, 2])  # membership compares labels, no int coercion
+    simplices = [Simplex.of(labels) for labels in label_sets]
+    for labels, s in zip(label_sets, simplices):
+        expected = tuple(sorted(labels))
+        assert s == expected and hash(s) == hash(expected)
+        assert s.vertices == expected and s.tokens() == expected
+        assert s._vset == frozenset(expected)
+        assert str(s) == "{" + ",".join(expected) + "}"
+        assert repr(s) == f"Simplex({list(expected)})"
+        assert json.dumps(s) == json.dumps(list(expected))
+        assert s.dim == len(expected) - 1
+        assert all(v in s and vlabel(v) in s for v in labels)
+        assert list(s.boundary()) == [tuple(sorted(labels - {v})) for v in expected]
+        assert not hasattr(s, "__dict__")
+    for s, t in product(simplices, repeat=2):
+        assert s.union(t) == tuple(sorted(set(s) | set(t)))
+        assert s.difference(t) == tuple(sorted(set(s) - set(t)))
+        assert s.issubset(t) == (set(s) <= set(t))
+    ordered = sorted(simplices, key=Simplex.sort_key)
+    for a, b in zip(ordered, ordered[1:]):
+        assert a.dim < b.dim or (a.dim == b.dim and list(a) <= list(b))
 
 
 def test_as_simplex_accepts_labels_and_simplices():
