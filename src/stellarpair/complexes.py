@@ -5,9 +5,10 @@ vertex labels, and equals, hashes and compares as that tuple; canonical
 order is `key=Simplex.sort_key`.  A :class:`SimplicialComplex` is the
 downward closure of an antichain of facets.  Complexes are immutable
 values: every operation returns a new complex.  Faces are not stored:
-each face reader enumerates them from the facets.  The lazy caches
-(vertex set, sorted facets, facet index) are filled by idempotent
-assignment, so concurrent readers are safe.
+each face reader enumerates them from the facets.  A local question
+(membership, star, link) reads the facets at its face in one linear
+filter; no index outlives the question.  The one lazy cache, the vertex
+set, is filled by idempotent assignment, so concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _reduce_to_antichain(simplices: Iterable[Simplex]) -> frozenset[Simplex]:
 class SimplicialComplex:
     """A downward-closed family of simplices, stored by its facet antichain."""
 
-    __slots__ = ("facets", "_vertex_to_facets", "_facet_list", "_vertices")
+    __slots__ = ("facets", "_vertices")
 
     facets: frozenset[Simplex]
 
@@ -141,8 +142,6 @@ class SimplicialComplex:
             self.facets = facets
         else:
             self.facets = _reduce_to_antichain(facets)
-        self._vertex_to_facets = None
-        self._facet_list = None
         self._vertices = None
         if _DEBUG_VALIDATE:
             self.validate()
@@ -178,44 +177,17 @@ class SimplicialComplex:
         return len(self.vertex_set())
 
     def sorted_facets(self) -> tuple[Simplex, ...]:
-        facets = self._facet_list
-        if facets is None:
-            facets = tuple(sorted(self.facets, key=Simplex.sort_key))
-            self._facet_list = facets
-        return facets
-
-    def _facet_index(self) -> dict[VertexLabel, frozenset[int]]:
-        index = self._vertex_to_facets
-        if index is None:
-            build: dict[VertexLabel, set[int]] = {}
-            for i, f in enumerate(self.sorted_facets()):
-                for v in f:
-                    build.setdefault(v, set()).add(i)
-            index = {v: frozenset(ids) for v, ids in build.items()}
-            self._vertex_to_facets = index
-        return index
+        """The facets in canonical order, sorted on each call."""
+        return tuple(sorted(self.facets, key=Simplex.sort_key))
 
     def facets_containing(self, simplex: Simplex) -> tuple[Simplex, ...]:
-        """All facets that contain `simplex`."""
-        if len(simplex) == 0:
-            return self.sorted_facets()
-        index = self._facet_index()
-        ids: frozenset[int] | None = None
-        for v in simplex:
-            got = index.get(v)
-            if got is None:
-                return ()
-            ids = got if ids is None else ids & got
-            if not ids:
-                return ()
-        facets = self.sorted_facets()
-        return tuple(facets[i] for i in sorted(ids))
+        """All facets that contain `simplex`, in canonical order."""
+        held = frozenset(simplex)
+        return tuple(sorted((f for f in self.facets if held.issubset(f)), key=Simplex.sort_key))
 
     def __contains__(self, simplex) -> bool:
-        s = as_simplex(simplex)
-        if len(s) == 0:
-            return True
-        return bool(self.facets_containing(s))
+        held = frozenset(as_simplex(simplex))
+        return not held or any(held.issubset(f) for f in self.facets)
 
     def _face_tuples(self) -> dict[int, set[tuple[VertexLabel, ...]]]:
         """The distinct vertex tuples of the nonempty faces, keyed by dimension
@@ -242,12 +214,11 @@ class SimplicialComplex:
     def validate(self) -> None:
         """Re-check structural invariants; raises StellarPairError on violation.
 
-        Linear in facets x dimension (plus the sizes of the vertex->facet id
-        sets intersected): dominance is found through the cached facet index.
-        A dominated facet is reported against the first dominating facet in
-        canonical order.
+        One pass over the facets, then one `_reduce_to_antichain` for
+        dominance: linear in facets x dimension plus the sizes of the
+        vertex->facet id sets it intersects.  A dominated facet is reported
+        against the first dominating facet in canonical order.
         """
-        seen: set[Simplex] = set()
         for f in self.facets:
             if len(f) == 0:
                 raise StellarPairError("empty simplex stored as a facet")
@@ -255,16 +226,11 @@ class SimplicialComplex:
                 raise StellarPairError(f"facet {f} is not sorted canonically")
             if len(set(f)) != len(f):
                 raise StellarPairError(f"facet {f} carries duplicate vertices")
-            if f in seen:
-                raise StellarPairError(f"facet {f} stored twice")
-            seen.add(f)
-        facets = self.sorted_facets()
-        index = self._facet_index()
-        for i, f in enumerate(facets):
-            ids = frozenset.intersection(*(index[v] for v in f))
-            if len(ids) > 1:
-                other = min(j for j in ids if j != i)
-                raise StellarPairError(f"facet {f} is dominated by {facets[other]}")
+        dominated = self.facets - _reduce_to_antichain(self.facets)
+        if dominated:
+            f = min(dominated, key=Simplex.sort_key)
+            other = min((g for g in self.facets if g != f and f.issubset(g)), key=Simplex.sort_key)
+            raise StellarPairError(f"facet {f} is dominated by {other}")
 
     # -- value semantics -------------------------------------------------
 
@@ -332,20 +298,24 @@ def euler_characteristic(cx: SimplicialComplex) -> int:
     return _alternating_sum(f_vector(cx))
 
 
+def _face_set(facets: Iterable[Simplex]) -> set[tuple[VertexLabel, ...]]:
+    """Every nonempty face of the given facets, as vertex tuples; a `Simplex`
+    hashes and compares as its tuple, so it can be looked up directly."""
+    return {c for f in facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
+
+
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
-    """True iff every facet of `sub` is a face of `ambient`."""
-    return all(f in ambient for f in sub.facets)
+    """True iff every facet of `sub` is a face of `ambient`, that is, of the
+    ambient's restriction to V(sub)."""
+    faces = _face_set(induced_subcomplex(ambient, sub.vertex_set()).facets)
+    return all(f in faces for f in sub.facets)
 
 
 def induced_subcomplex(cx: SimplicialComplex, labels: Iterable) -> SimplicialComplex:
-    """The subcomplex of all faces whose vertices lie in `labels`."""
-    keep = {vlabel(x) for x in labels}
-    restricted = []
-    for f in cx.facets:
-        common = Simplex(v for v in f if v in keep)
-        if common:
-            restricted.append(common)
-    return SimplicialComplex(restricted)
+    """The subcomplex of all faces whose vertices lie in `labels`: the
+    facets' distinct traces on them, from one pass over the facets."""
+    keep = frozenset(vlabel(x) for x in labels)
+    return SimplicialComplex(Simplex(sorted(t)) for t in {keep.intersection(f) for f in cx.facets})
 
 
 def relabel_complex(cx: SimplicialComplex, mapping: dict) -> SimplicialComplex:

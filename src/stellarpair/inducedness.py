@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .complexes import Simplex, SimplicialComplex, is_subcomplex
+from .complexes import Simplex, SimplicialComplex, _face_set, induced_subcomplex, is_subcomplex
 from .errors import NotASubcomplexError
 from .labels import VertexLabel
 
@@ -69,7 +69,8 @@ def _not_a_subcomplex(sub: SimplicialComplex, is_face) -> NotASubcomplexError:
 
 def _require_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> None:
     if not is_subcomplex(sub, ambient):
-        raise _not_a_subcomplex(sub, ambient.__contains__)
+        faces = _face_set(induced_subcomplex(ambient, sub.vertex_set()).facets)
+        raise _not_a_subcomplex(sub, faces.__contains__)
 
 
 def is_induced(sub: SimplicialComplex, ambient: SimplicialComplex) -> InducednessWitness:

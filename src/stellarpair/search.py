@@ -14,7 +14,7 @@ from collections import deque
 
 from .canonical import DEFAULT_VERTEX_GUARD, canonical_form, isomorphism
 from .complexes import Simplex, SimplicialComplex
-from .contraction import _substitute, is_valid_edge
+from .contraction import contract_edge, is_valid_edge
 from .errors import ResourceLimitError
 from .pairs import Move, MoveScript
 from .subdivision import edge_subdivide
@@ -91,7 +91,7 @@ def search_script(
         for e in edges:
             if is_valid_edge(state, e):
                 move = Move.contract(e)
-                successors.append((_substitute(state, e, move.survivor), move))
+                successors.append((contract_edge(state, e, move.survivor), move))
         for nxt, move in successors:
             form = canonical_form(nxt, guard=guard)
             if form in visited:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Mapping
 
-from .complexes import Simplex, SimplicialComplex, as_simplex
+from .complexes import Simplex, SimplicialComplex, _face_set, as_simplex
 from .errors import AbsentFaceError, DomainError, NamingError
 from .inducedness import _require_subcomplex
 from .labels import VertexLabel, _barycenter_round, vlabel
@@ -46,13 +46,16 @@ def stellar_subdivide(cx: SimplicialComplex, simplex, new_label) -> SimplicialCo
         raise DomainError(
             f"stellar subdivision at {s} rejected: at a vertex it is the identity"
         )
-    hits = cx.facets_containing(s)
+    held = frozenset(s)
+    hits: list[Simplex] = []
+    new_facets: list[Simplex] = []
+    for f in cx.facets:
+        (hits if held.issubset(f) else new_facets).append(f)
     if not hits:
         raise AbsentFaceError(f"{s} is not a face of the complex")
     v = vlabel(new_label)
     if v in cx.vertex_set():
         raise NamingError(f"label {v} already names a vertex of the complex")
-    new_facets = [f for f in cx.facets if not s.issubset(f)]
     for f in hits:
         for w in s:
             new_facets.append(Simplex(sorted(set(f) - {w} | {v})))
@@ -154,8 +157,9 @@ def biased_derived(
     `sub` (dimension >= 1), in reverse order of inclusion; `sub` survives
     unchanged as a subcomplex of the result."""
     _require_subcomplex(sub, ambient)
+    sub_faces = _face_set(sub.facets)
     result, rnd, labels = _relative_derived(
-        ambient, lambda fs: Simplex(sorted(fs)) in sub, round
+        ambient, lambda fs: tuple(sorted(fs)) in sub_faces, round
     )
     return result, SubdivisionRecord(kind=BIASED, round=rnd, new_labels=labels)
 
@@ -176,7 +180,8 @@ def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLa
     for f in ambient.facets:
         if w in f:
             near.update(f)
+    sub_faces = _face_set(sub.facets)
     result, _, _ = _relative_derived(
-        ambient, lambda fs: fs.isdisjoint(near) or Simplex(sorted(fs)) in sub, None
+        ambient, lambda fs: fs.isdisjoint(near) or tuple(sorted(fs)) in sub_faces, None
     )
     return result

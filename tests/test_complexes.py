@@ -14,12 +14,16 @@ from stellarpair import (
     Simplex,
     SimplicialComplex,
     as_simplex,
+    biased_derived,
+    contract_edge,
     derived_subdivision,
+    edge_subdivide,
     euler_characteristic,
     f_vector,
     from_facets,
     is_pseudomanifold,
     is_subcomplex,
+    is_valid_edge,
     isomorphism,
     link,
     relabel_complex,
@@ -30,6 +34,7 @@ from stellarpair import (
 from stellarpair.errors import (
     AbsentFaceError,
     MalformedInputError,
+    NotASubcomplexError,
     ResourceLimitError,
     StellarPairError,
 )
@@ -176,6 +181,19 @@ def test_is_subcomplex_examples(four_cycle):
     assert not is_subcomplex(from_facets([[1, 4]]), from_facets([[1, 2, 3]]))
     ambient = from_facets([[1, 2], [2, 3], [3, 4], [1, 4], [2, 4]])
     assert is_subcomplex(four_cycle, ambient)
+    # a few hundred sub facets in a derived ambient, then one facet more that
+    # is no ambient face: {1,2} is not an edge once 1 and 2 are derived apart
+    ambient = _thrice_derived_tetra_boundary()
+    sub = SimplicialComplex._from_antichain(sorted(ambient.facets)[::2])
+    bad_sub = SimplicialComplex([*sub.facets, Simplex.of([1, 2, 3])])
+    assert len(sub.facets) == 432 and len(bad_sub.facets) == 433
+    for s in (sub, bad_sub):
+        assert is_subcomplex(s, ambient) == all(f in ambient for f in s.facets)
+    assert is_subcomplex(sub, ambient) and not is_subcomplex(bad_sub, ambient)
+    bad = next(f for f in bad_sub.sorted_facets() if f not in ambient)
+    with pytest.raises(NotASubcomplexError) as err:
+        biased_derived(bad_sub, ambient)
+    assert str(err.value) == f"facet {bad} of the subcomplex is not a face of the ambient complex"
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -311,13 +329,43 @@ def test_face_counts_leave_no_faces_behind():
     assert held < 16 * 1024
 
 
+def _thrice_derived_tetra_boundary() -> SimplicialComplex:
+    cx = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+    for _ in range(3):
+        cx, _ = derived_subdivision(cx)
+    return cx
+
+
+def test_local_queries_leave_nothing_behind():
+    # a complex stores its facets and its lazy vertex set, nothing else
+    assert SimplicialComplex.__slots__ == ("facets", "_vertices")
+    cx = _thrice_derived_tetra_boundary()
+    assert len(cx.facets) == 864
+    edge = Simplex(min(cx.facets)[:2])
+    cx.vertex_set()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert edge in cx
+        assert star(cx, edge).facets and link(cx, edge).facets
+        assert len(edge_subdivide(cx, edge, "m").facets) == 866
+        assert is_valid_edge(cx, edge)
+        assert len(contract_edge(cx, edge).facets) == 862
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each query's index or face set lives only as long as the query
+    assert held < 16 * 1024
+
+
 def test_a_facet_costs_no_more_than_its_tuple():
     cx = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
     for _ in range(3):
         cx, _ = derived_subdivision(cx)
     tuples = [tuple(f) for f in cx.facets]
     assert len(tuples) == 864
-    # the debug re-check would fill the facet index, which is not the facets' cost
+    # measure the facets alone, without the debug re-check
     old = set_debug_validation(False)
     gc.collect()
     tracemalloc.start()

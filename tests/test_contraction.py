@@ -3,11 +3,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from stellarpair import (
     Simplex,
     SimplicialComplex,
     blocking_missing_simplices,
     contract_edge,
+    derived_subdivision,
     edge_subdivide,
     euler_characteristic,
     from_facets,
@@ -18,7 +20,7 @@ from stellarpair import (
     vlabel,
 )
 from stellarpair.errors import AbsentFaceError, InvalidEdgeError, MalformedInputError
-from stellarpair.io import random_complex
+from stellarpair.io import random_complex, random_strongly_induced_pair
 
 
 # -- validity ------------------------------------------------------------
@@ -64,6 +66,31 @@ def test_validity_equals_link_condition(seed):
         return
     e = edges[seed % len(edges)]
     assert is_valid_edge(cx, e) == link_condition(cx, e)
+
+
+def _blocker_input(kind: str, seed: int) -> SimplicialComplex:
+    n, dim = 3 + seed % 3, 1 + seed % 3
+    if kind == "random":
+        return random_complex(n + 1, dim, 0.5, seed)
+    if kind == "derived":
+        return derived_subdivision(random_complex(n, dim, 0.5, seed))[0]
+    return random_strongly_induced_pair(n, dim, 0.5, seed).ambient
+
+
+@given(st.sampled_from(["random", "derived", "biased"]), st.integers(0, 1000))
+@settings(max_examples=100, deadline=None)
+def test_blockers_match_the_missing_simplex_oracle(kind, seed):
+    # every edge: the blockers read from the facets at the edge are exactly the
+    # oracle's missing simplices through it, and contraction refuses with them
+    cx = _blocker_input(kind, seed)
+    missing = oracles.naive_missing_simplices(cx)
+    for e in sorted(cx.faces().get(1, ())):
+        expected = sorted((s for s in missing if set(e) <= set(s)), key=Simplex.sort_key)
+        assert list(blocking_missing_simplices(cx, e)) == expected
+        if expected:
+            with pytest.raises(InvalidEdgeError) as exc:
+                contract_edge(cx, e)
+            assert list(exc.value.blockers) == expected
 
 
 # -- contraction ---------------------------------------------------------------
