@@ -5,16 +5,19 @@ subdivisions and valid edge contractions are replayed on the subcomplex:
 contractions extend to the ambient complex directly, and subdivisions are
 followed by a re-bias that is local to the new vertex w.  The re-bias is
 the biased derived subdivision that protects the new subcomplex and every
-ambient face missing the vertices of star(w), so facets away from w stay
-as they are.  If that result is not strongly induced, the move falls back
-once to the global biased derived subdivision of the new pair.  The
-pipeline turns a triangulation containing a subdivision of a target
-complex into one containing the target itself.
+ambient face missing near' = (V(star(w)) - V(new sub)) ∪ {w}, so facets
+away from w, and those at w that lie in the subcomplex, stay as they are.
+If that result is not strongly induced (a proof sketch in
+`subdivision._rebias_near` says it always is), the move falls back once
+to the global biased derived subdivision of the new pair, within a facet
+budget.  The pipeline turns a triangulation containing a subdivision of a
+target complex into one containing the target itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 from .complexes import (
     SimplicialComplex,
@@ -33,6 +36,7 @@ from .errors import (
     MalformedInputError,
     NotASubcomplexError,
     PreconditionError,
+    ResourceLimitError,
     ScriptMismatchError,
     ScriptStepError,
 )
@@ -42,6 +46,9 @@ from .subdivision import _rebias_near, biased_derived, derived_subdivision, edge
 
 SUBDIVIDE = "subdivide"
 CONTRACT = "contract"
+
+# most facets the global re-bias fallback of a pair subdivision may derive
+_FALLBACK_FACET_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -202,11 +209,15 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
     both components.
 
     After a subdivision with new vertex w the ambient complex is re-biased
-    locally: faces in the new subcomplex and faces missing the vertices of
-    star(w) are protected, everything else gets a barycenter (`_rebias_near`).
-    The pair's own strong-inducedness check decides: if the local result
-    fails it, the global biased derived subdivision of the new pair runs
-    once instead.  A contraction needs no re-bias."""
+    locally: faces in the new subcomplex and faces missing
+    near' = (V(star(w)) - V(new sub)) ∪ {w} are protected, everything else
+    gets a barycenter (`_rebias_near`).  The pair's own strong-inducedness
+    check decides: if the local result fails it, the global biased derived
+    subdivision of the new pair runs once instead.  That fallback derives at
+    most sum(|F|!) facets over the ambient facets F outside the new
+    subcomplex; above `_FALLBACK_FACET_BUDGET` it raises
+    `ResourceLimitError` before deriving any.  A contraction needs no
+    re-bias."""
     what = "pair edge subdivision" if move.op == SUBDIVIDE else "pair edge contraction"
     if pair.status.verdict != STRONGLY_INDUCED:
         raise PreconditionError(
@@ -222,6 +233,15 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
         local = pair_new(new_sub, _rebias_near(new_sub, new_ambient, move.new_label))
         if local.status.verdict == STRONGLY_INDUCED:
             return local
+        bound = sum(factorial(len(f)) for f in new_ambient.facets if f not in new_sub.facets)
+        if bound > _FALLBACK_FACET_BUDGET:
+            raise ResourceLimitError(
+                f"{what}: the global re-bias could derive {bound} facets, "
+                f"above the budget of {_FALLBACK_FACET_BUDGET}",
+                facets=len(new_ambient.facets),
+                bound=bound,
+                budget=_FALLBACK_FACET_BUDGET,
+            )
         new_ambient, _ = biased_derived(new_sub, new_ambient)
     return _strong_pair(new_sub, new_ambient, f"{what} lost strong inducedness")
 

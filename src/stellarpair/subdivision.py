@@ -166,20 +166,54 @@ def biased_derived(
 
 def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLabel) -> SimplicialComplex:
     """The biased derived subdivision of `ambient` that subdivides only the
-    faces outside `sub` that meet `near`, the vertex set of the closed star
-    of `w`:
-    `biased_derived(sub ∪ induced_subcomplex(ambient, V - near), ambient)`.
+    faces outside `sub` that meet `near = (V(star(w)) - V(sub)) ∪ {w}`:
+    `biased_derived(P, ambient)` with the protected complex
+    `P = sub ∪ induced_subcomplex(ambient, V - near)`.
 
     `_relative_derived` only asks about ambient faces, and an ambient face
     lies in that induced subcomplex iff it misses `near`, so the protected
     set is a predicate and no union complex is built.  Facets missing `near`
     come through unchanged.  `sub` must be a subcomplex of `ambient`; it is
     not checked here.
+
+    Use: (K, L) is a strongly induced pair, ab an edge of L, and `ambient`
+    K' and `sub` L' are K and L with ab subdivided at the new vertex `w`.
+    Then L' is strongly induced in the result R.  Proof sketch:
+    - L' is induced in K': a face of K' with all vertices in V(L') is a
+      face of K not holding ab, or w ∪ G with G ∪ ab a face of K; either
+      way inducedness of L in K puts it in L'.
+    - Lemma: every σ in P - L' has a vertex v outside V(star(w)) ∪ V(L').
+      σ misses `near`, so each vertex is outside V(star(w)) or in
+      V(L') - {w}.  If all were in V(L') - {w}, σ would be a face of K that
+      does not hold ab with all vertices in V(L), so in L, and so in L'.
+    - Hence star(σ) did not change: no face of K holds v and ab (else v
+      and w would share a face of K'), so the faces at σ are the same in K
+      and K', and they meet L' as they met L, in one simplex S_σ (K ⊇ L
+      was strongly induced).  And no face of K' holds σ and w.
+    - A face ρ of R is τ ∪ {b(σ_1), ..., b(σ_k)}: τ in P, σ_i faces of K'
+      outside P, τ ⊊ σ_1 ⊊ ... ⊊ σ_k (a lone vertex stands for its own
+      barycenter).  The faces of R at ρ meet L' in the faces τ'' ∩ V(L')
+      over the τ'' in P with τ ⊆ τ'' (and τ'' ⊊ σ_1 when k ≥ 1), each a
+      face of L' since L' is induced in K'.
+    - Each of these lies in B = S_τ (k = 0) or B = σ_1 ∩ V(L') (k ≥ 1).
+      And τ'' = τ ∪ B qualifies, with τ'' ∩ V(L') = B: it is a face of K'
+      (inside τ ∪ S_τ or σ_1); it lies in P (it is B, a face of L', when
+      τ is in L', the empty face included; otherwise τ misses `near`, and
+      so does B, since w in B would give a face of K' holding τ and w);
+      and it is ⊊ σ_1 because σ_1 is not in P.  So star(ρ) meets L' in
+      the single simplex B, for every ρ outside L'.
+    So `apply_move`'s strong-inducedness post-check and its global
+    fallback are a guard: on a strongly induced pair the fallback does not
+    run.  Only facets that meet `near` are re-derived, so a move adds
+    facets in proportion to star(w) away from the subcomplex, not to the
+    stars of the edge's endpoints.
     """
     near: set[VertexLabel] = set()
     for f in ambient.facets:
         if w in f:
             near.update(f)
+    near -= sub.vertex_set()
+    near.add(w)
     sub_faces = _face_set(sub.facets)
     result, _, _ = _relative_derived(
         ambient, lambda fs: fs.isdisjoint(near) or tuple(sorted(fs)) in sub_faces, None

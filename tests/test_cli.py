@@ -237,6 +237,25 @@ def test_pair_run_pipeline(tmp_path, capsys):
     assert rep["final_isomorphism"] == {"1": "a", "3": "c"}
 
 
+def test_pair_run_fallback_over_budget_exits_three(tmp_path, capsys, monkeypatch):
+    # with no local re-bias the subdivision falls back to the global one,
+    # which is over a zero budget before it derives anything
+    monkeypatch.setattr("stellarpair.pairs._rebias_near", lambda sub, ambient, w: ambient)
+    monkeypatch.setattr("stellarpair.pairs._FALLBACK_FACET_BUDGET", 0)
+    ambient = write_complex(tmp_path / "m.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], "tetra")
+    sub = write_complex(tmp_path / "x.json", [[1, 2], [2, 3]], "path")
+    target = write_complex(tmp_path / "X.json", [["a", "c"]], "edge")
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps({"moves": [{"op": "subdivide", "edge": ["1", "b{1,2}@0"], "new_label": "v"}]}))
+    code = main(
+        ["pair", "run", "--ambient", ambient, "--sub", sub, "--target", target, "--script", str(script)]
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "resource-limit"
+    assert err["budget"] == 0 and err["bound"] > 0 and err["facets"] > 0
+
+
 def test_pair_run_bad_script_exits_one(tmp_path, capsys):
     ambient = write_complex(tmp_path / "m.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], "tetra")
     sub = write_complex(tmp_path / "x.json", [[1, 2], [2, 3]], "path")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +44,7 @@ from stellarpair.errors import (
     MalformedInputError,
     NotASubcomplexError,
     PreconditionError,
+    ResourceLimitError,
     ScriptMismatchError,
     ScriptStepError,
 )
@@ -181,7 +184,8 @@ def test_pair_subdivide_randomized_strong_inducedness(seed):
 @settings(max_examples=60, deadline=None)
 def test_local_rebias_is_the_biased_schedule_protecting_away_from_w(seed):
     # the ambient after a pair subdivision is the stellar schedule of every face
-    # that meets star(w) and lies outside the new subcomplex; random ambients are non-pure
+    # outside the new subcomplex that meets near' = (V(star(w)) - V(sub)) | {w};
+    # random ambients are non-pure
     n, dim, density = 4 + seed % 4, 1 + (seed // 4) % 3, (0.3, 0.45, 0.6)[(seed // 12) % 3]
     pair = random_strongly_induced_pair(n, dim, density, seed)
     edges = sorted(pair.sub.faces().get(1, ()))
@@ -190,7 +194,8 @@ def test_local_rebias_is_the_biased_schedule_protecting_away_from_w(seed):
     e = edges[seed % len(edges)]
     out = pair_subdivide_edge(pair, e, "w")
     subdivided = edge_subdivide(pair.ambient, e, "w")
-    away = induced_subcomplex(subdivided, subdivided.vertex_set() - star(subdivided, ["w"]).vertex_set())
+    near = (star(subdivided, ["w"]).vertex_set() - out.sub.vertex_set()) | {vlabel("w")}
+    away = induced_subcomplex(subdivided, subdivided.vertex_set() - near)
     protected = SimplicialComplex(list(out.sub.facets) + list(away.facets))
     assert out.ambient == oracles.schedule_biased(protected, subdivided)
     assert out.status.verdict == STRONGLY_INDUCED
@@ -219,19 +224,91 @@ def test_failed_local_rebias_falls_back_to_global(monkeypatch):
     assert calls == ["v"]
 
 
-def test_tetrahedron_subdivision_chain_grows_slowly():
-    # six pair subdivisions along one edge of the derived, biased tetrahedron/path pair
+def test_global_fallback_is_budgeted(monkeypatch):
+    # the subdivided edge-in-triangle ambient has 6 triangles, none in the
+    # subcomplex, so the fallback could derive up to 6 * 3! = 36 facets
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, w: ambient)
+    monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", 35)
+    with pytest.raises(ResourceLimitError) as exc:
+        apply_move(edge_in_triangle_pair(), Move.subdivide([1, 2], "v"))
+    assert exc.value.stats == {"facets": 6, "bound": 36, "budget": 35}
+    monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", 36)
+    assert apply_move(edge_in_triangle_pair(), Move.subdivide([1, 2], "v")).status.verdict == STRONGLY_INDUCED
+
+
+def test_multi_move_local_rebias_never_falls_back(monkeypatch):
+    # 4-6 random subdivisions of sub edges per random strongly induced pair
+    # (dims 1-3, non-pure ambients); by the proof sketch in `_rebias_near`
+    # the local re-bias is always strongly induced, so the fallback never runs
+    pairs = []
+    for i in range(45):
+        n, dim, density = 4 + i % 5, 1 + (i // 5) % 3, (0.3, 0.45, 0.6)[(i // 15) % 3]
+        pairs.append(random_strongly_induced_pair(n, dim, density, 9000 + i))
+    fallbacks = []
+
+    def counting_biased_derived(sub, ambient, **kwargs):
+        fallbacks.append(len(ambient.facets))
+        return biased_derived(sub, ambient, **kwargs)
+
+    monkeypatch.setattr(pairs_module, "biased_derived", counting_biased_derived)
+    moves = 0
+    for i, pair in enumerate(pairs):
+        rng = random.Random(i)
+        chi = euler_characteristic(pair.ambient)
+        bare = pair.sub
+        for j in range(4 + i % 3):
+            edges = sorted(pair.sub.faces().get(1, ()))
+            # the cap keeps the run small: 10 moves can still reach ~10^5 facets
+            if not edges or len(pair.ambient.facets) > 1500:
+                break
+            e = rng.choice(edges)
+            pair = pair_subdivide_edge(pair, e, f"m{j}")
+            bare = edge_subdivide(bare, e, f"m{j}")
+            moves += 1
+            assert pair.sub == bare
+            assert euler_characteristic(pair.ambient) == chi
+            if len(pair.ambient.facets) <= 40:
+                assert oracles.naive_is_strongly_induced(pair.sub, pair.ambient)
+            else:
+                assert is_strongly_induced(pair.sub, pair.ambient).verdict == STRONGLY_INDUCED
+    assert moves >= 100
+    assert fallbacks == []
+
+
+def tetrahedron_chain(moves):
+    """The derived, biased tetrahedron/path pair, then each pair after one more
+    subdivision of the edge {1, latest new vertex}."""
     tetra = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
     pair = pair_biased(pair_derive(pair_new(from_facets([[1, 2], [2, 3]]), tetra)))
-    sizes = [len(pair.ambient.facets)]
+    yield pair
     prev = "b{1,2}@0"
-    for j in range(6):
+    for j in range(moves):
         pair = pair_subdivide_edge(pair, ["1", prev], f"w{j}")
         prev = f"w{j}"
+        yield pair
+
+
+def test_tetrahedron_subdivision_chain_grows_slowly():
+    sizes = []
+    for pair in tetrahedron_chain(6):
         sizes.append(len(pair.ambient.facets))
-        # checked per move, so a global re-bias (x6 per move) fails before it explodes
-        assert sizes[-1] < 2 * sizes[-2], sizes
-    assert sizes == [136, 236, 384, 628, 1064, 1884, 3472]
+        # checked per move, so a re-bias at the edge's endpoints (x2 per move) fails early
+        assert len(sizes) == 1 or sizes[-1] <= sizes[-2] + 60, sizes
+    assert sizes == [136, 186, 236, 286, 336, 386, 436]
+    assert is_pseudomanifold(pair.ambient, 2)
+    assert euler_characteristic(pair.ambient) == 2
+
+
+def test_tetrahedron_subdivision_chain_grows_linearly():
+    # 30 moves: each adds the same 50 facets; a re-bias at the edge's
+    # endpoints doubles the ambient per move and cannot finish this
+    sizes = []
+    for pair in tetrahedron_chain(30):
+        sizes.append(len(pair.ambient.facets))
+        # checked per move, so a return to x2 growth fails at once
+        assert sizes[-1] == 136 + 50 * (len(sizes) - 1), sizes
+        assert pair.status.verdict == STRONGLY_INDUCED
+    assert sizes[-1] == 1636
     assert is_pseudomanifold(pair.ambient, 2)
     assert euler_characteristic(pair.ambient) == 2
 
