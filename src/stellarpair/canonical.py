@@ -35,15 +35,21 @@ class _UnionFind:
 
 
 def _refine(colors: list[int], facet_members: list[tuple[int, ...]], facets_of: list[tuple[int, ...]]) -> list[int]:
-    """Stable color refinement on the bipartite vertex/facet incidence graph."""
+    """Stable color refinement on the bipartite vertex/facet incidence graph.
+
+    Each facet signature is replaced by its rank among the distinct
+    signatures; the rank is strictly monotone, so the vertex signatures
+    sort, and the new colors come out, exactly as with the signatures."""
     n = len(colors)
     while True:
         fsig = [
-            (len(members), tuple(sorted(colors[v] for v in members)))
+            (len(members), tuple(sorted([colors[v] for v in members])))
             for members in facet_members
         ]
+        franking = {sig: i for i, sig in enumerate(sorted(set(fsig)))}
+        fcolors = [franking[s] for s in fsig]
         vsig = [
-            (colors[v], tuple(sorted(fsig[i] for i in facets_of[v])))
+            (colors[v], tuple(sorted([fcolors[i] for i in facets_of[v]])))
             for v in range(n)
         ]
         ranking = {sig: i for i, sig in enumerate(sorted(set(vsig)))}

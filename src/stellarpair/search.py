@@ -5,6 +5,27 @@ infinite, so the search is made total by a vertex budget for subdivisions
 and a depth bound; frontier states are deduplicated by canonical form so
 no isomorphism class is expanded twice.  BFS keeps returned script
 lengths reproducible.
+
+Canonical labeling is most of the cost, so the search labels only the
+states that can change its answer:
+
+- Vertex-count bound.  A subdivision adds exactly one vertex and a
+  contraction removes exactly one, so a successor whose vertex count is
+  further from the target's than the moves left after it cannot reach
+  the target; it is not built (no subdivision successors, or no
+  `is_valid_edge` call and no contraction successors).  BFS meets states
+  in depth order, so a later state isomorphic to a pruned one has the
+  same vertex count and no more moves left: it is pruned too, and the
+  deduplication never needed the pruned forms.
+- Goal-only last depth.  A successor with no moves left is never
+  expanded, so it is only compared with the target: first by facet count
+  and f-vector, and by canonical form only when both match.  It is kept
+  out of the visited set; had its form been visited, that visit would
+  have hit the goal and returned already.
+
+Together these return exactly the scripts that labeling and deduplicating
+every successor would, and they count toward the state budget only
+states that can still reach the target.
 """
 
 from __future__ import annotations
@@ -13,7 +34,7 @@ import re
 from collections import deque
 
 from .canonical import DEFAULT_VERTEX_GUARD, canonical_form, isomorphism
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, f_vector
 from .contraction import contract_edge, is_valid_edge
 from .errors import ResourceLimitError
 from .pairs import Move, MoveScript
@@ -48,7 +69,17 @@ def search_script(
     `source` into a complex isomorphic to `target`, or None within bounds.
 
     The isomorphism onto `target` is recorded in the script's target_map.
-    Raises ResourceLimitError when the state budget is exhausted mid-search.
+    Raises ResourceLimitError when more than `max_states` states are
+    expanded; its stats give the states expanded, the frontier still
+    queued (states with no moves left are never queued), the depth reached
+    and the forms visited.
+
+    Successors whose vertex count cannot reach the target's in the moves
+    left are never built, and a successor with no moves left is labeled
+    only when its facet count and f-vector match the target's.  The result
+    is the script that labeling every successor gives, but pruned states
+    take no share of the budget, so a search can finish within a
+    `max_states` that labeling every successor would exhaust.
     """
     for cx, name in ((source, "source"), (target, "target")):
         if cx.num_vertices() > max_vertices:
@@ -63,6 +94,12 @@ def search_script(
     if start_form == goal:
         return MoveScript((), target_map=isomorphism(source, target, guard=guard))
 
+    if max_depth < 1:
+        return None
+
+    n_goal = target.num_vertices()
+    goal_facets = len(target.facets)
+    goal_f = f_vector(target)
     base = _fresh_label_base(source)
     start: tuple[SimplicialComplex, tuple[Move, ...]] = (source, ())
     queue = deque([start])
@@ -71,8 +108,6 @@ def search_script(
 
     while queue:
         state, moves = queue.popleft()
-        if len(moves) >= max_depth:
-            continue
         expanded += 1
         if expanded > max_states:
             raise ResourceLimitError(
@@ -82,23 +117,27 @@ def search_script(
                 depth=len(moves),
                 visited=len(visited),
             )
+        left = max_depth - len(moves) - 1  # moves left after a successor
+        n = state.num_vertices()
         successors: list[tuple[SimplicialComplex, Move]] = []
         edges = _edges(state)
-        if state.num_vertices() < max_vertices:
+        if n < max_vertices and abs(n + 1 - n_goal) <= left:
             fresh = f"n{base + len(moves)}"
             for e in edges:
                 successors.append((edge_subdivide(state, e, fresh), Move.subdivide(e, fresh)))
-        for e in edges:
-            if is_valid_edge(state, e):
-                move = Move.contract(e)
-                successors.append((contract_edge(state, e, move.survivor), move))
+        if abs(n - 1 - n_goal) <= left:
+            for e in edges:
+                if is_valid_edge(state, e):
+                    move = Move.contract(e)
+                    successors.append((contract_edge(state, e, move.survivor), move))
         for nxt, move in successors:
+            if left == 0 and (len(nxt.facets) != goal_facets or f_vector(nxt) != goal_f):
+                continue
             form = canonical_form(nxt, guard=guard)
-            if form in visited:
+            if form == goal:
+                return MoveScript(moves + (move,), target_map=isomorphism(nxt, target, guard=guard))
+            if left == 0 or form in visited:
                 continue
             visited.add(form)
-            path = moves + (move,)
-            if form == goal:
-                return MoveScript(path, target_map=isomorphism(nxt, target, guard=guard))
-            queue.append((nxt, path))
+            queue.append((nxt, moves + (move,)))
     return None

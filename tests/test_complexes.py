@@ -3,7 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +15,7 @@ from stellarpair import (
     SimplicialComplex,
     as_simplex,
     biased_derived,
+    canonical_form,
     contract_edge,
     derived_subdivision,
     edge_subdivide,
@@ -244,6 +245,40 @@ def test_isomorphism_pushes_facets_through(facets, shuffled):
 def test_isomorphism_highly_symmetric(octahedron_boundary):
     rotated = relabel_complex(octahedron_boundary, {"1": "2", "2": "6", "6": "5", "5": "1"})
     assert isomorphism(octahedron_boundary, rotated) is not None
+
+
+def test_canonical_form_pinned(tetra_boundary, octahedron_boundary, four_cycle):
+    assert canonical_form(tetra_boundary) == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    assert canonical_form(octahedron_boundary) == (
+        (0, 1, 2), (0, 1, 5), (0, 2, 4), (0, 4, 5), (1, 2, 3), (1, 3, 5), (2, 3, 4), (3, 4, 5),
+    )
+    assert canonical_form(four_cycle) == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert canonical_form(random_complex(6, 2, 0.5, 7)) == (
+        (0, 1), (0, 2, 4), (0, 2, 5), (0, 3, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5),
+    )
+
+
+def _brute_isomorphic(a: SimplicialComplex, b: SimplicialComplex) -> bool:
+    """Whether some bijection of the vertices carries the facets of `a` onto
+    those of `b`, tried one vertex permutation at a time."""
+    va, vb = a.vertices(), b.vertices()
+    if len(va) != len(vb):
+        return False
+    for image in permutations(vb):
+        mapping = dict(zip(va, image))
+        if frozenset(Simplex(sorted(mapping[v] for v in f)) for f in a.facets) == b.facets:
+            return True
+    return False
+
+
+@given(facet_lists, facet_lists, st.permutations(LABELS))
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_decides_isomorphism(facets, other, shuffled):
+    cx = build(facets)
+    relabeled = relabel_complex(cx, {old: f"w{new}" for old, new in zip(LABELS, shuffled)})
+    assert canonical_form(relabeled) == canonical_form(cx)
+    b = build(other)
+    assert (canonical_form(cx) == canonical_form(b)) == _brute_isomorphic(cx, b)
 
 
 # -- pseudomanifold --------------------------------------------------------

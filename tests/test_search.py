@@ -1,20 +1,69 @@
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stellarpair import (
     Move,
     MoveScript,
+    contract_edge,
     edge_subdivide,
     from_facets,
+    is_valid_edge,
     isomorphism,
     replay_script,
     search_script,
     verify_script,
 )
+from stellarpair import search
+from stellarpair.canonical import DEFAULT_VERTEX_GUARD, canonical_form
 from stellarpair.errors import ResourceLimitError, ScriptStepError
 from stellarpair.io import random_complex
+from stellarpair.search import _edges, _fresh_label_base
+
+
+def reference_search(source, target, max_depth, max_vertices, max_states=100_000):
+    """The search with every successor labeled and deduplicated: the loop
+    `search_script` had before its vertex-count bound and goal-only last
+    depth, kept as the reference those must not change."""
+    guard = max(DEFAULT_VERTEX_GUARD, max_vertices)
+    goal = canonical_form(target, guard=guard)
+    start_form = canonical_form(source, guard=guard)
+    if start_form == goal:
+        return MoveScript((), target_map=isomorphism(source, target, guard=guard))
+    base = _fresh_label_base(source)
+    queue = deque([(source, ())])
+    visited = {start_form}
+    expanded = 0
+    while queue:
+        state, moves = queue.popleft()
+        if len(moves) >= max_depth:
+            continue
+        expanded += 1
+        if expanded > max_states:
+            raise ResourceLimitError("search state budget exceeded", states=expanded)
+        successors = []
+        edges = _edges(state)
+        if state.num_vertices() < max_vertices:
+            fresh = f"n{base + len(moves)}"
+            successors += [(edge_subdivide(state, e, fresh), Move.subdivide(e, fresh)) for e in edges]
+        for e in edges:
+            if is_valid_edge(state, e):
+                move = Move.contract(e)
+                successors.append((contract_edge(state, e, move.survivor), move))
+        for nxt, move in successors:
+            form = canonical_form(nxt, guard=guard)
+            if form in visited:
+                continue
+            visited.add(form)
+            path = moves + (move,)
+            if form == goal:
+                return MoveScript(path, target_map=isomorphism(nxt, target, guard=guard))
+            queue.append((nxt, path))
+    return None
 
 
 def test_search_single_subdivision():
@@ -86,6 +135,117 @@ def test_search_finds_length_one_subdivision_scripts(seed):
     script = search_script(cx, dst, max_depth=1, max_vertices=cx.num_vertices() + 1)
     assert script is not None and len(script) == 1
     assert verify_script(cx, script, dst)
+
+
+def _differential_cases():
+    """Seeded (source, target, max_depth, max_vertices, max_states) cases:
+    targets one and two subdivisions away, one contraction away, and
+    random complexes that are mostly unreachable."""
+    for seed in range(150):
+        rng = random.Random(seed)
+        max_depth = rng.randint(1, 3)
+        n = rng.randint(3, 6)
+        source = random_complex(n, rng.randint(1, 3), rng.choice((0.3, 0.5, 0.7)), seed)
+        edges = _edges(source)
+        if not edges:
+            continue
+        kind = rng.choice(("subdivide", "subdivide twice", "contract", "random"))
+        if kind == "subdivide":
+            target = edge_subdivide(source, rng.choice(edges), "t1")
+        elif kind == "subdivide twice":
+            once = edge_subdivide(source, rng.choice(edges), "t1")
+            target = edge_subdivide(once, rng.choice(_edges(once)), "t2")
+        elif kind == "contract":
+            valid = [e for e in edges if is_valid_edge(source, e)]
+            if not valid:
+                continue
+            e = rng.choice(valid)
+            target = contract_edge(source, e, Move.contract(e).survivor)
+        else:
+            target = random_complex(max(1, n + rng.randint(-2, 2)), 2, 0.5, seed + 1000)
+        yield source, target, max_depth, n + 2, rng.choice((5, 10, 20, 50))
+
+
+def test_search_matches_labeling_every_successor():
+    """The vertex-count bound and the goal-only last depth return what the
+    search that labels and deduplicates every successor returns."""
+    outcomes = set()
+    for source, target, max_depth, max_vertices, max_states in _differential_cases():
+        try:
+            expected = reference_search(source, target, max_depth, max_vertices, max_states)
+        except ResourceLimitError:
+            # pruned states no longer use up the budget: the search may finish
+            try:
+                got = search_script(source, target, max_depth, max_vertices, max_states=max_states)
+            except ResourceLimitError:
+                outcomes.add("both exhausted")
+                continue
+            assert got is None or verify_script(source, got, target)
+            outcomes.add("finishes where the reference ran out")
+            continue
+        got = search_script(source, target, max_depth, max_vertices, max_states=max_states)
+        if expected is None:
+            assert got is None
+            outcomes.add("none")
+        else:
+            assert got is not None
+            assert got.moves == expected.moves
+            assert got.target_map == expected.target_map
+            outcomes.add(f"script of {len(expected)}")
+    assert outcomes >= {
+        "none",
+        "script of 1",
+        "script of 2",
+        "both exhausted",
+        "finishes where the reference ran out",
+    }
+
+
+@pytest.mark.parametrize("subdivisions", [1, 2])
+def test_search_bound_skips_contractions_for_a_subdivision_target(monkeypatch, subdivisions):
+    # one or two vertices more in at most two moves leave no room for a contraction
+    src = from_facets([[1, 2, 3], [2, 3, 4], [3, 4, 5]])
+    dst = edge_subdivide(src, [3, 4], "a")
+    if subdivisions == 2:
+        dst = edge_subdivide(dst, [1, 2], "b")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("contraction successor built outside the vertex-count bound")
+
+    monkeypatch.setattr(search, "is_valid_edge", refuse)
+    monkeypatch.setattr(search, "contract_edge", refuse)
+    script = search_script(src, dst, max_depth=2, max_vertices=7)
+    assert script is not None and len(script) == subdivisions
+    assert verify_script(src, script, dst)
+
+
+def test_search_bound_skips_subdivisions_for_a_contraction_target(monkeypatch):
+    # one vertex fewer in at most two moves leaves no room for a subdivision
+    src = from_facets([[1, 2, 3], [2, 3, 4], [3, 4, 5]])
+    dst = contract_edge(src, ("4", "5"), "4")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("subdivision successor built outside the vertex-count bound")
+
+    monkeypatch.setattr(search, "edge_subdivide", refuse)
+    script = search_script(src, dst, max_depth=2, max_vertices=7)
+    assert script is not None and len(script) == 1
+    assert verify_script(src, script, dst)
+
+
+def test_search_finishes_where_pruned_states_used_up_the_budget():
+    # a triangle with two pendant edges at one corner, and a four-cycle:
+    # three moves, and the labeling-every-successor search spends its budget
+    # on states with too few vertices before it gets there
+    src = from_facets([[1, 5], [2, 5], [3, 4], [3, 5], [4, 5]])
+    dst = from_facets([[1, 3], [1, 4], [3, "t"], [4, "t"]])
+    with pytest.raises(ResourceLimitError):
+        reference_search(src, dst, max_depth=3, max_vertices=8, max_states=6)
+    unbounded = search_script(src, dst, max_depth=3, max_vertices=8)
+    assert unbounded is not None and len(unbounded) == 3
+    got = search_script(src, dst, max_depth=3, max_vertices=8, max_states=6)
+    assert got == unbounded
+    assert verify_script(src, got, dst)
 
 
 # -- verify / replay ---------------------------------------------------------
