@@ -105,10 +105,6 @@ def load_complex(path: str) -> ComplexDocument:
     return parse_complex_document(_read_text(path))
 
 
-def save_complex(doc: ComplexDocument, path: str) -> None:
-    _write_text(serialize_complex_document(doc), path)
-
-
 def parse_script_document(text: str) -> MoveScript:
     data = _load_json(text)
     raw_moves = data.get("moves")

@@ -12,7 +12,7 @@ is recorded once, in the label's class, when the token is first interned.
 from __future__ import annotations
 
 import threading
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import MalformedInputError, NamingError
 
@@ -139,7 +139,7 @@ def next_round(labels: Iterable[VertexLabel]) -> int:
     return best + 1
 
 
-def _barycenter_round(labels: Iterable[VertexLabel]) -> int:
+def _barycenter_round(labels: Collection[VertexLabel]) -> int:
     """`next_round` for labels that barycenter tokens will be spelled from.
 
     A label outside the canonical barycenter spelling must not hold `,`,
@@ -148,13 +148,9 @@ def _barycenter_round(labels: Iterable[VertexLabel]) -> int:
     Such a label raises `NamingError`.  Canonical barycenter labels are
     safe, since their commas sit inside balanced braces.
     """
-    best = -1
     for lbl in labels:
-        if lbl.kind == BARYCENTER:
-            if lbl.round > best:
-                best = lbl.round
-        elif not _RESERVED.isdisjoint(lbl):
+        if lbl.kind != BARYCENTER and not _RESERVED.isdisjoint(lbl):
             raise NamingError(
                 f"label {lbl} holds ',', '{{' or '}}', which barycenter labels reserve"
             )
-    return best + 1
+    return next_round(labels)

@@ -1,17 +1,17 @@
 """Stellar, edge, derived, and biased derived subdivisions.
 
-The derived and biased derived subdivisions are built directly from
-vertex orderings of each facet (equivalently: chains of faces), which is
-what the iterated stellar schedule produces; the schedule itself is kept
-in the test suite as an independent oracle.  Subdivision at a vertex is
-the identity, so all schedules skip dimension-0 faces and original
-vertex labels persist.
+The derived and biased derived subdivisions stellar-subdivide every face
+outside a protected subcomplex, largest faces first.  They are built
+directly as what that schedule produces: each unprotected face becomes the
+cone from its barycenter over its own subdivided boundary.  The schedule
+itself is kept in the test suite as an independent oracle.  Subdivision at
+a vertex is the identity, so all schedules skip dimension-0 faces and
+original vertex labels persist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Callable, Mapping
 
 from .complexes import Simplex, SimplicialComplex, _face_set, as_simplex
@@ -19,15 +19,11 @@ from .errors import AbsentFaceError, DomainError, NamingError
 from .inducedness import _require_subcomplex
 from .labels import VertexLabel, _barycenter_round, vlabel
 
-DERIVED = "derived"
-BIASED = "biased"
-
 
 @dataclass(frozen=True)
 class SubdivisionRecord:
     """Bookkeeping for the new vertices a subdivision round introduced."""
 
-    kind: str
     round: int | None = None
     new_labels: Mapping[Simplex, VertexLabel] = field(default_factory=dict)
 
@@ -72,65 +68,57 @@ def edge_subdivide(cx: SimplicialComplex, edge, new_label) -> SimplicialComplex:
 
 def _relative_derived(
     ambient: SimplicialComplex,
-    in_sub: Callable[[frozenset[VertexLabel]], bool],
+    protected: Callable[[tuple[VertexLabel, ...]], bool],
     rnd: int | None,
 ) -> tuple[SimplicialComplex, int, dict[Simplex, VertexLabel]]:
     """Facets of the subdivision that stellar-subdivides every face outside
-    the subcomplex (dimension >= 1), largest faces first, with the barycenter
-    round and the new labels.  The round defaults to the next fresh one; an
-    older round could reuse a label of the ambient, so it is rejected, and
-    so is an ambient label that could spell a barycenter (`_barycenter_round`).
+    the protected set (dimension >= 1), largest faces first, with the
+    barycenter round and the new labels.  `protected` takes a face as its
+    sorted vertex tuple and must be closed under taking faces.  The round
+    defaults to the next fresh one; an older round could reuse a label of the
+    ambient, so it is rejected, and so is an ambient label that could spell a
+    barycenter (`_barycenter_round`).
 
-    Every facet arises from an ordering of a facet's vertices: the longest
-    prefix that is a face of the subcomplex survives as-is, and each longer
-    prefix contributes its barycenter (or itself, for a lone vertex).
+    A protected facet survives as-is.  An unprotected face F becomes the cone
+    from its barycenter b(F) over its boundary, each ridge subdivided the
+    same way; a protected ridge or a lone vertex is its own cone.  So a cell
+    is τ ∪ {b(σ_1), ..., b(σ_k)}: τ protected or a lone vertex, and
+    τ ⊊ σ_1 ⊊ ... ⊊ σ_k unprotected, each one vertex larger than the last.
+    The work is proportional to the cells built.  Ridges are shared between
+    faces, so the cone of every face below a facet is kept; a facet's is
+    not, since a facet is no ridge.
     """
     fresh = _barycenter_round(ambient.vertex_set())
     rnd = fresh if rnd is None else rnd
     if rnd < fresh:
         raise NamingError(f"round {rnd} is not fresh for the complex: the next fresh round is {fresh}")
-    bary: dict[frozenset[VertexLabel], VertexLabel] = {}
-    sub_memo: dict[frozenset[VertexLabel], bool] = {}
-    cells: set[Simplex] = set()
     recorded: dict[Simplex, VertexLabel] = {}
+    ridge_cones: dict[tuple[VertexLabel, ...], list[tuple[VertexLabel, ...]]] = {}
 
-    def member(fs: frozenset[VertexLabel]) -> bool:
-        got = sub_memo.get(fs)
-        if got is None:
-            got = in_sub(fs)
-            sub_memo[fs] = got
-        return got
+    def cone(face: tuple[VertexLabel, ...]) -> list[tuple[VertexLabel, ...]]:
+        b = VertexLabel.barycenter(face, rnd)
+        recorded[Simplex(face)] = b
+        cells = []
+        for i in range(len(face)):
+            ridge = face[:i] + face[i + 1 :]
+            if len(ridge) == 1 or protected(ridge):
+                cells.append(ridge + (b,))
+                continue
+            below = ridge_cones.get(ridge)
+            if below is None:
+                below = ridge_cones[ridge] = cone(ridge)
+            cells.extend([c + (b,) for c in below])
+        return cells
 
-    def blabel(fs: frozenset[VertexLabel]) -> VertexLabel:
-        got = bary.get(fs)
-        if got is None:
-            got = VertexLabel.barycenter(fs, rnd)
-            bary[fs] = got
-            recorded[Simplex(sorted(fs))] = got
-        return got
-
+    # a set, not a list: the complex's frozenset copied from a set keeps a
+    # table up to half the size of one grown from a list
+    facets: set[Simplex] = set()
     for facet in ambient.facets:
-        if member(frozenset(facet)):
-            cells.add(facet)
-            continue
-        for perm in permutations(facet):
-            cell: list[VertexLabel] = []
-            running: set[VertexLabel] = set()
-            chain_started = False
-            for v in perm:
-                running.add(v)
-                if not chain_started and member(frozenset(running)):
-                    cell.append(v)
-                    continue
-                if not chain_started:
-                    chain_started = True
-                    if len(running) == 1:
-                        # a lone vertex outside the subcomplex keeps its label
-                        cell.append(v)
-                        continue
-                cell.append(blabel(frozenset(running)))
-            cells.add(Simplex(sorted(cell)))
-    return SimplicialComplex._from_antichain(cells), rnd, recorded
+        if len(facet) == 1 or protected(facet):
+            facets.add(facet)
+        else:
+            facets.update([Simplex(sorted(c)) for c in cone(facet)])
+    return SimplicialComplex._from_antichain(facets), rnd, recorded
 
 
 def derived_subdivision(
@@ -143,8 +131,8 @@ def derived_subdivision(
     the given (or next fresh) round; a given round that is not fresh raises
     `NamingError`.
     """
-    result, rnd, labels = _relative_derived(cx, lambda fs: False, round)
-    return result, SubdivisionRecord(kind=DERIVED, round=rnd, new_labels=labels)
+    result, rnd, labels = _relative_derived(cx, lambda t: False, round)
+    return result, SubdivisionRecord(round=rnd, new_labels=labels)
 
 
 def biased_derived(
@@ -158,10 +146,8 @@ def biased_derived(
     unchanged as a subcomplex of the result."""
     _require_subcomplex(sub, ambient)
     sub_faces = _face_set(sub.facets)
-    result, rnd, labels = _relative_derived(
-        ambient, lambda fs: tuple(sorted(fs)) in sub_faces, round
-    )
-    return result, SubdivisionRecord(kind=BIASED, round=rnd, new_labels=labels)
+    result, rnd, labels = _relative_derived(ambient, sub_faces.__contains__, round)
+    return result, SubdivisionRecord(round=rnd, new_labels=labels)
 
 
 def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLabel) -> SimplicialComplex:
@@ -215,7 +201,5 @@ def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLa
     near -= sub.vertex_set()
     near.add(w)
     sub_faces = _face_set(sub.facets)
-    result, _, _ = _relative_derived(
-        ambient, lambda fs: fs.isdisjoint(near) or tuple(sorted(fs)) in sub_faces, None
-    )
+    result, _, _ = _relative_derived(ambient, lambda t: near.isdisjoint(t) or t in sub_faces, None)
     return result

@@ -126,12 +126,21 @@ def test_derived_vertex_count_is_face_count(seed):
     assert set(record.subdivided_faces) == set(record.new_labels)
 
 
-@given(st.integers(0, 200))
-@settings(max_examples=25, deadline=None)
-def test_derived_equals_stellar_schedule(seed):
-    cx = random_complex(5, 2, 0.5, seed)
+@given(st.integers(1, 4), st.integers(0, 200))
+@settings(max_examples=50, deadline=None)
+def test_derived_equals_stellar_schedule(dim, seed):
+    cx = random_complex(6, dim, 0.7, seed)
     direct, _ = derived_subdivision(cx)
     assert direct == oracles.schedule_derived(cx)
+
+
+def test_derived_simplex_facet_counts():
+    # the derived d-simplex has one facet per vertex order: 5! and then 120 * 5!
+    simplex = from_facets([[1, 2, 3, 4, 5]])
+    once, _ = derived_subdivision(simplex)
+    twice, _ = derived_subdivision(once)
+    assert len(once.facets) == 120
+    assert len(twice.facets) == 14400
 
 
 def test_derived_round_increments():
@@ -206,13 +215,22 @@ def test_biased_with_empty_sub_is_derived(tetra_boundary):
     assert isomorphism(out, derived) is not None
 
 
-@given(st.integers(0, 200))
-@settings(max_examples=25, deadline=None)
-def test_biased_equals_stellar_schedule(seed):
-    ambient = random_complex(5, 2, 0.5, seed)
+@given(st.integers(1, 4), st.integers(0, 200))
+@settings(max_examples=50, deadline=None)
+def test_biased_equals_stellar_schedule(dim, seed):
+    ambient = random_complex(6, dim, 0.7, seed)
     sub = induced_subcomplex(ambient, ["1", "2", "3"])
     direct, _ = biased_derived(sub, ambient)
     assert direct == oracles.schedule_biased(sub, ambient)
+
+
+@given(st.integers(1, 4), st.integers(0, 300))
+@settings(max_examples=40, deadline=None)
+def test_biased_labels_exactly_the_faces_outside_sub(dim, seed):
+    sub, ambient = random_subcomplex_pair(6, dim, 0.5, seed)
+    _, record = biased_derived(sub, ambient)
+    outside = {f for f in ambient.all_faces() if f.dim >= 1 and f not in sub}
+    assert set(record.new_labels) == outside
 
 
 @given(st.integers(0, 300))
