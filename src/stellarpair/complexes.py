@@ -150,7 +150,12 @@ class SimplicialComplex:
 
     @classmethod
     def _from_antichain(cls, facets: Iterable[Simplex]) -> "SimplicialComplex":
-        """Trusted fast path for operations whose output is an antichain by construction."""
+        """Trusted fast path for operations whose output is an antichain by
+        construction.  Input that is not a set is copied through one: a
+        frozenset copied from a set keeps a hash table up to half the size
+        of one grown from any other iterable (a list, or a frozenset union)."""
+        if not isinstance(facets, set):
+            facets = set(facets)
         return cls(frozenset(facets), _trusted=True)
 
     # -- basic queries -------------------------------------------------

@@ -9,12 +9,11 @@ One scan answers all three predicates (`is_induced`,
 ambient facets that meet the subcomplex's vertices, since no other facet
 can change a verdict or a witness (proof sketch in `_StrongScan`).  Its
 cost is one linear filter over the ambient facets, then work
-proportional to the facets kept.  Within them it exploits two facts: the
-verdict for a face depends only on the set of facets containing it
-(memoized per facet support), and the subcomplex faces inside one
-ambient facet depend only on the facet's trace on the subcomplex's
-vertices.  The hot path is pure integer bitmask arithmetic; simplices
-are only materialized when a violation is found.
+proportional to the facets kept.  One lemma decides each face: the
+subcomplex meets its star in one simplex iff one facet at the face has a
+trace on the subcomplex's vertices that holds every other such trace and
+is a face of the subcomplex.  The hot path is pure integer bitmask
+arithmetic; simplices are only materialized when a violation is found.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .complexes import Simplex, SimplicialComplex, _face_set, induced_subcomplex, is_subcomplex
+from .complexes import Simplex, SimplicialComplex, _face_set, induced_subcomplex
 from .errors import NotASubcomplexError
 from .labels import VertexLabel
 
@@ -68,8 +67,8 @@ def _not_a_subcomplex(sub: SimplicialComplex, is_face) -> NotASubcomplexError:
 
 
 def _require_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> None:
-    if not is_subcomplex(sub, ambient):
-        faces = _face_set(induced_subcomplex(ambient, sub.vertex_set()).facets)
+    faces = _face_set(induced_subcomplex(ambient, sub.vertex_set()).facets)
+    if not all(f in faces for f in sub.facets):
         raise _not_a_subcomplex(sub, faces.__contains__)
 
 
@@ -95,15 +94,22 @@ class _StrongScan:
     is one linear filter over the ambient facets, then work proportional
     to N.
 
+    A face σ is decided by its `support` S (the facets of N holding it),
+    with T(F) = F ∩ V(sub) and U the union of T(F) over S: `sub ∩ star(σ)`
+    is one simplex iff some F in S has T(F) = U and T(F) in `sub`
+    (`single`).  For U is the vertex set of `sub ∩ star(σ)`, so that has a
+    single maximal face iff U is a face of `sub` inside some F ⊇ σ; and
+    U ⊆ F forces T(F) = U.
+
     Construction also checks that `sub` is a subcomplex: an ambient facet
     holding a sub facet g meets V(sub), so it lies in N, and g is an ambient
     face iff its `support` (the AND of its vertices' facet bits) is nonzero.
     """
 
     def __init__(self, sub: SimplicialComplex, ambient: SimplicialComplex):
+        self.sub = sub
         self.gamma_verts = gamma = sub.vertex_set()
         self.facets = [f for f in ambient.facets if not gamma.isdisjoint(f)]
-        self.gamma_facet_sets = [frozenset(f) for f in sub.facets]
         self.vmask: dict[VertexLabel, int] = {}
         for i, f in enumerate(self.facets):
             bit = 1 << i
@@ -111,22 +117,13 @@ class _StrongScan:
                 self.vmask[v] = self.vmask.get(v, 0) | bit
         if not all(self.support(g) for g in sub.facets):
             raise _not_a_subcomplex(sub, self.support)
-        # maximal sub-faces within a facet, keyed by the facet's vertex trace on sub
-        self._trace_pieces: dict[frozenset, tuple[frozenset, ...]] = {}
-        self._pieces_by_facet: list[tuple[frozenset, ...]] = [
-            self._pieces(f) for f in self.facets
-        ]
-        self._support_maximal: dict[int, tuple[frozenset, ...]] = {}
-
-    def _pieces(self, facet: Simplex) -> tuple[frozenset, ...]:
-        trace = self.gamma_verts.intersection(facet)
-        got = self._trace_pieces.get(trace)
-        if got is None:
-            cuts = {g & trace for g in self.gamma_facet_sets}
-            cuts.discard(frozenset())
-            got = tuple(c for c in cuts if not any(c is not d and c <= d for d in cuts))
-            self._trace_pieces[trace] = got
-        return got
+        # each kept facet's trace on V(sub) as a bitmask, and whether a sub facet holds it
+        vbit = {v: 1 << k for k, v in enumerate(gamma)}
+        self.traces = [sum(vbit[v] for v in f if v in vbit) for f in self.facets]
+        sub_masks = [sum(map(vbit.get, g)) for g in sub.facets]
+        in_sub = {t: any(t & g == t for g in sub_masks) for t in set(self.traces)}
+        self.trace_in_sub = [in_sub[t] for t in self.traces]
+        self._single: dict[int, bool] = {}
 
     def support(self, simplex: Simplex) -> int:
         """Bitmask of the kept facets containing the nonempty `simplex`."""
@@ -136,64 +133,63 @@ class _StrongScan:
             mask &= get(v, 0)
         return mask
 
-    def maximal_for(self, support: int) -> tuple[frozenset, ...]:
-        got = self._support_maximal.get(support)
+    def single(self, support: int) -> bool:
+        """Does `sub` meet the star of a face held by exactly the kept
+        facets in `support` in at most one simplex?  (The lemma above.)"""
+        got = self._single.get(support)
         if got is None:
-            pieces: set[frozenset] = set()
-            s = support
+            union, fits, s = 0, set(), support
             while s:
-                low = s & -s
-                pieces.update(self._pieces_by_facet[low.bit_length() - 1])
-                s ^= low
-            got = tuple(p for p in pieces if not any(p is not q and p < q for q in pieces))
-            self._support_maximal[support] = got
+                i = (s & -s).bit_length() - 1
+                union |= self.traces[i]
+                if self.trace_in_sub[i]:
+                    fits.add(self.traces[i])
+                s &= s - 1
+            got = self._single[support] = union in fits
         return got
 
     def _violations(self) -> Iterator[Simplex]:
-        """Every violation, once per kept facet holding it.  Integer-only
-        subset scan of each facet; a simplex is built only for a violation."""
+        """Every violation, once per kept facet holding it.  Integer-only subset
+        scan of each facet; a simplex is built only for a violation or for a
+        face in V(sub) inside a trace that is not a face of `sub`."""
+        gamma = self.gamma_verts
         for i, facet in enumerate(self.facets):
             masks = [self.vmask[v] for v in facet]
-            pieces = self._pieces_by_facet[i]
-            piece_bits = [
-                sum(1 << j for j, v in enumerate(facet) if v in p) for p in pieces
-            ]
+            outside = sum(1 << j for j, v in enumerate(facet) if v not in gamma)
+            trace_in_sub = self.trace_in_sub[i]
             size = 1 << len(facet)
-            sup = [0] * size
+            sup = [-1] * size
             for t in range(1, size):
                 low = t & -t
-                j = low.bit_length() - 1
-                rest = t ^ low
-                sup_t = masks[j] if rest == 0 else sup[rest] & masks[j]
-                sup[t] = sup_t
-                if len(self.maximal_for(sup_t)) > 1:
-                    # the face is a violation unless it lies in the subcomplex
-                    if not any(t & ~pb == 0 for pb in piece_bits):
-                        yield Simplex(v for k, v in enumerate(facet) if t >> k & 1)
+                sup[t] = sup_t = sup[t ^ low] & masks[low.bit_length() - 1]
+                # not a violation if single, nor if in sub, as it is when it lies
+                # in V(sub) and its facet's trace is a face of sub
+                if self.single(sup_t) or (not t & outside and trace_in_sub):
+                    continue
+                sigma = Simplex(v for k, v in enumerate(facet) if t >> k & 1)
+                if t & outside or sigma not in self.sub:
+                    yield sigma
 
     def has_violation(self) -> bool:
         return next(self._violations(), None) is not None
 
     def witness(self) -> InducednessWitness:
-        """STRONGLY_INDUCED, or the (dimension, lexicographic)-least violation."""
+        """STRONGLY_INDUCED, or the (dimension, lexicographic)-least violation σ
+        with the facets of `sub ∩ star(σ)`, from the kept facets at σ."""
         sigma = min(self._violations(), key=Simplex.sort_key, default=None)
         if sigma is None:
             return InducednessWitness(STRONGLY_INDUCED)
-        faces = tuple(
-            sorted(
-                (Simplex(sorted(p)) for p in self.maximal_for(self.support(sigma))),
-                key=Simplex.sort_key,
-            )
-        )
-        return InducednessWitness(NOT_STRONGLY_INDUCED, sigma=sigma, intersection_faces=faces)
+        support = self.support(sigma)
+        at_sigma = [f for i, f in enumerate(self.facets) if support >> i & 1]
+        meet = SimplicialComplex(Simplex([v for v in g if v in f]) for g in self.sub.facets for f in at_sigma)
+        return InducednessWitness(NOT_STRONGLY_INDUCED, sigma=sigma, intersection_faces=meet.sorted_facets())
 
     def induced(self) -> InducednessWitness:
-        """INDUCED iff every kept facet's trace on V(sub) is its own single
-        piece, i.e. a face of `sub`.  Otherwise the witness is the least
-        violation with all vertices in V(sub): every ambient face missing
-        from `sub` with all its vertices in V(sub) is a violation (see
-        `classify_pair`)."""
-        if all(pieces == (trace,) for trace, pieces in self._trace_pieces.items()):
+        """INDUCED iff every kept facet's trace on V(sub) is a face of `sub`.
+        Otherwise the witness is the least violation with all vertices in
+        V(sub): every ambient face missing from `sub` with all its vertices
+        in V(sub) is a violation (see `classify_pair`)."""
+        if all(self.trace_in_sub):
             return InducednessWitness(INDUCED)
         gamma = self.gamma_verts
         offender = min(

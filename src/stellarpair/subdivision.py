@@ -110,8 +110,6 @@ def _relative_derived(
             cells.extend([c + (b,) for c in below])
         return cells
 
-    # a set, not a list: the complex's frozenset copied from a set keeps a
-    # table up to half the size of one grown from a list
     facets: set[Simplex] = set()
     for facet in ambient.facets:
         if len(facet) == 1 or protected(facet):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +92,17 @@ def test_edge_subdivide_tetra_boundary_counts(tetra_boundary):
     out = edge_subdivide(tetra_boundary, [1, 2], "v")
     assert f_vector(out) == (5, 9, 6)
     assert euler_characteristic(out) == 2
+
+
+def test_edge_subdivide_keeps_a_compact_facet_table():
+    # from 64 to 127 items, a frozenset grown from a list keeps a hash table
+    # twice the size of one copied from a set
+    path = from_facets([[i, i + 1] for i in range(99)])
+    out = edge_subdivide(path, [1, 2], "m")
+    assert len(out.facets) == 100
+    compact = sys.getsizeof(frozenset(set(out.facets)))
+    assert sys.getsizeof(frozenset(list(out.facets))) > compact
+    assert sys.getsizeof(out.facets) == compact
 
 
 def test_edge_subdivide_rejects_non_edge(triangle):
