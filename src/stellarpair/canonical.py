@@ -3,10 +3,15 @@
 Backtracking individualization-refinement over the vertex/facet incidence
 structure, with orbit pruning from automorphisms discovered at equal
 leaves.  Intended for small complexes; a vertex guard raises
-ResourceLimitError beyond it.
+ResourceLimitError beyond it.  `_signature` is a cheap isomorphism
+invariant read off the incidences, for callers that can rule out most
+pairs before labeling either.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import chain
 
 from .complexes import Simplex, SimplicialComplex, f_vector
 from .errors import ResourceLimitError
@@ -68,7 +73,23 @@ def _leaf_form(colors: list[int], facet_members: list[tuple[int, ...]]) -> tuple
     return form, rank
 
 
-def _canonical_rank(cx: SimplicialComplex, guard: int) -> tuple[CanonicalForm, dict[VertexLabel, int]]:
+def _signature(cx: SimplicialComplex) -> tuple:
+    """An isomorphism invariant from the incidences alone: with d(v) the
+    number of facets holding v and s(F) the sorted degrees over F, the
+    sorted (d(v), sorted s(F) over the facets F at v) over the vertices.
+    Isomorphic complexes have equal signatures; the converse can fail."""
+    deg = Counter(chain.from_iterable(cx.facets))
+    at: dict[VertexLabel, list[tuple[int, ...]]] = {v: [] for v in deg}
+    for f in cx.facets:
+        s = tuple(sorted([deg[v] for v in f]))
+        for v in f:
+            at[v].append(s)
+    return tuple(sorted([(deg[v], tuple(sorted(ss))) for v, ss in at.items()]))
+
+
+def canonical_labeling(
+    cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD
+) -> tuple[CanonicalForm, dict[VertexLabel, int]]:
     """Canonical form plus the vertex -> canonical-index map realizing it."""
     verts = cx.vertices()
     n = len(verts)
@@ -141,7 +162,25 @@ def _canonical_rank(cx: SimplicialComplex, guard: int) -> tuple[CanonicalForm, d
 
 def canonical_form(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD) -> CanonicalForm:
     """A label-independent fingerprint: equal forms iff isomorphic complexes."""
-    return _canonical_rank(cx, guard)[0]
+    return canonical_labeling(cx, guard=guard)[0]
+
+
+def _compose(
+    a: SimplicialComplex,
+    rank_a: dict[VertexLabel, int],
+    b: SimplicialComplex,
+    rank_b: dict[VertexLabel, int],
+) -> dict[VertexLabel, VertexLabel]:
+    """The isomorphism a -> b through the rank maps of two equal canonical forms."""
+    by_rank = {i: v for v, i in rank_b.items()}
+    mapping = {v: by_rank[i] for v, i in rank_a.items()}
+    # paranoia: the composed map must carry facets onto facets
+    image = frozenset(
+        Simplex(sorted(mapping[v] for v in f)) for f in a.facets
+    )
+    if image != b.facets:
+        raise AssertionError("canonical labeling produced an inconsistent bijection")
+    return mapping
 
 
 def isomorphism(
@@ -162,16 +201,8 @@ def isomorphism(
         return {v: v for v in a.vertex_set()}
     if a.num_vertices() != b.num_vertices() or f_vector(a) != f_vector(b):
         return None
-    form_a, rank_a = _canonical_rank(a, guard)
-    form_b, rank_b = _canonical_rank(b, guard)
+    form_a, rank_a = canonical_labeling(a, guard=guard)
+    form_b, rank_b = canonical_labeling(b, guard=guard)
     if form_a != form_b:
         return None
-    by_rank = {i: v for v, i in rank_b.items()}
-    mapping = {v: by_rank[i] for v, i in rank_a.items()}
-    # paranoia: the composed map must carry facets onto facets
-    image = frozenset(
-        Simplex(sorted(mapping[v] for v in f)) for f in a.facets
-    )
-    if image != b.facets:
-        raise AssertionError("canonical labeling produced an inconsistent bijection")
-    return mapping
+    return _compose(a, rank_a, b, rank_b)

@@ -135,6 +135,16 @@ def _substitute(
     return SimplicialComplex._from_antichain(_reduce_to_antichain(images).union(rest))
 
 
+def _contract_if_valid(cx: SimplicialComplex, edge: Simplex, keep: VertexLabel) -> SimplicialComplex | None:
+    """The contraction of an edge of the complex onto its endpoint `keep`,
+    or None when the edge is invalid: one split, and the blocker search
+    stops at the first blocker."""
+    e, at_edge, rest = _split(cx, edge)
+    if next(_missing_through(e, at_edge), None) is not None:
+        return None
+    return _substitute(e, at_edge, rest, keep)
+
+
 def contract_edge(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex:
     """Contract a valid edge: the non-surviving label is replaced by the
     survivor everywhere, degenerate images collapse, duplicates merge."""

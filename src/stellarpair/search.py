@@ -2,26 +2,41 @@
 
 The move graph (edge subdivisions and valid edge contractions) is
 infinite, so the search is made total by a vertex budget for subdivisions
-and a depth bound; frontier states are deduplicated by canonical form so
-no isomorphism class is expanded twice.  BFS keeps returned script
-lengths reproducible.
+and a depth bound; states are deduplicated up to isomorphism so no
+isomorphism class is expanded twice.  BFS keeps returned script lengths
+reproducible.
 
-Canonical labeling is most of the cost, so the search labels only the
-states that can change its answer:
+Canonical labeling is most of the cost, so the search labels a state
+only when a cheaper test cannot answer for it:
 
 - Vertex-count bound.  A subdivision adds exactly one vertex and a
   contraction removes exactly one, so a successor whose vertex count is
   further from the target's than the moves left after it cannot reach
   the target; it is not built (no subdivision successors, or no
-  `is_valid_edge` call and no contraction successors).  BFS meets states
-  in depth order, so a later state isomorphic to a pruned one has the
-  same vertex count and no more moves left: it is pruned too, and the
-  deduplication never needed the pruned forms.
+  contraction successors).  BFS meets states in depth order, so a later
+  state isomorphic to a pruned one has the same vertex count and no more
+  moves left: it is pruned too, and the deduplication never needed the
+  pruned states.
 - Goal-only last depth.  A successor with no moves left is never
-  expanded, so it is only compared with the target: first by facet count
-  and f-vector, and by canonical form only when both match.  It is kept
-  out of the visited set; had its form been visited, that visit would
-  have hit the goal and returned already.
+  expanded, so it is only compared with the target, and it is kept out
+  of the visited states; had an isomorphic state been visited, that
+  visit would have hit the goal and returned already.  An edge
+  subdivision at e has len(facets) + |star(e)| facets (each facet at e
+  becomes two), so one whose count differs from the target's is not
+  built.
+- Signature buckets.  `canonical._signature` is an isomorphism
+  invariant, so a state whose signature differs from the target's is not
+  isomorphic to it, and the visited states are kept in buckets by
+  signature.  A successor is labeled only when its signature is the
+  target's, to compare forms with the target, or when its bucket already
+  holds a state, to compare forms within the bucket.  A bucket entry
+  stays an unlabeled complex until the first collision labels it, and
+  then only its form is kept.  States in different buckets are never
+  isomorphic, so "some form in the bucket equals this one" decides
+  exactly what "some visited form equals this one" decides, and the
+  entries count the same isomorphism classes as the forms would.
+- One labeling of the target.  Its rank map is kept, and a hit's
+  isomorphism onto the target composes it with the hit's rank map.
 
 Together these return exactly the scripts that labeling and deduplicating
 every successor would, and they count toward the state budget only
@@ -32,19 +47,32 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from itertools import combinations
 
-from .canonical import DEFAULT_VERTEX_GUARD, canonical_form, isomorphism
-from .complexes import Simplex, SimplicialComplex, f_vector
-from .contraction import contract_edge, is_valid_edge
+from .canonical import DEFAULT_VERTEX_GUARD, CanonicalForm, _compose, _signature, canonical_labeling
+from .complexes import Simplex, SimplicialComplex
+from .contraction import _contract_if_valid
 from .errors import ResourceLimitError
+from .labels import VertexLabel
 from .pairs import Move, MoveScript
 from .subdivision import edge_subdivide
 
 DEFAULT_STATE_BUDGET = 100_000
 
 
-def _edges(cx: SimplicialComplex) -> list[Simplex]:
-    return sorted(map(Simplex, cx._face_tuples().get(1, ())), key=Simplex.sort_key)
+def _edge_stars(cx: SimplicialComplex) -> dict[Simplex, int]:
+    """Each edge of the complex, in canonical order, with the number of
+    facets holding it, from one pass over the facets."""
+    held: dict[tuple[VertexLabel, VertexLabel], int] = {}
+    for f in cx.facets:
+        for e in combinations(f, 2):
+            held[e] = held.get(e, 0) + 1
+    return {Simplex(e): held[e] for e in sorted(held)}
+
+
+def _move(e: Simplex, fresh: str | None) -> Move:
+    """The subdivision of e with a fresh label, or its contraction when there is none."""
+    return Move.contract(e) if fresh is None else Move.subdivide(e, fresh)
 
 
 def _fresh_label_base(cx: SimplicialComplex) -> int:
@@ -72,14 +100,16 @@ def search_script(
     Raises ResourceLimitError when more than `max_states` states are
     expanded; its stats give the states expanded, the frontier still
     queued (states with no moves left are never queued), the depth reached
-    and the forms visited.
+    and the isomorphism classes visited.
 
     Successors whose vertex count cannot reach the target's in the moves
-    left are never built, and a successor with no moves left is labeled
-    only when its facet count and f-vector match the target's.  The result
-    is the script that labeling every successor gives, but pruned states
-    take no share of the budget, so a search can finish within a
-    `max_states` that labeling every successor would exhaust.
+    left are never built, and neither is a last-move subdivision whose
+    facet count differs from the target's.  A successor is labeled only
+    when its signature (`canonical._signature`) equals the target's or
+    that of a state already visited.  The result is the script that
+    labeling every successor gives, but pruned states take no share of
+    the budget, so a search can finish within a `max_states` that
+    labeling every successor would exhaust.
     """
     for cx, name in ((source, "source"), (target, "target")):
         if cx.num_vertices() > max_vertices:
@@ -89,21 +119,49 @@ def search_script(
                 budget=max_vertices,
             )
     guard = max(DEFAULT_VERTEX_GUARD, max_vertices)
-    goal = canonical_form(target, guard=guard)
-    start_form = canonical_form(source, guard=guard)
-    if start_form == goal:
-        return MoveScript((), target_map=isomorphism(source, target, guard=guard))
+    goal, goal_rank = canonical_labeling(target, guard=guard)
+    goal_sig = _signature(target)
+
+    def onto_goal(cx: SimplicialComplex, sig: tuple):
+        """The form of `cx` if it was labeled (else None), and its
+        isomorphism onto the target if it has one (else None)."""
+        if sig != goal_sig:
+            return None, None
+        if cx.facets == target.facets:
+            return None, {v: v for v in cx.vertex_set()}
+        form, rank = canonical_labeling(cx, guard=guard)
+        return form, (_compose(cx, rank, target, goal_rank) if form == goal else None)
+
+    def is_new(cx: SimplicialComplex, sig: tuple, form: CanonicalForm | None) -> bool:
+        """Enter `cx` in its signature's bucket unless an isomorphic state is there."""
+        bucket = visited.setdefault(sig, [])
+        if bucket:
+            if form is None:
+                form = canonical_labeling(cx, guard=guard)[0]
+            for i, entry in enumerate(bucket):
+                if isinstance(entry, SimplicialComplex):
+                    entry = bucket[i] = canonical_labeling(entry, guard=guard)[0]
+                if entry == form:
+                    return False
+        bucket.append(cx if form is None else form)
+        return True
+
+    start_sig = _signature(source)
+    form, iso = onto_goal(source, start_sig)
+    if iso is not None:
+        return MoveScript((), target_map=iso)
 
     if max_depth < 1:
         return None
 
     n_goal = target.num_vertices()
     goal_facets = len(target.facets)
-    goal_f = f_vector(target)
     base = _fresh_label_base(source)
-    start: tuple[SimplicialComplex, tuple[Move, ...]] = (source, ())
-    queue = deque([start])
-    visited = {start_form}
+    queue: deque[tuple[SimplicialComplex, tuple[Move, ...]]] = deque([(source, ())])
+    # signature -> the visited states with it, each a complex until labeled, then its form
+    visited: dict[tuple, list[SimplicialComplex | CanonicalForm]] = {
+        start_sig: [source if form is None else form]
+    }
     expanded = 0
 
     while queue:
@@ -115,29 +173,27 @@ def search_script(
                 states=expanded,
                 frontier=len(queue),
                 depth=len(moves),
-                visited=len(visited),
+                visited=sum(map(len, visited.values())),
             )
         left = max_depth - len(moves) - 1  # moves left after a successor
         n = state.num_vertices()
-        successors: list[tuple[SimplicialComplex, Move]] = []
-        edges = _edges(state)
+        stars = _edge_stars(state)
+        successors: list[tuple[SimplicialComplex, Simplex, str | None]] = []
         if n < max_vertices and abs(n + 1 - n_goal) <= left:
             fresh = f"n{base + len(moves)}"
-            for e in edges:
-                successors.append((edge_subdivide(state, e, fresh), Move.subdivide(e, fresh)))
+            for e, held in stars.items():
+                if left > 0 or len(state.facets) + held == goal_facets:
+                    successors.append((edge_subdivide(state, e, fresh), e, fresh))
         if abs(n - 1 - n_goal) <= left:
-            for e in edges:
-                if is_valid_edge(state, e):
-                    move = Move.contract(e)
-                    successors.append((contract_edge(state, e, move.survivor), move))
-        for nxt, move in successors:
-            if left == 0 and (len(nxt.facets) != goal_facets or f_vector(nxt) != goal_f):
-                continue
-            form = canonical_form(nxt, guard=guard)
-            if form == goal:
-                return MoveScript(moves + (move,), target_map=isomorphism(nxt, target, guard=guard))
-            if left == 0 or form in visited:
-                continue
-            visited.add(form)
-            queue.append((nxt, moves + (move,)))
+            for e in stars:
+                nxt = _contract_if_valid(state, e, e[0])  # the survivor `Move.contract` picks
+                if nxt is not None:
+                    successors.append((nxt, e, None))
+        for nxt, e, fresh in successors:
+            sig = _signature(nxt)
+            form, iso = onto_goal(nxt, sig)
+            if iso is not None:
+                return MoveScript(moves + (_move(e, fresh),), target_map=iso)
+            if left > 0 and is_new(nxt, sig, form):
+                queue.append((nxt, moves + (_move(e, fresh),)))
     return None

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import io
 import json
+import pathlib
 
 import pytest
 
 from stellarpair import biased_derived, from_facets
 from stellarpair.cli import main
 from stellarpair.io import ComplexDocument, serialize_complex_document
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def write_complex(path, facets, name="fixture"):
@@ -193,6 +196,14 @@ def test_search_and_verify_script(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(script.read_text()))
     assert main(["verify-script", "--source", src, "--script", "-", "--to", dst]) == 0
     assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+def test_search_script_is_byte_stable(tmp_path, capsys):
+    # the target_map is the labeling's choice among the six-cycle's automorphisms
+    src = write_complex(tmp_path / "src.json", [[1, 2], [2, 3], [3, 4], [1, 4]])
+    dst = write_complex(tmp_path / "dst.json", [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"], ["a", "f"]])
+    assert main(["search", "--source", src, "--to", dst, "--max-depth", "2", "--out", "-"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "search_four_cycle_to_six_cycle.json").read_text()
 
 
 def test_search_not_found_exits_one(tmp_path, capsys):

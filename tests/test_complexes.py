@@ -32,6 +32,8 @@ from stellarpair import (
     star,
     vlabel,
 )
+from stellarpair import canonical
+from stellarpair.canonical import _signature
 from stellarpair.errors import (
     AbsentFaceError,
     MalformedInputError,
@@ -279,6 +281,45 @@ def test_canonical_form_decides_isomorphism(facets, other, shuffled):
     assert canonical_form(relabeled) == canonical_form(cx)
     b = build(other)
     assert (canonical_form(cx) == canonical_form(b)) == _brute_isomorphic(cx, b)
+
+
+@given(
+    st.integers(3, 7),
+    st.integers(1, 3),
+    st.sampled_from((0.3, 0.5, 0.7)),
+    st.integers(0, 10_000),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=80, deadline=None)
+def test_signature_is_an_isomorphism_invariant(n, dim, density, seed, rng):
+    cx = random_complex(n, dim, density, seed)
+    names = [f"w{i}" for i in range(n)]
+    rng.shuffle(names)
+    relabeled = relabel_complex(cx, dict(zip(cx.vertices(), names)))
+    assert _signature(relabeled) == _signature(cx)
+    # small complexes of one dimension often share a form: then they share a signature
+    other = random_complex(n, dim, density, seed + 1)
+    if canonical_form(other) == canonical_form(cx):
+        assert _signature(other) == _signature(cx)
+
+
+def test_signature_separates_degrees_but_not_every_pair():
+    # the two-edge path has a vertex in two facets; two disjoint edges have none
+    assert _signature(from_facets([[1, 2], [2, 3]])) != _signature(from_facets([[1, 2], [3, 4]]))
+    # every vertex of a six-cycle and of two triangles lies in two facets of
+    # two vertices each: equal signatures, yet not isomorphic
+    six = from_facets([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
+    two = from_facets([[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
+    assert _signature(six) == _signature(two)
+    assert canonical_form(six) != canonical_form(two)
+
+
+def test_canonical_labeling_leaf_budget(monkeypatch, tetra_boundary):
+    # the tetrahedron boundary's symmetry leaves two leaves at the last branching
+    monkeypatch.setattr(canonical, "_LEAF_BUDGET", 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        canonical_form(tetra_boundary)
+    assert exc.value.stats == {"leaves": 2}
 
 
 # -- pseudomanifold --------------------------------------------------------

@@ -19,6 +19,7 @@ from stellarpair import (
     missing_simplices,
     vlabel,
 )
+from stellarpair.contraction import _contract_if_valid
 from stellarpair.errors import AbsentFaceError, InvalidEdgeError, MalformedInputError
 from stellarpair.io import random_complex, random_strongly_induced_pair
 
@@ -168,13 +169,16 @@ def _contract_by_definition(cx, e, keep):
 @given(st.integers(0, 1000))
 @settings(max_examples=80, deadline=None)
 def test_contraction_matches_substitution_of_every_facet(seed):
-    # non-pure random complexes, every valid edge, both survivors
+    # non-pure random complexes, every edge, both survivors; the search's
+    # one-split contraction gives None exactly on the invalid edges
     cx = random_complex(4 + seed % 4, 1 + seed % 3, 0.5, seed)
     for e in sorted(cx.faces().get(1, ())):
         if not is_valid_edge(cx, e):
+            assert _contract_if_valid(cx, e, e[0]) is None
             continue
         for keep in e.vertices:
             assert contract_edge(cx, e, keep) == _contract_by_definition(cx, e, keep)
+            assert _contract_if_valid(cx, e, keep) == _contract_by_definition(cx, e, keep)
 
 
 def test_contraction_collapses_an_edge_facet_to_a_vertex():

@@ -18,11 +18,17 @@ from stellarpair import (
     search_script,
     verify_script,
 )
-from stellarpair import search
+from stellarpair import canonical, contraction, search
 from stellarpair.canonical import DEFAULT_VERTEX_GUARD, canonical_form
+from stellarpair.complexes import Simplex
 from stellarpair.errors import ResourceLimitError, ScriptStepError
 from stellarpair.io import random_complex
-from stellarpair.search import _edges, _fresh_label_base
+from stellarpair.search import _edge_stars, _fresh_label_base
+
+
+def _edges(cx):
+    """The edges of the complex in canonical order, from all its faces."""
+    return sorted(cx.faces().get(1, ()), key=Simplex.sort_key)
 
 
 def reference_search(source, target, max_depth, max_vertices, max_states=100_000):
@@ -115,7 +121,17 @@ def test_search_vertex_budget_precondition(tetra_boundary):
 def test_search_state_budget_reports_statistics(four_cycle, tetra_boundary):
     with pytest.raises(ResourceLimitError) as exc:
         search_script(four_cycle, tetra_boundary, max_depth=6, max_vertices=7, max_states=1)
-    assert "states" in exc.value.stats and "frontier" in exc.value.stats
+    assert exc.value.stats == {"states": 2, "frontier": 1, "depth": 1, "visited": 3}
+
+
+def test_search_state_budget_statistics_at_depth_three():
+    # a triangulated square grown towards a six-cycle: the budget runs out
+    # while depth-3 states are expanded, with 56 isomorphism classes visited
+    disk = from_facets([[1, 2, 3], [1, 3, 4]])
+    six_cycle = from_facets([["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"], ["a", "f"]])
+    with pytest.raises(ResourceLimitError) as exc:
+        search_script(disk, six_cycle, max_depth=5, max_vertices=7, max_states=30)
+    assert exc.value.stats == {"states": 31, "frontier": 25, "depth": 3, "visited": 56}
 
 
 def test_search_is_deterministic(four_cycle, hollow_triangle):
@@ -212,8 +228,9 @@ def test_search_bound_skips_contractions_for_a_subdivision_target(monkeypatch, s
     def refuse(*args, **kwargs):
         raise AssertionError("contraction successor built outside the vertex-count bound")
 
-    monkeypatch.setattr(search, "is_valid_edge", refuse)
-    monkeypatch.setattr(search, "contract_edge", refuse)
+    # every contraction entry point, the search's own included, splits the edge first
+    monkeypatch.setattr(search, "_contract_if_valid", refuse)
+    monkeypatch.setattr(contraction, "_split", refuse)
     script = search_script(src, dst, max_depth=2, max_vertices=7)
     assert script is not None and len(script) == subdivisions
     assert verify_script(src, script, dst)
@@ -246,6 +263,64 @@ def test_search_finishes_where_pruned_states_used_up_the_budget():
     got = search_script(src, dst, max_depth=3, max_vertices=8, max_states=6)
     assert got == unbounded
     assert verify_script(src, got, dst)
+
+
+def test_edge_stars_count_the_facets_an_edge_subdivision_adds():
+    for seed in range(60):
+        cx = random_complex(3 + seed % 5, 1 + seed % 3, (0.3, 0.5, 0.7)[seed % 3], seed)
+        stars = _edge_stars(cx)
+        assert list(stars) == _edges(cx)
+        for e, held in stars.items():
+            assert held == len(cx.facets_containing(e))
+            assert len(edge_subdivide(cx, e, "w").facets) == len(cx.facets) + held
+
+
+@pytest.fixture
+def labelings(monkeypatch):
+    """A counter of the canonical labelings made while the test runs."""
+    count = [0]
+    label = canonical.canonical_labeling
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(canonical, "canonical_labeling", counted)
+    monkeypatch.setattr(search, "canonical_labeling", counted)
+    return count
+
+
+def test_search_labels_no_more_than_labeling_every_successor(labelings):
+    ours = reference = 0
+    for source, target, max_depth, max_vertices, max_states in _differential_cases():
+        labelings[0] = 0
+        try:
+            reference_search(source, target, max_depth, max_vertices, max_states)
+        except ResourceLimitError:
+            continue
+        by_reference = labelings[0]
+        labelings[0] = 0
+        search_script(source, target, max_depth, max_vertices, max_states=max_states)
+        assert labelings[0] <= by_reference
+        ours += labelings[0]
+        reference += by_reference
+    assert ours < reference
+
+
+def test_search_labels_only_the_goal_when_no_signature_collides(labelings, monkeypatch):
+    # fifteen successors are built and compared, and none is labeled: no
+    # signature equals the target's or another visited state's
+    signatures = [0]
+    signature = canonical._signature
+
+    def counted(cx):
+        signatures[0] += 1
+        return signature(cx)
+
+    monkeypatch.setattr(search, "_signature", counted)
+    src, dst = random_complex(6, 2, 0.5, 131), random_complex(7, 2, 0.5, 631)
+    assert search_script(src, dst, max_depth=2, max_vertices=8) is None
+    assert (labelings[0], signatures[0]) == (1, 2 + 15)  # the goal, the source, the successors
 
 
 # -- verify / replay ---------------------------------------------------------
