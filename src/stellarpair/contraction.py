@@ -135,24 +135,23 @@ def _substitute(
     return SimplicialComplex._from_antichain(_reduce_to_antichain(images).union(rest))
 
 
-def _contract_if_valid(cx: SimplicialComplex, edge: Simplex, keep: VertexLabel) -> SimplicialComplex | None:
-    """The contraction of an edge of the complex onto its endpoint `keep`,
-    or None when the edge is invalid: one split, and the blocker search
-    stops at the first blocker."""
+def _contract_if_valid(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex | None:
+    """The contraction of an edge of the complex onto `survivor` (default:
+    the smaller endpoint), or None when the edge is invalid: one split, and
+    the blocker search stops at the first blocker."""
     e, at_edge, rest = _split(cx, edge)
     if next(_missing_through(e, at_edge), None) is not None:
         return None
+    keep: VertexLabel = e[0] if survivor is None else vlabel(survivor)
+    if keep not in e:
+        raise MalformedInputError(f"survivor {keep} is not an endpoint of {e}")
     return _substitute(e, at_edge, rest, keep)
 
 
 def contract_edge(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex:
     """Contract a valid edge: the non-surviving label is replaced by the
     survivor everywhere, degenerate images collapse, duplicates merge."""
-    e, at_edge, rest = _split(cx, edge)
-    blockers = tuple(sorted(_missing_through(e, at_edge), key=Simplex.sort_key))
-    if blockers:
-        raise InvalidEdgeError(e, blockers)
-    keep: VertexLabel = e[0] if survivor is None else vlabel(survivor)
-    if keep not in e:
-        raise MalformedInputError(f"survivor {keep} is not an endpoint of {e}")
-    return _substitute(e, at_edge, rest, keep)
+    result = _contract_if_valid(cx, edge, survivor)
+    if result is None:
+        raise InvalidEdgeError(as_simplex(edge), blocking_missing_simplices(cx, edge))
+    return result

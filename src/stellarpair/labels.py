@@ -5,14 +5,14 @@ rounds are barycenter labels "b{l1,l2,...}@r": the sorted labels of the
 subdivided face plus a round counter, so repeated subdivisions can never
 collide.  A label is a ``str`` subclass equal to its token, so hashing,
 equality and the total order are the token's.  Labels are interned
-process-wide: each token has one label object, and the barycenter parse
-is recorded once, in the label's class, when the token is first interned.
+process-wide: each token has one label object, whose class says whether
+it is a barycenter; only a new token from outside is parsed to learn it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Collection, Iterable
+from typing import Iterable
 
 from .errors import MalformedInputError, NamingError
 
@@ -32,7 +32,7 @@ def _parse_barycenter(token: str) -> tuple[tuple[str, ...], int] | None:
     if at < 2:
         return None
     round_part = token[at + 2 :]
-    if not round_part.isdigit():
+    if not (round_part.isascii() and round_part.isdigit()):
         return None
     inner = token[2:at]
     parts: list[str] = []
@@ -57,13 +57,14 @@ def _parse_barycenter(token: str) -> tuple[tuple[str, ...], int] | None:
         return None
     rnd = int(round_part)
     # Only the canonical spelling counts; anything else stays an opaque token.
-    if _barycenter_token(parts, rnd) != token:
+    if _barycenter_token(sorted(parts), rnd) != token:
         return None
     return tuple(parts), rnd
 
 
-def _barycenter_token(constituents: Iterable[str], rnd: int) -> str:
-    return "b{" + ",".join(sorted(constituents)) + "}@" + str(rnd)
+def _barycenter_token(constituents: list[str], rnd: int) -> str:
+    """The token of sorted `constituents` in round `rnd`."""
+    return "b{" + ",".join(constituents) + "}@" + str(rnd)
 
 
 class VertexLabel(str):
@@ -89,21 +90,28 @@ class VertexLabel(str):
             token = str(token)
         if not isinstance(token, str) or token == "":
             raise MalformedInputError(f"vertex label must be a nonempty string, got {token!r}")
-        lbl = _INTERN.get(token)
-        if lbl is not None:
-            return lbl
-        with _INTERN_LOCK:
-            lbl = _INTERN.get(token)
-            if lbl is None:
-                label_type = VertexLabel if _parse_barycenter(token) is None else _Barycenter
-                lbl = _INTERN[token] = label_type(token)
-        return lbl
+        return _INTERN.get(token) or _intern(token, _Barycenter if _parse_barycenter(token) else VertexLabel)
 
     @classmethod
     def barycenter(cls, constituents: Iterable[str], rnd: int) -> "VertexLabel":
-        if rnd < 0:
-            raise MalformedInputError("subdivision round must be nonnegative")
-        return cls.of(_barycenter_token(constituents, rnd))
+        """The label ``b{c1,c2,...}@rnd`` of the face spanned by `constituents`.
+
+        `NamingError` if a constituent that is no barycenter label holds `,`,
+        `{` or `}` ({`a,b`, `c`} would spell b{a,b,c}); `MalformedInputError`
+        for no constituents or a round that is no nonnegative int.  The token
+        is then canonical and interned unparsed: by induction each constituent
+        is reserved-free or a canonical barycenter token with its commas inside
+        balanced braces, so the token's depth-0 commas are exactly its joins.
+        """
+        if type(rnd) is not int or rnd < 0:
+            raise MalformedInputError(f"subdivision round must be a nonnegative int, got {rnd!r}")
+        parts = sorted(map(cls.of, constituents))
+        if not parts:
+            raise MalformedInputError("a barycenter needs at least one constituent")
+        for lbl in parts:
+            if not _RESERVED.isdisjoint(lbl) and lbl.kind != BARYCENTER:
+                raise NamingError(f"label {lbl} holds ',', '{{' or '}}', which barycenter labels reserve")
+        return _intern(_barycenter_token(parts, rnd), _Barycenter)
 
     def __repr__(self):
         return f"VertexLabel({str.__repr__(self)})"
@@ -125,6 +133,14 @@ class _Barycenter(VertexLabel):
         return int(self[self.rindex("@") + 1 :])
 
 
+def _intern(token: str, label_type: type[VertexLabel]) -> VertexLabel:
+    lbl = _INTERN.get(token)
+    if lbl is None:
+        with _INTERN_LOCK:
+            lbl = _INTERN.setdefault(token, label_type(token))
+    return lbl
+
+
 def vlabel(token) -> VertexLabel:
     """Intern `token` (str, int, or an existing label) as a vertex label."""
     return VertexLabel.of(token)
@@ -138,19 +154,3 @@ def next_round(labels: Iterable[VertexLabel]) -> int:
             best = lbl.round
     return best + 1
 
-
-def _barycenter_round(labels: Collection[VertexLabel]) -> int:
-    """`next_round` for labels that barycenter tokens will be spelled from.
-
-    A label outside the canonical barycenter spelling must not hold `,`,
-    `{` or `}`: the token joins constituents with `,` unescaped, so the edge
-    {`a,b`, `c`} would spell the barycenter of the triangle {a, b, c}.
-    Such a label raises `NamingError`.  Canonical barycenter labels are
-    safe, since their commas sit inside balanced braces.
-    """
-    for lbl in labels:
-        if lbl.kind != BARYCENTER and not _RESERVED.isdisjoint(lbl):
-            raise NamingError(
-                f"label {lbl} holds ',', '{{' or '}}', which barycenter labels reserve"
-            )
-    return next_round(labels)

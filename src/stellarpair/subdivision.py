@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 from .complexes import Simplex, SimplicialComplex, _face_set, as_simplex
 from .errors import AbsentFaceError, DomainError, NamingError
 from .inducedness import _require_subcomplex
-from .labels import VertexLabel, _barycenter_round, vlabel
+from .labels import VertexLabel, next_round, vlabel
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ def _relative_derived(
     barycenter round and the new labels.  `protected` takes a face as its
     sorted vertex tuple and must be closed under taking faces.  The round
     defaults to the next fresh one; an older round could reuse a label of the
-    ambient, so it is rejected, and so is an ambient label that could spell a
-    barycenter (`_barycenter_round`).
+    ambient, so it is rejected, and `VertexLabel.barycenter` rejects a
+    non-barycenter label with `,`, `{` or `}` in a face that is subdivided.
 
     A protected facet survives as-is.  An unprotected face F becomes the cone
     from its barycenter b(F) over its boundary, each ridge subdivided the
@@ -88,7 +88,7 @@ def _relative_derived(
     faces, so the cone of every face below a facet is kept; a facet's is
     not, since a facet is no ridge.
     """
-    fresh = _barycenter_round(ambient.vertex_set())
+    fresh = next_round(ambient.vertex_set())
     rnd = fresh if rnd is None else rnd
     if rnd < fresh:
         raise NamingError(f"round {rnd} is not fresh for the complex: the next fresh round is {fresh}")

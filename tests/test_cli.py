@@ -83,6 +83,14 @@ def test_subdivide_rejects_a_label_that_spells_a_barycenter(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "domain"
 
 
+def test_info_reads_a_label_with_a_non_ascii_digit(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but not to int(): the label stays an opaque token
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"facets": [["b{1}@²", "2"]]}))
+    assert main(["info", "--complex", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["f_vector"] == [2, 1]
+
+
 def test_subdivide_biased_matches_fixture(tmp_path, capsys, edge_in_triangle_files):
     sub, _ = edge_in_triangle_files
     ambient = write_complex(tmp_path / "tri.json", [[1, 2, 3]], "delta")

@@ -114,9 +114,11 @@ def test_contract_half_edge_round_trip(triangle):
 
 
 def test_contract_invalid_edge_is_hard_error(hollow_triangle):
-    with pytest.raises(InvalidEdgeError) as exc:
-        contract_edge(hollow_triangle, [1, 2])
-    assert [b.tokens() for b in exc.value.blockers] == [("1", "2", "3")]
+    # an invalid edge is reported before a survivor that is not one of its endpoints
+    for survivor in (None, 3):
+        with pytest.raises(InvalidEdgeError) as exc:
+            contract_edge(hollow_triangle, [1, 2], survivor)
+        assert [b.tokens() for b in exc.value.blockers] == [("1", "2", "3")]
 
 
 def test_contract_survivor_handling(four_cycle):

@@ -5,9 +5,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from stellarpair import next_round, vlabel
-from stellarpair.errors import MalformedInputError
-from stellarpair.labels import BARYCENTER, ORIGINAL, VertexLabel
+from stellarpair import from_facets, next_round, vlabel
+from stellarpair.errors import MalformedInputError, NamingError
+from stellarpair.labels import BARYCENTER, ORIGINAL, VertexLabel, _parse_barycenter
 
 
 def test_interning_is_injective():
@@ -41,12 +41,30 @@ def test_noncanonical_tokens_stay_opaque():
     assert vlabel("b{2,1}@0").kind == ORIGINAL  # unsorted constituents
     assert vlabel("b{1,2}@01").kind == ORIGINAL  # zero-padded round
     assert vlabel("b{1,2}").kind == ORIGINAL  # no round
+    assert vlabel("b{1}@²").kind == ORIGINAL  # a digit, but not an ASCII one
+    assert from_facets([["b{1}@²", "2"]]).num_vertices() == 2
     assert vlabel("plain").kind == ORIGINAL
 
 
 def test_empty_label_rejected():
     with pytest.raises(MalformedInputError):
         vlabel("")
+
+
+def test_barycenter_rejects_what_it_cannot_spell():
+    # joined with an unescaped comma, "a,b" next to "c" would spell the triangle's b{a,b,c}@0
+    with pytest.raises(NamingError, match="a,b"):
+        VertexLabel.barycenter(["a,b", "c"], 0)
+    for label in ("x{", "y}", "b{1,2}@x"):
+        with pytest.raises(NamingError):
+            VertexLabel.barycenter([label], 0)
+    with pytest.raises(MalformedInputError):
+        VertexLabel.barycenter([], 0)
+    for rnd in (-1, 1.0, True, "1"):
+        with pytest.raises(MalformedInputError):
+            VertexLabel.barycenter(["a"], rnd)
+    nested = VertexLabel.barycenter(["1", "2"], 0)
+    assert VertexLabel.barycenter([nested, "3"], 1).face == ("3", "b{1,2}@0")
 
 
 def test_next_round_skips_used_rounds():
@@ -68,6 +86,24 @@ def test_barycenter_parse_round_trip(tokens, rnd):
 
 
 _plain = st.text(alphabet="abc123", min_size=1, max_size=4)
+
+
+@st.composite
+def _built(draw, depth=2):
+    """A label built by `VertexLabel.barycenter` from plain and nested constituents."""
+    inner = _plain if depth == 0 else _plain | _built(depth - 1).map(lambda b: b[0])
+    parts = draw(st.lists(inner, min_size=1, max_size=3, unique=True))
+    rnd = draw(st.integers(0, 20))
+    return VertexLabel.barycenter(parts, rnd), parts, rnd
+
+
+@given(_built())
+def test_built_barycenter_is_what_the_parser_reads(built):
+    # `vlabel(str(lbl))` returns the interned object, so ask the parser itself
+    lbl, parts, rnd = built
+    assert lbl.kind == BARYCENTER
+    assert _parse_barycenter(str(lbl)) == (tuple(sorted(parts)), rnd)
+    assert (lbl.face, lbl.round) == (tuple(sorted(parts)), rnd)
 
 
 def _spell(parts, rnd, reverse=False, pad=""):

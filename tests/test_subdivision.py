@@ -22,9 +22,13 @@ from stellarpair import (
     isomorphism,
     link,
     next_round,
+    pair_biased,
+    pair_new,
+    pair_subdivide_edge,
     stellar_subdivide,
     vlabel,
 )
+from stellarpair import labels
 from stellarpair.errors import AbsentFaceError, DomainError, NamingError
 from stellarpair.io import ComplexDocument, random_complex, random_subcomplex_pair, serialize_complex_document
 
@@ -187,6 +191,38 @@ def test_labels_that_could_spell_a_barycenter_are_rejected():
     for label in ("x{", "y}", "b{1,2}@x"):
         with pytest.raises(NamingError):
             derived_subdivision(from_facets([[label, "c"]]))
+
+
+def test_reserved_labels_pass_where_no_barycenter_is_spelled():
+    # only faces that get subdivided spell their labels into barycenters
+    cx = from_facets([["a,b", "c"], ["c", "d"]])
+    out, record = biased_derived(from_facets([["a,b", "c"]]), cx)
+    assert out == from_facets([["a,b", "c"], ["c", "b{c,d}@0"], ["d", "b{c,d}@0"]])
+    assert list(record.new_labels.values()) == ["b{c,d}@0"]
+    out, _ = derived_subdivision(from_facets([["x{"], ["1", "2"]]))
+    assert out == from_facets([["x{"], ["1", "b{1,2}@0"], ["2", "b{1,2}@0"]])
+
+
+def test_subdivisions_intern_new_barycenters_without_parsing(monkeypatch):
+    # labels no other test uses, so every barycenter built here is new to the intern table
+    names = [f"unparsed-{x}" for x in range(4)]
+    ambient = from_facets([names[:3], names[1:]])
+    pair = pair_biased(pair_new(from_facets([names[:2]]), ambient))
+    new_vertex = vlabel("unparsed-w")
+
+    def refuse(token):
+        raise AssertionError(f"parsed {token}")
+
+    monkeypatch.setattr(labels, "_parse_barycenter", refuse)
+    interned = len(labels._INTERN)
+    once, _ = derived_subdivision(ambient)
+    twice, _ = derived_subdivision(once)
+    assert len(labels._INTERN) > interned
+    interned = len(labels._INTERN)
+    moved = pair_subdivide_edge(pair, names[:2], new_vertex)
+    assert len(labels._INTERN) > interned
+    assert new_vertex in moved.sub.vertex_set()
+    assert all(v.kind == labels.BARYCENTER for v in twice.vertex_set() - ambient.vertex_set())
 
 
 # -- biased ---------------------------------------------------------------------
