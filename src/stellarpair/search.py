@@ -24,6 +24,18 @@ only when a cheaper test cannot answer for it:
   subdivision at e has len(facets) + |star(e)| facets (each facet at e
   becomes two), so one whose count differs from the target's is not
   built.
+- Degrees at the last depth.  With d the state's vertex degrees (the
+  facets holding each vertex), S = star(e) for e = {a, b} and w the new
+  vertex, the subdivision at e has d'(a) = d(a), d'(b) = d(b),
+  d'(w) = 2|S|, and d'(c) = d(c) + #{F in S : c in F} for every other
+  vertex c, since F becomes F - a + w and F - b + w.  A last-move
+  subdivision whose sorted d' differs from the target's sorted degrees
+  is not built.  The sorted degrees are an isomorphism invariant and the
+  first coordinates of `canonical._signature`, so every subdivision this
+  drops had a signature other than the target's: it was never labeled,
+  and as a last-depth successor it never entered the visited states or
+  the queue, nor counted as expanded.  The same complexes are labeled,
+  so the hits, the scripts and the budget stats are unchanged.
 - Signature buckets.  `canonical._signature` is an isomorphism
   invariant, so a state whose signature differs from the target's is not
   isomorphic to it, and the visited states are kept in buckets by
@@ -46,8 +58,8 @@ states that can still reach the target.
 from __future__ import annotations
 
 import re
-from collections import deque
-from itertools import combinations
+from collections import Counter, defaultdict, deque
+from itertools import chain, combinations
 
 from .canonical import DEFAULT_VERTEX_GUARD, CanonicalForm, _compose, _signature, canonical_labeling
 from .complexes import Simplex, SimplicialComplex
@@ -60,14 +72,33 @@ from .subdivision import edge_subdivide
 DEFAULT_STATE_BUDGET = 100_000
 
 
-def _edge_stars(cx: SimplicialComplex) -> dict[Simplex, int]:
-    """Each edge of the complex, in canonical order, with the number of
-    facets holding it, from one pass over the facets."""
-    held: dict[tuple[VertexLabel, VertexLabel], int] = {}
+def _edge_stars(cx: SimplicialComplex) -> dict[Simplex, list[Simplex]]:
+    """Each edge of the complex, in canonical order, with the facets
+    holding it, from one pass over the facets."""
+    held: defaultdict[tuple[VertexLabel, VertexLabel], list[Simplex]] = defaultdict(list)
     for f in cx.facets:
         for e in combinations(f, 2):
-            held[e] = held.get(e, 0) + 1
+            held[e].append(f)
     return {Simplex(e): held[e] for e in sorted(held)}
+
+
+def _degrees(cx: SimplicialComplex) -> Counter:
+    """The number of facets holding each vertex."""
+    return Counter(chain.from_iterable(cx.facets))
+
+
+def _subdivided_degrees(deg: Counter, e: Simplex, star: list[Simplex]) -> list[int]:
+    """The sorted vertex degrees of the subdivision at `e` of the complex
+    with degrees `deg` and the facets `star` at `e`, without building it:
+    each facet at e = {a, b} becomes one at a and one at b, both at the
+    new vertex and at the rest of the facet."""
+    new = dict(deg)
+    for f in star:
+        for v in f:
+            new[v] += 1
+    for v in e:
+        new[v] = deg[v]
+    return sorted([*new.values(), 2 * len(star)])
 
 
 def _move(e: Simplex, fresh: str | None) -> Move:
@@ -104,7 +135,8 @@ def search_script(
 
     Successors whose vertex count cannot reach the target's in the moves
     left are never built, and neither is a last-move subdivision whose
-    facet count differs from the target's.  A successor is labeled only
+    facet count or sorted vertex degrees (read off the state and the
+    edge's star) differ from the target's.  A successor is labeled only
     when its signature (`canonical._signature`) equals the target's or
     that of a state already visited.  The result is the script that
     labeling every successor gives, but pruned states take no share of
@@ -121,6 +153,7 @@ def search_script(
     guard = max(DEFAULT_VERTEX_GUARD, max_vertices)
     goal, goal_rank = canonical_labeling(target, guard=guard)
     goal_sig = _signature(target)
+    goal_degrees = sorted(_degrees(target).values())
 
     def onto_goal(cx: SimplicialComplex, sig: tuple):
         """The form of `cx` if it was labeled (else None), and its
@@ -181,8 +214,12 @@ def search_script(
         successors: list[tuple[SimplicialComplex, Simplex, str | None]] = []
         if n < max_vertices and abs(n + 1 - n_goal) <= left:
             fresh = f"n{base + len(moves)}"
-            for e, held in stars.items():
-                if left > 0 or len(state.facets) + held == goal_facets:
+            deg = _degrees(state) if left == 0 else None
+            for e, star in stars.items():
+                if left > 0 or (
+                    len(state.facets) + len(star) == goal_facets
+                    and _subdivided_degrees(deg, e, star) == goal_degrees
+                ):
                     successors.append((edge_subdivide(state, e, fresh), e, fresh))
         if abs(n - 1 - n_goal) <= left:
             for e in stars:

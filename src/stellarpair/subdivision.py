@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .complexes import Simplex, SimplicialComplex, _face_set, as_simplex
-from .errors import AbsentFaceError, DomainError, NamingError
+from .errors import AbsentFaceError, DomainError, MalformedInputError, NamingError
 from .inducedness import _require_subcomplex
 from .labels import VertexLabel, next_round, vlabel
 
@@ -75,9 +75,11 @@ def _relative_derived(
     the protected set (dimension >= 1), largest faces first, with the
     barycenter round and the new labels.  `protected` takes a face as its
     sorted vertex tuple and must be closed under taking faces.  The round
-    defaults to the next fresh one; an older round could reuse a label of the
-    ambient, so it is rejected, and `VertexLabel.barycenter` rejects a
-    non-barycenter label with `,`, `{` or `}` in a face that is subdivided.
+    defaults to the next fresh one.  A given round must be a nonnegative int
+    (`MalformedInputError`, checked before anything else) and no older than
+    the fresh one (`NamingError`), since an older round could reuse a label
+    of the ambient.  `VertexLabel.barycenter` rejects a non-barycenter label
+    with `,`, `{` or `}` in a face that is subdivided.
 
     A protected facet survives as-is.  An unprotected face F becomes the cone
     from its barycenter b(F) over its boundary, each ridge subdivided the
@@ -88,6 +90,8 @@ def _relative_derived(
     faces, so the cone of every face below a facet is kept; a facet's is
     not, since a facet is no ridge.
     """
+    if rnd is not None and (type(rnd) is not int or rnd < 0):
+        raise MalformedInputError(f"subdivision round must be a nonnegative int, got {rnd!r}")
     fresh = next_round(ambient.vertex_set())
     rnd = fresh if rnd is None else rnd
     if rnd < fresh:
@@ -126,8 +130,8 @@ def derived_subdivision(
 
     Vertices of the result are the nonempty faces of the input; original
     vertices keep their labels and higher faces get barycenter labels for
-    the given (or next fresh) round; a given round that is not fresh raises
-    `NamingError`.
+    the given (or next fresh) round; a given round that is no nonnegative
+    int raises `MalformedInputError`, and one that is not fresh `NamingError`.
     """
     result, rnd, labels = _relative_derived(cx, lambda t: False, round)
     return result, SubdivisionRecord(round=rnd, new_labels=labels)

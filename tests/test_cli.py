@@ -214,6 +214,14 @@ def test_search_script_is_byte_stable(tmp_path, capsys):
     assert capsys.readouterr().out == (FIXTURES / "search_four_cycle_to_six_cycle.json").read_text()
 
 
+def test_search_contraction_script_is_byte_stable(tmp_path, capsys):
+    # two contractions: pins the contraction successors as the four-to-six pin does the subdivisions
+    src = write_complex(tmp_path / "src.json", [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "f"], ["a", "f"]])
+    dst = write_complex(tmp_path / "dst.json", [[1, 2], [2, 3], [3, 4], [1, 4]])
+    assert main(["search", "--source", src, "--to", dst, "--max-depth", "2", "--out", "-"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "search_six_cycle_to_four_cycle.json").read_text()
+
+
 def test_search_not_found_exits_one(tmp_path, capsys):
     src = write_complex(tmp_path / "src.json", [[1, 2], [2, 3], [3, 4], [1, 4]])
     dst = write_complex(tmp_path / "dst.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])

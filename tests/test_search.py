@@ -23,7 +23,7 @@ from stellarpair.canonical import DEFAULT_VERTEX_GUARD, canonical_form
 from stellarpair.complexes import Simplex
 from stellarpair.errors import ResourceLimitError, ScriptStepError
 from stellarpair.io import random_complex
-from stellarpair.search import _edge_stars, _fresh_label_base
+from stellarpair.search import _degrees, _edge_stars, _fresh_label_base, _subdivided_degrees
 
 
 def _edges(cx):
@@ -270,9 +270,63 @@ def test_edge_stars_count_the_facets_an_edge_subdivision_adds():
         cx = random_complex(3 + seed % 5, 1 + seed % 3, (0.3, 0.5, 0.7)[seed % 3], seed)
         stars = _edge_stars(cx)
         assert list(stars) == _edges(cx)
-        for e, held in stars.items():
-            assert held == len(cx.facets_containing(e))
-            assert len(edge_subdivide(cx, e, "w").facets) == len(cx.facets) + held
+        for e, star in stars.items():
+            assert sorted(star) == sorted(cx.facets_containing(e))
+            assert len(edge_subdivide(cx, e, "w").facets) == len(cx.facets) + len(star)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.sampled_from((0.3, 0.5, 0.7)))
+@settings(max_examples=60, deadline=None)
+def test_subdivided_degrees_match_the_built_subdivision(seed, dim, density):
+    cx = random_complex(3 + seed % 5, dim, density, seed)
+    deg = _degrees(cx)
+    for e, star in _edge_stars(cx).items():
+        built = edge_subdivide(cx, e, "w")
+        assert _subdivided_degrees(deg, e, star) == sorted(_degrees(built).values())
+
+
+def _outcome(source, target, max_depth, max_vertices, max_states):
+    """The script, or the stats of the budget error."""
+    try:
+        return search_script(source, target, max_depth, max_vertices, max_states=max_states)
+    except ResourceLimitError as exc:
+        return exc.stats
+
+
+def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labelings):
+    """Every last-move subdivision built has the target's sorted degrees,
+    and against the search without that test (every last-move subdivision
+    with the target's facet count built), fewer are built for the same
+    outcome and the same labelings."""
+    built = []
+    subdivide = search.edge_subdivide
+
+    def counted(cx, e, fresh):
+        out = subdivide(cx, e, fresh)
+        built.append((fresh, out))
+        return out
+
+    monkeypatch.setattr(search, "edge_subdivide", counted)
+    totals = {"degrees": 0, "facet count only": 0}
+    for case in _differential_cases():
+        source, target, max_depth = case[:3]
+        goal = sorted(_degrees(target).values())
+        last = f"n{_fresh_label_base(source) + max_depth - 1}"
+        runs = {}
+        for mode in totals:
+            with monkeypatch.context() as m:
+                if mode == "facet count only":
+                    m.setattr(search, "_subdivided_degrees", lambda *args: goal)
+                built.clear()
+                labelings[0] = 0
+                runs[mode] = (_outcome(*case), labelings[0])
+            totals[mode] += len(built)
+            if mode == "degrees":
+                for fresh, out in built:
+                    if fresh == last:
+                        assert sorted(_degrees(out).values()) == goal
+        assert runs["degrees"] == runs["facet count only"]
+    assert totals["degrees"] < totals["facet count only"]
 
 
 @pytest.fixture

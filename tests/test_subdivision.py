@@ -29,7 +29,7 @@ from stellarpair import (
     vlabel,
 )
 from stellarpair import labels
-from stellarpair.errors import AbsentFaceError, DomainError, NamingError
+from stellarpair.errors import AbsentFaceError, DomainError, MalformedInputError, NamingError
 from stellarpair.io import ComplexDocument, random_complex, random_subcomplex_pair, serialize_complex_document
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -179,6 +179,17 @@ def test_stale_round_is_rejected():
     assert (out, record) == derived_subdivision(cx)
     assert out.num_vertices() == 6
     assert biased_derived(edge, cx, round=1) == biased_derived(edge, cx)
+
+
+@pytest.mark.parametrize("rnd", [1.5, "1", True, -1])
+@pytest.mark.parametrize("facets", [[["1"], ["2"]], [["1", "2"]]], ids=["points", "edge"])
+def test_malformed_round_is_rejected(facets, rnd):
+    # checked before anything is subdivided, so also where no barycenter is spelled
+    cx = from_facets(facets)
+    with pytest.raises(MalformedInputError, match="nonnegative int"):
+        derived_subdivision(cx, round=rnd)
+    with pytest.raises(MalformedInputError, match="nonnegative int"):
+        biased_derived(from_facets([["1"]]), cx, round=rnd)
 
 
 def test_labels_that_could_spell_a_barycenter_are_rejected():
