@@ -2,7 +2,11 @@
 
 Backtracking individualization-refinement over the vertex/facet incidence
 structure, with orbit pruning from automorphisms discovered at equal
-leaves.  Intended for small complexes; a vertex guard raises
+leaves.  `_labeling` returns those automorphisms with the form and the
+rank map, for callers that prune by symmetry (the search drops a
+successor that an automorphism of its parent maps onto an earlier
+sibling); `canonical_labeling` returns the form and the rank map only.
+Intended for small complexes; a vertex guard raises
 ResourceLimitError beyond it.  `_signature` is a cheap isomorphism
 invariant read off the incidences, for callers that can rule out most
 pairs before labeling either.
@@ -24,6 +28,8 @@ CanonicalForm = tuple[tuple[int, ...], ...]
 
 
 class _UnionFind:
+    """Disjoint sets of 0..n-1; the root of each set is its least member."""
+
     def __init__(self, n: int):
         self.parent = list(range(n))
 
@@ -35,7 +41,9 @@ class _UnionFind:
 
     def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
+        if ra < rb:
+            self.parent[rb] = ra
+        elif rb < ra:
             self.parent[ra] = rb
 
 
@@ -87,10 +95,13 @@ def _signature(cx: SimplicialComplex) -> tuple:
     return tuple(sorted([(deg[v], tuple(sorted(ss))) for v, ss in at.items()]))
 
 
-def canonical_labeling(
-    cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD
-) -> tuple[CanonicalForm, dict[VertexLabel, int]]:
-    """Canonical form plus the vertex -> canonical-index map realizing it."""
+def _labeling(
+    cx: SimplicialComplex, guard: int
+) -> tuple[CanonicalForm, dict[VertexLabel, int], list[dict[VertexLabel, VertexLabel]]]:
+    """The canonical form, the vertex -> canonical-index map realizing it,
+    and the automorphisms proved at equal leaves, each a vertex -> vertex
+    map carrying the facets onto the facets.  They generate a subgroup of
+    the automorphism group, not always all of it."""
     verts = cx.vertices()
     n = len(verts)
     if n > guard:
@@ -108,12 +119,13 @@ def canonical_labeling(
     facets_of_t = [tuple(ids) for ids in facets_of]
 
     if n == 0:
-        return (), {}
+        return (), {}, []
 
     base = _refine([0] * n, facet_members, facets_of_t)
 
     best: list = [None, None]  # form, rank
     orbits = _UnionFind(n)
+    automorphisms: list[dict[VertexLabel, VertexLabel]] = []
     leaves_seen: dict[CanonicalForm, list[int]] = {}
     leaf_count = 0
 
@@ -134,12 +146,13 @@ def canonical_labeling(
             form, rank = _leaf_form(colors, facet_members)
             prior = leaves_seen.get(form)
             if prior is not None:
-                # equal forms certify an automorphism; fold it into the orbits
+                # equal forms certify an automorphism; keep it and fold it into the orbits
                 inv_prior = [0] * n
                 for v in range(n):
                     inv_prior[prior[v]] = v
                 for v in range(n):
                     orbits.union(v, inv_prior[rank[v]])
+                automorphisms.append({verts[v]: verts[inv_prior[rank[v]]] for v in range(n)})
             else:
                 leaves_seen[form] = rank
             if best[0] is None or form < best[0]:
@@ -157,7 +170,15 @@ def canonical_labeling(
 
     visit(base)
     rank = best[1]
-    return best[0], {verts[v]: rank[v] for v in range(n)}
+    return best[0], {verts[v]: rank[v] for v in range(n)}, automorphisms
+
+
+def canonical_labeling(
+    cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD
+) -> tuple[CanonicalForm, dict[VertexLabel, int]]:
+    """Canonical form plus the vertex -> canonical-index map realizing it."""
+    form, rank, _ = _labeling(cx, guard)
+    return form, rank
 
 
 def canonical_form(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD) -> CanonicalForm:

@@ -6,7 +6,9 @@ subdivided face plus a round counter, so repeated subdivisions can never
 collide.  A label is a ``str`` subclass equal to its token, so hashing,
 equality and the total order are the token's.  Labels are interned
 process-wide: each token has one label object, whose class says whether
-it is a barycenter; only a new token from outside is parsed to learn it.
+it is a barycenter and whether it may be spelled into one (an original
+label holding ``,``, ``{`` or ``}`` may not); only a new token from
+outside is parsed to learn it.
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ class VertexLabel(str):
             token = str(token)
         if not isinstance(token, str) or token == "":
             raise MalformedInputError(f"vertex label must be a nonempty string, got {token!r}")
-        return _INTERN.get(token) or _intern(token, _Barycenter if _parse_barycenter(token) else VertexLabel)
+        return _INTERN.get(token) or _intern(token, _label_type(token))
 
     @classmethod
     def barycenter(cls, constituents: Iterable[str], rnd: int) -> "VertexLabel":
@@ -109,7 +111,7 @@ class VertexLabel(str):
         if not parts:
             raise MalformedInputError("a barycenter needs at least one constituent")
         for lbl in parts:
-            if not _RESERVED.isdisjoint(lbl) and lbl.kind != BARYCENTER:
+            if type(lbl) is _Reserved:
                 raise NamingError(f"label {lbl} holds ',', '{{' or '}}', which barycenter labels reserve")
         return _intern(_barycenter_token(parts, rnd), _Barycenter)
 
@@ -131,6 +133,20 @@ class _Barycenter(VertexLabel):
     @property
     def round(self) -> int:
         return int(self[self.rindex("@") + 1 :])
+
+
+class _Reserved(VertexLabel):
+    """An original label holding ``,``, ``{`` or ``}``, which barycenter
+    tokens reserve: it may not be spelled into a barycenter label."""
+
+    __slots__ = ()
+
+
+def _label_type(token: str) -> type[VertexLabel]:
+    """The class of a new label, decided once, when its token is interned."""
+    if _parse_barycenter(token):
+        return _Barycenter
+    return VertexLabel if _RESERVED.isdisjoint(token) else _Reserved
 
 
 def _intern(token: str, label_type: type[VertexLabel]) -> VertexLabel:

@@ -47,6 +47,26 @@ only when a cheaper test cannot answer for it:
   isomorphic, so "some form in the bucket equals this one" decides
   exactly what "some visited form equals this one" decides, and the
   entries count the same isomorphism classes as the forms would.
+- Sibling orbits.  An automorphism g of the expanded state P maps the
+  subdivision (contraction) at an edge e onto an isomorphic one at
+  g(e), with the same fresh label (the survivor renamed), and a
+  contraction at e is valid exactly when one at g(e) is.  So the
+  successors of one kind at the edges of one orbit are isomorphic, and
+  the one at the orbit's least edge r in `_edge_stars` order, the order
+  in which each kind is generated, comes first in P's successor list.
+  Dropping a successor at e != r changes nothing:
+  the one at r came earlier and was isomorphic to it, so it either hit
+  the goal (and the search returned) or was not the target, and then an
+  isomorphic state entered the visited states, where `is_new` would
+  have found it.  P is labeled lazily, when the first of its successors
+  lands in a non-empty signature bucket (where `is_new` would label
+  that successor), and its edges are unioned under the automorphisms
+  its labeling proves (`canonical._labeling`); from then on a successor
+  at an edge that is not its orbit's least is dropped before it is
+  built, signed or labeled.  A state whose signature gives each vertex
+  an entry of its own has only the identity automorphism and is not
+  labeled.  The queue, the visited states, every hit and so every
+  script, target_map and budget stat are unchanged.
 - One labeling of the target.  Its rank map is kept, and a hit's
   isomorphism onto the target composes it with the hit's rank map.
 
@@ -61,7 +81,15 @@ import re
 from collections import Counter, defaultdict, deque
 from itertools import chain, combinations
 
-from .canonical import DEFAULT_VERTEX_GUARD, CanonicalForm, _compose, _signature, canonical_labeling
+from .canonical import (
+    DEFAULT_VERTEX_GUARD,
+    CanonicalForm,
+    _compose,
+    _labeling,
+    _signature,
+    _UnionFind,
+    canonical_labeling,
+)
 from .complexes import Simplex, SimplicialComplex
 from .contraction import _contract_if_valid
 from .errors import ResourceLimitError
@@ -101,6 +129,23 @@ def _subdivided_degrees(deg: Counter, e: Simplex, star: list[Simplex]) -> list[i
     return sorted([*new.values(), 2 * len(star)])
 
 
+def _sibling_orbits(state: SimplicialComplex, edges: list[Simplex], sig: tuple, guard: int) -> dict[Simplex, Simplex]:
+    """Each edge's representative, the least edge of its orbit in the order
+    of `edges`, under the automorphisms that labeling `state` proves.  A
+    state whose signature `sig` gives each vertex an entry of its own has
+    no automorphism but the identity, and is not labeled."""
+    if len(set(sig)) == len(sig):
+        return {e: e for e in edges}
+    automorphisms = _labeling(state, guard)[2]
+    index = {e: i for i, e in enumerate(edges)}
+    orbits = _UnionFind(len(edges))
+    for aut in automorphisms:
+        for i, (a, b) in enumerate(edges):
+            x, y = aut[a], aut[b]
+            orbits.union(i, index[(x, y) if x < y else (y, x)])
+    return {e: edges[orbits.find(i)] for i, e in enumerate(edges)}
+
+
 def _move(e: Simplex, fresh: str | None) -> Move:
     """The subdivision of e with a fresh label, or its contraction when there is none."""
     return Move.contract(e) if fresh is None else Move.subdivide(e, fresh)
@@ -138,10 +183,12 @@ def search_script(
     facet count or sorted vertex degrees (read off the state and the
     edge's star) differ from the target's.  A successor is labeled only
     when its signature (`canonical._signature`) equals the target's or
-    that of a state already visited.  The result is the script that
-    labeling every successor gives, but pruned states take no share of
-    the budget, so a search can finish within a `max_states` that
-    labeling every successor would exhaust.
+    that of a state already visited, and once such a collision has
+    labeled the expanded state, a successor that one of its
+    automorphisms maps onto an earlier sibling is dropped unbuilt.  The
+    result is the script that labeling every successor gives, but pruned
+    states take no share of the budget, so a search can finish within a
+    `max_states` that labeling every successor would exhaust.
     """
     for cx, name in ((source, "source"), (target, "target")):
         if cx.num_vertices() > max_vertices:
@@ -190,7 +237,10 @@ def search_script(
     n_goal = target.num_vertices()
     goal_facets = len(target.facets)
     base = _fresh_label_base(source)
-    queue: deque[tuple[SimplicialComplex, tuple[Move, ...]]] = deque([(source, ())])
+    # each queued state with its moves, as (edge, fresh label or None) pairs, and its signature
+    queue: deque[tuple[SimplicialComplex, tuple[tuple[Simplex, str | None], ...], tuple]] = deque(
+        [(source, (), start_sig)]
+    )
     # signature -> the visited states with it, each a complex until labeled, then its form
     visited: dict[tuple, list[SimplicialComplex | CanonicalForm]] = {
         start_sig: [source if form is None else form]
@@ -198,39 +248,52 @@ def search_script(
     expanded = 0
 
     while queue:
-        state, moves = queue.popleft()
+        state, path, state_sig = queue.popleft()
         expanded += 1
         if expanded > max_states:
             raise ResourceLimitError(
                 "search state budget exceeded",
                 states=expanded,
                 frontier=len(queue),
-                depth=len(moves),
+                depth=len(path),
                 visited=sum(map(len, visited.values())),
             )
-        left = max_depth - len(moves) - 1  # moves left after a successor
+        left = max_depth - len(path) - 1  # moves left after a successor
         n = state.num_vertices()
         stars = _edge_stars(state)
-        successors: list[tuple[SimplicialComplex, Simplex, str | None]] = []
+        moves: list[tuple[Simplex, str | None]] = []
         if n < max_vertices and abs(n + 1 - n_goal) <= left:
-            fresh = f"n{base + len(moves)}"
+            fresh = f"n{base + len(path)}"
             deg = _degrees(state) if left == 0 else None
             for e, star in stars.items():
                 if left > 0 or (
                     len(state.facets) + len(star) == goal_facets
                     and _subdivided_degrees(deg, e, star) == goal_degrees
                 ):
-                    successors.append((edge_subdivide(state, e, fresh), e, fresh))
+                    moves.append((e, fresh))
         if abs(n - 1 - n_goal) <= left:
-            for e in stars:
+            moves += [(e, None) for e in stars]
+        reps = None  # each edge's sibling-orbit representative, once a successor collides
+        for e, fresh in moves:
+            if reps is not None and reps[e] != e:
+                continue
+            if fresh is None:
                 nxt = _contract_if_valid(state, e, e[0])  # the survivor `Move.contract` picks
-                if nxt is not None:
-                    successors.append((nxt, e, None))
-        for nxt, e, fresh in successors:
+                if nxt is None:
+                    continue
+            else:
+                nxt = edge_subdivide(state, e, fresh)
             sig = _signature(nxt)
             form, iso = onto_goal(nxt, sig)
             if iso is not None:
-                return MoveScript(moves + (_move(e, fresh),), target_map=iso)
-            if left > 0 and is_new(nxt, sig, form):
-                queue.append((nxt, moves + (_move(e, fresh),)))
+                return MoveScript(tuple(_move(*m) for m in (*path, (e, fresh))), target_map=iso)
+            if left == 0:
+                continue
+            if reps is None and visited.get(sig):
+                # the first successor `is_new` would label: find the state's edge orbits first
+                reps = _sibling_orbits(state, list(stars), state_sig, guard)
+                if reps[e] != e:
+                    continue
+            if is_new(nxt, sig, form):
+                queue.append((nxt, (*path, (e, fresh)), sig))
     return None

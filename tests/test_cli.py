@@ -222,6 +222,16 @@ def test_search_contraction_script_is_byte_stable(tmp_path, capsys):
     assert capsys.readouterr().out == (FIXTURES / "search_six_cycle_to_four_cycle.json").read_text()
 
 
+def test_search_with_a_symmetric_source_is_byte_stable(tmp_path, capsys):
+    # the tetrahedron boundary's six edges form one orbit, so the search drops
+    # five of its first subdivisions unlabeled; two opposite edges give the octahedron
+    src = write_complex(tmp_path / "src.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+    octahedron = [[a, c, e] for a in "ab" for c in "cd" for e in "ef"]
+    dst = write_complex(tmp_path / "dst.json", octahedron)
+    assert main(["search", "--source", src, "--to", dst, "--max-depth", "2", "--out", "-"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "search_tetrahedron_to_octahedron.json").read_text()
+
+
 def test_search_not_found_exits_one(tmp_path, capsys):
     src = write_complex(tmp_path / "src.json", [[1, 2], [2, 3], [3, 4], [1, 4]])
     dst = write_complex(tmp_path / "dst.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])

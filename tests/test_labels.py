@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from stellarpair import from_facets, next_round, vlabel
 from stellarpair.errors import MalformedInputError, NamingError
-from stellarpair.labels import BARYCENTER, ORIGINAL, VertexLabel, _parse_barycenter
+from stellarpair.labels import BARYCENTER, ORIGINAL, VertexLabel, _Barycenter, _parse_barycenter, _Reserved
 
 
 def test_interning_is_injective():
@@ -65,6 +65,22 @@ def test_barycenter_rejects_what_it_cannot_spell():
             VertexLabel.barycenter(["a"], rnd)
     nested = VertexLabel.barycenter(["1", "2"], 0)
     assert VertexLabel.barycenter([nested, "3"], 1).face == ("3", "b{1,2}@0")
+
+
+def test_spelling_is_decided_when_a_label_is_interned():
+    # an original label holding a reserved character gets its own class, so
+    # `barycenter` tests each constituent's type instead of scanning its token
+    for token in ("a,b", "x{", "y}", "b{1,2}@x", "b{2,1}@0"):
+        lbl = vlabel(token)
+        assert type(lbl) is _Reserved and lbl.kind == ORIGINAL
+        with pytest.raises(NamingError) as exc:
+            VertexLabel.barycenter([lbl, "c"], 0)
+        assert str(exc.value) == f"label {token} holds ',', '{{' or '}}', which barycenter labels reserve"
+    assert type(vlabel("plain")) is VertexLabel
+    assert type(vlabel("b{1,2}@0")) is _Barycenter
+    # every constituent is interned before any is tested, as before
+    with pytest.raises(MalformedInputError):
+        VertexLabel.barycenter(["a,b", ""], 0)
 
 
 def test_next_round_skips_used_rounds():

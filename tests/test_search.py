@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ from stellarpair.canonical import DEFAULT_VERTEX_GUARD, canonical_form
 from stellarpair.complexes import Simplex
 from stellarpair.errors import ResourceLimitError, ScriptStepError
 from stellarpair.io import random_complex
-from stellarpair.search import _degrees, _edge_stars, _fresh_label_base, _subdivided_degrees
+from stellarpair.search import _degrees, _edge_stars, _fresh_label_base, _sibling_orbits, _subdivided_degrees
 
 
 def _edges(cx):
@@ -331,16 +332,17 @@ def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labe
 
 @pytest.fixture
 def labelings(monkeypatch):
-    """A counter of the canonical labelings made while the test runs."""
+    """A counter of the canonical labelings made while the test runs: every
+    labeling, `canonical_labeling` included, goes through `_labeling`."""
     count = [0]
-    label = canonical.canonical_labeling
+    label = canonical._labeling
 
     def counted(*args, **kwargs):
         count[0] += 1
         return label(*args, **kwargs)
 
-    monkeypatch.setattr(canonical, "canonical_labeling", counted)
-    monkeypatch.setattr(search, "canonical_labeling", counted)
+    monkeypatch.setattr(canonical, "_labeling", counted)
+    monkeypatch.setattr(search, "_labeling", counted)
     return count
 
 
@@ -375,6 +377,94 @@ def test_search_labels_only_the_goal_when_no_signature_collides(labelings, monke
     src, dst = random_complex(6, 2, 0.5, 131), random_complex(7, 2, 0.5, 631)
     assert search_script(src, dst, max_depth=2, max_vertices=8) is None
     assert (labelings[0], signatures[0]) == (1, 2 + 15)  # the goal, the source, the successors
+
+
+def _random_pairs():
+    """Seeded (source, target, max_depth, max_vertices, max_states) cases
+    between random complexes, with the symmetric tetrahedron boundary and
+    six-cycle among the sources."""
+    tetra = from_facets([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
+    six_cycle = from_facets([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [1, 6]])
+    for seed in range(60):
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        if seed % 5 == 0:
+            source = (tetra, six_cycle)[seed % 2]
+            n = source.num_vertices()
+        else:
+            source = random_complex(n, rng.randint(1, 3), 0.5, seed)
+        target = random_complex(n + rng.randint(-1, 2), rng.randint(1, 3), 0.5, seed + 500)
+        yield source, target, rng.randint(1, 3), n + 2, rng.choice((5, 20, 50))
+
+
+def test_sibling_orbits_change_no_outcome_and_save_labels(monkeypatch, labelings):
+    """Against the same search with every edge its own representative (and
+    no state labeled for its orbits): the same script, target_map or budget
+    stats on every case; no more labels outside the orbit step, and fewer
+    in all."""
+    orbit_step = [0]
+    orbits = search._sibling_orbits
+
+    def counted(*args):
+        before = labelings[0]
+        out = orbits(*args)
+        orbit_step[0] += labelings[0] - before
+        return out
+
+    monkeypatch.setattr(search, "_sibling_orbits", counted)
+    totals = {"pruned": 0, "unpruned": 0}
+    for case in chain(_differential_cases(), _random_pairs()):
+        orbit_step[0] = labelings[0] = 0
+        pruned = _outcome(*case)
+        pruned_labels = labelings[0]
+        with monkeypatch.context() as m:
+            m.setattr(search, "_sibling_orbits", lambda state, edges, sig, guard: {e: e for e in edges})
+            labelings[0] = 0
+            unpruned = _outcome(*case)
+        assert pruned == unpruned
+        if isinstance(pruned, MoveScript):
+            assert pruned.target_map == unpruned.target_map
+        assert pruned_labels - orbit_step[0] <= labelings[0]
+        totals["pruned"] += pruned_labels
+        totals["unpruned"] += labelings[0]
+    assert totals["pruned"] < totals["unpruned"]
+
+
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from((0.3, 0.5, 0.7)))
+@settings(max_examples=60, deadline=None)
+def test_labeling_automorphisms_carry_facets_onto_facets(seed, dim, density):
+    cx = random_complex(3 + seed % 5, dim, density, seed)
+    form, rank, automorphisms = canonical._labeling(cx, DEFAULT_VERTEX_GUARD)
+    assert (form, rank) == canonical.canonical_labeling(cx)
+    for aut in automorphisms:
+        assert sorted(aut) == sorted(aut.values()) == sorted(cx.vertex_set())
+        assert {Simplex(sorted(aut[v] for v in f)) for f in cx.facets} == cx.facets
+
+
+def test_tetrahedron_boundary_edges_form_one_orbit(tetra_boundary, labelings):
+    edges = list(_edge_stars(tetra_boundary))
+    assert len(edges) == 6
+    reps = _sibling_orbits(tetra_boundary, edges, canonical._signature(tetra_boundary), DEFAULT_VERTEX_GUARD)
+    assert reps == {e: edges[0] for e in edges}
+    assert labelings[0] == 1
+
+
+def test_rigid_complex_gets_singleton_orbits(labelings):
+    # a triangle with a path of one edge at one corner and of two at another:
+    # only the identity, though the two path ends share a signature entry
+    rigid = from_facets([[1, 2, 6], [2, 4], [3, 5], [5, 6]])
+    sig = canonical._signature(rigid)
+    assert len(set(sig)) < len(sig)
+    edges = list(_edge_stars(rigid))
+    assert _sibling_orbits(rigid, edges, sig, DEFAULT_VERTEX_GUARD) == {e: e for e in edges}
+    assert labelings[0] == 1
+    # a signature with an entry for each vertex settles it without a label
+    distinct = from_facets([[1, 2], [1, 3], [2, 3, 4], [3, 4, 5]])
+    sig = canonical._signature(distinct)
+    assert len(set(sig)) == len(sig)
+    edges = list(_edge_stars(distinct))
+    assert _sibling_orbits(distinct, edges, sig, DEFAULT_VERTEX_GUARD) == {e: e for e in edges}
+    assert labelings[0] == 1
 
 
 # -- verify / replay ---------------------------------------------------------
