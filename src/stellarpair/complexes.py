@@ -294,6 +294,40 @@ def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
     return tuple(map(len, cx._face_tuples().values()))
 
 
+def _f_vector_change(
+    f: tuple[int, ...], cx: SimplicialComplex, removed: frozenset[Simplex], added: frozenset[Simplex]
+) -> tuple[int, ...]:
+    """The f-vector of `cx`, made from a complex with f-vector `f` by
+    replacing its facets `removed` with `added` (a subset of `cx.facets`).
+
+    A face in an unchanged facet is a face before and after.  So the change
+    is the faces of `added` in no unchanged facet, gained, less the faces of
+    `removed` in no unchanged facet, lost; a face of both cancels.  Such a
+    face's vertices lie in V(removed ∪ added), so only the unchanged facets
+    meeting those vertices are indexed, as one bit each per vertex, and a
+    face is in an unchanged facet iff the AND of its vertices' bits is
+    nonzero.  Trailing zeros are dropped when the dimension falls."""
+    near = frozenset().union(*removed, *added)
+    vmask: dict[VertexLabel, int] = {}
+    bit = 1
+    for g in cx.facets:
+        if not near.isdisjoint(g) and g not in added:
+            for v in g:
+                vmask[v] = vmask.get(v, 0) | bit
+            bit <<= 1
+    counts = list(f) + [0] * (max(map(len, added), default=0) - len(f))
+    for sign, facets in ((1, added), (-1, removed)):
+        for face in _face_set(facets):
+            mask = -1
+            for v in face:
+                mask &= vmask.get(v, 0)
+            if not mask:
+                counts[len(face) - 1] += sign
+    while counts and not counts[-1]:
+        counts.pop()
+    return tuple(counts)
+
+
 def _alternating_sum(f: tuple[int, ...]) -> int:
     """The Euler characteristic of a complex with f-vector `f`."""
     return sum(count if d % 2 == 0 else -count for d, count in enumerate(f))

@@ -7,11 +7,23 @@ followed by a re-bias that is local to the new vertex w.  The re-bias is
 the biased derived subdivision that protects the new subcomplex and every
 ambient face missing near' = (V(star(w)) - V(new sub)) ∪ {w}, so facets
 away from w, and those at w that lie in the subcomplex, stay as they are.
-If that result is not strongly induced (a proof sketch in
-`subdivision._rebias_near` says it always is), the move falls back once
-to the global biased derived subdivision of the new pair, within a facet
-budget.  The pipeline turns a triangulation containing a subdivision of a
-target complex into one containing the target itself.
+The re-bias is bounded before it derives anything, under the same facet
+budget as the fallback below.
+
+The check after a move is local too.  The move knows the ambient facets
+it removed and added, and `inducedness._classify_change` scans only the
+faces of those changed facets.  That is exact because the pair was
+strongly induced before the move: a face outside every changed facet
+keeps its star and its traces on the subcomplex, so it keeps its verdict
+(proof sketch in `inducedness._StrongScan`).  If the result is not
+strongly induced (a proof sketch in `subdivision._rebias_near` says it
+always is), the move falls back once to the global biased derived
+subdivision of the new pair, within a facet budget, and checks that with
+the full scan.  `pipeline_run` likewise carries the ambient's f-vector
+from step to step, updated from the faces the changed facets lose and
+gain.  Under `STELLARPAIR_DEBUG_VALIDATE=1` both are checked against a
+full recomputation.  The pipeline turns a triangulation containing a
+subdivision of a target complex into one containing the target itself.
 """
 
 from __future__ import annotations
@@ -19,9 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
+from . import complexes
 from .complexes import (
+    Simplex,
     SimplicialComplex,
     _alternating_sum,
+    _f_vector_change,
     as_simplex,
     f_vector,
     is_subcomplex,
@@ -40,14 +55,15 @@ from .errors import (
     ScriptMismatchError,
     ScriptStepError,
 )
-from .inducedness import STRONGLY_INDUCED, InducednessWitness, classify_pair
+from .inducedness import STRONGLY_INDUCED, InducednessWitness, _classify_change, classify_pair
 from .labels import VertexLabel, vlabel
-from .subdivision import _rebias_near, biased_derived, derived_subdivision, edge_subdivide
+from .subdivision import _near, _rebias_near, biased_derived, derived_subdivision, edge_subdivide
 
 SUBDIVIDE = "subdivide"
 CONTRACT = "contract"
 
-# most facets the global re-bias fallback of a pair subdivision may derive
+# most facets the local re-bias of a pair subdivision, or its global
+# fallback, may derive
 _FALLBACK_FACET_BUDGET = 100_000
 
 
@@ -204,20 +220,49 @@ def _apply(cx: SimplicialComplex, move: Move) -> SimplicialComplex:
     return contract_edge(cx, move.edge, move.survivor)
 
 
+def _within_budget(what: str, rebias: str, facets, total: int) -> None:
+    """Raise `ResourceLimitError` when a re-bias of `facets` could derive more
+    than the budget: a facet F derives at most |F|! facets."""
+    bound = sum(factorial(len(f)) for f in facets)
+    if bound > _FALLBACK_FACET_BUDGET:
+        raise ResourceLimitError(
+            f"{what}: the {rebias} re-bias could derive {bound} facets, "
+            f"above the budget of {_FALLBACK_FACET_BUDGET}",
+            facets=total,
+            bound=bound,
+            budget=_FALLBACK_FACET_BUDGET,
+        )
+
+
 def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
     """Apply a move on an edge of the subcomplex of a strongly induced pair to
     both components.
 
+    `pair.status` is trusted as the verdict on the pair before the move: a
+    `ComplexPair` built with a status its complexes do not have may pass
+    the check below when it should fail.
+
     After a subdivision with new vertex w the ambient complex is re-biased
     locally: faces in the new subcomplex and faces missing
     near' = (V(star(w)) - V(new sub)) ∪ {w} are protected, everything else
-    gets a barycenter (`_rebias_near`).  The pair's own strong-inducedness
-    check decides: if the local result fails it, the global biased derived
-    subdivision of the new pair runs once instead.  That fallback derives at
+    gets a barycenter (`_rebias_near`).  That re-derives at most sum(|F|!)
+    facets over the ambient facets F outside the new subcomplex that meet
+    near'; above `_FALLBACK_FACET_BUDGET` it raises `ResourceLimitError`
+    before deriving any.  A contraction needs no re-bias.
+
+    The check is local too: strong inducedness is decided on the facets the
+    move removed from or added to the ambient (`_classify_change`), which is
+    exact because the pair was strongly induced before the move.  If the
+    local re-bias fails it, the global biased derived subdivision of the new
+    pair runs once instead, with the full check.  That fallback derives at
     most sum(|F|!) facets over the ambient facets F outside the new
-    subcomplex; above `_FALLBACK_FACET_BUDGET` it raises
-    `ResourceLimitError` before deriving any.  A contraction needs no
-    re-bias."""
+    subcomplex, under the same budget."""
+    return _move(pair, move)[0]
+
+
+def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex], frozenset[Simplex]]:
+    """`apply_move`, with the facets the move removed from the ambient and
+    those it added."""
     what = "pair edge subdivision" if move.op == SUBDIVIDE else "pair edge contraction"
     if pair.status.verdict != STRONGLY_INDUCED:
         raise PreconditionError(
@@ -230,20 +275,28 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
     new_sub = _apply(pair.sub, move)
     new_ambient = _apply(pair.ambient, move)
     if move.op == SUBDIVIDE:
-        local = pair_new(new_sub, _rebias_near(new_sub, new_ambient, move.new_label))
-        if local.status.verdict == STRONGLY_INDUCED:
-            return local
-        bound = sum(factorial(len(f)) for f in new_ambient.facets if f not in new_sub.facets)
-        if bound > _FALLBACK_FACET_BUDGET:
-            raise ResourceLimitError(
-                f"{what}: the global re-bias could derive {bound} facets, "
-                f"above the budget of {_FALLBACK_FACET_BUDGET}",
-                facets=len(new_ambient.facets),
-                bound=bound,
-                budget=_FALLBACK_FACET_BUDGET,
+        near = _near(new_sub, new_ambient, move.new_label)
+        rederived = (f for f in new_ambient.facets if not near.isdisjoint(f) and f not in new_sub.facets)
+        _within_budget(what, "local", rederived, len(new_ambient.facets))
+        new_ambient = _rebias_near(new_sub, new_ambient, move.new_label)
+    old = pair.ambient.facets
+    removed, added = old - new_ambient.facets, new_ambient.facets - old
+    status = _classify_change(new_sub, new_ambient, removed | added)
+    if complexes._DEBUG_VALIDATE:
+        full = classify_pair(new_sub, new_ambient)
+        if full != status:
+            raise InvariantViolationError(
+                f"{what}: the change-set scan says {status}, the full scan {full}", witness=full
             )
-        new_ambient, _ = biased_derived(new_sub, new_ambient)
-    return _strong_pair(new_sub, new_ambient, f"{what} lost strong inducedness")
+    if status.verdict == STRONGLY_INDUCED:
+        return ComplexPair(new_sub, new_ambient, status), removed, added
+    if move.op == CONTRACT:
+        raise InvariantViolationError(f"{what} lost strong inducedness: {status}", witness=status)
+    outside = (f for f in new_ambient.facets if f not in new_sub.facets)
+    _within_budget(what, "global", outside, len(new_ambient.facets))
+    new_ambient, _ = biased_derived(new_sub, new_ambient)
+    out = _strong_pair(new_sub, new_ambient, f"{what} lost strong inducedness")
+    return out, old - new_ambient.facets, new_ambient.facets - old
 
 
 def pair_subdivide_edge(pair: ComplexPair, edge, new_label) -> ComplexPair:
@@ -259,8 +312,7 @@ def pair_contract_edge(pair: ComplexPair, edge, survivor=None) -> ComplexPair:
     return apply_move(pair, Move.contract(edge, survivor))
 
 
-def _step(pair: ComplexPair, stage: str, move: Move | None) -> PipelineStep:
-    f_ambient = f_vector(pair.ambient)
+def _step(pair: ComplexPair, stage: str, move: Move | None, f_ambient: tuple[int, ...]) -> PipelineStep:
     return PipelineStep(
         stage=stage,
         move=move,
@@ -281,18 +333,26 @@ def pipeline_run(
     script, and check the final subcomplex against the target.
 
     Returns the final ambient complex together with a per-step report of
-    f-vectors, Euler characteristics and strong-inducedness verdicts.
+    f-vectors, Euler characteristics and strong-inducedness verdicts.  The
+    ambient's f-vector is carried from step to step, updated from the faces
+    each move's changed facets lose and gain (`complexes._f_vector_change`).
     """
     if not is_subcomplex(sub, ambient):
         raise NotASubcomplexError("the subdivided target is not a subcomplex of the input triangulation")
     pair = _biased(*_derived(sub, ambient))
-    steps = [_step(pair, "init", None)]
+    f_ambient = f_vector(pair.ambient)
+    steps = [_step(pair, "init", None, f_ambient)]
     for i, move in enumerate(script.moves):
         try:
-            pair = apply_move(pair, move)
+            pair, removed, added = _move(pair, move)
         except DomainError as exc:
             raise ScriptStepError(i, exc) from exc
-        steps.append(_step(pair, move.op, move))
+        f_ambient = _f_vector_change(f_ambient, pair.ambient, removed, added)
+        if complexes._DEBUG_VALIDATE:
+            full = f_vector(pair.ambient)
+            if full != f_ambient:
+                raise InvariantViolationError(f"step {i}: the updated f-vector {f_ambient} is not {full}")
+        steps.append(_step(pair, move.op, move, f_ambient))
 
     report = PipelineReport(steps=tuple(steps), final_isomorphism=_target_map(pair.sub, target, script))
     return pair.ambient, report

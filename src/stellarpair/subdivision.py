@@ -152,6 +152,18 @@ def biased_derived(
     return result, SubdivisionRecord(round=rnd, new_labels=labels)
 
 
+def _near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLabel) -> set[VertexLabel]:
+    """`near = (V(star(w)) - V(sub)) ∪ {w}`: `_rebias_near` re-derives the
+    ambient facets outside `sub` that meet it."""
+    near: set[VertexLabel] = set()
+    for f in ambient.facets:
+        if w in f:
+            near.update(f)
+    near -= sub.vertex_set()
+    near.add(w)
+    return near
+
+
 def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLabel) -> SimplicialComplex:
     """The biased derived subdivision of `ambient` that subdivides only the
     faces outside `sub` that meet `near = (V(star(w)) - V(sub)) ∪ {w}`:
@@ -196,12 +208,7 @@ def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLa
     facets in proportion to star(w) away from the subcomplex, not to the
     stars of the edge's endpoints.
     """
-    near: set[VertexLabel] = set()
-    for f in ambient.facets:
-        if w in f:
-            near.update(f)
-    near -= sub.vertex_set()
-    near.add(w)
+    near = _near(sub, ambient, w)
     sub_faces = _face_set(sub.facets)
     result, _, _ = _relative_derived(ambient, lambda t: near.isdisjoint(t) or t in sub_faces, None)
     return result

@@ -275,8 +275,8 @@ def test_pair_run_pipeline(tmp_path, capsys):
 
 
 def test_pair_run_fallback_over_budget_exits_three(tmp_path, capsys, monkeypatch):
-    # with no local re-bias the subdivision falls back to the global one,
-    # which is over a zero budget before it derives anything
+    # a zero budget: the subdivision's local re-bias is over it before it
+    # derives anything (the global fallback is budgeted in test_pairs.py)
     monkeypatch.setattr("stellarpair.pairs._rebias_near", lambda sub, ambient, w: ambient)
     monkeypatch.setattr("stellarpair.pairs._FALLBACK_FACET_BUDGET", 0)
     ambient = write_complex(tmp_path / "m.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], "tetra")

@@ -12,7 +12,9 @@ from stellarpair import (
     SimplicialComplex,
     biased_derived,
     classify_pair,
+    contract_edge,
     derived_subdivision,
+    edge_subdivide,
     from_facets,
     induced_subcomplex,
     is_induced,
@@ -25,12 +27,13 @@ from stellarpair import (
     star,
     vlabel,
 )
-from stellarpair.errors import NotASubcomplexError
+from stellarpair.errors import InvalidEdgeError, NotASubcomplexError
 from stellarpair.inducedness import (
     INDUCED,
     NOT_INDUCED,
     NOT_STRONGLY_INDUCED,
     STRONGLY_INDUCED,
+    _classify_change,
     _StrongScan,
 )
 from stellarpair.io import (
@@ -39,6 +42,7 @@ from stellarpair.io import (
     random_strongly_induced_pair,
     random_subcomplex_pair,
 )
+from stellarpair.subdivision import _rebias_near
 
 
 def tokens(simplex) -> tuple[str, ...]:
@@ -348,6 +352,108 @@ def test_single_agrees_with_piece_merging(kind, dim, seed):
     }
     for support in supports:
         assert scan.single(support) == (len(merged_pieces(scan, support)) <= 1)
+
+
+# -- the change-set scan: only the faces of the facets a move changed ------------------
+
+def _moved_pair(kind: str, dim: int, seed: int):
+    """A strongly induced pair after one move on a sub edge in both complexes,
+    with the ambient facets the move changed.  "bare" subdivides without a
+    re-bias, which can break strong inducedness; "rebias" re-biases as a pair
+    move does; "contract" contracts.  None when the subcomplex has no edge, or
+    the contracted edge is not valid in both complexes."""
+    pair = random_strongly_induced_pair(4 + seed % 3, dim, 0.5, seed)
+    edges = [e for e in pair.sub.all_faces() if len(e) == 2]
+    if not edges:
+        return None
+    e = edges[seed % len(edges)]
+    if kind == "contract":
+        try:
+            sub, ambient = contract_edge(pair.sub, e, e[seed % 2]), contract_edge(pair.ambient, e, e[seed % 2])
+        except InvalidEdgeError:
+            return None
+    else:
+        sub, ambient = edge_subdivide(pair.sub, e, "w"), edge_subdivide(pair.ambient, e, "w")
+        if kind == "rebias":
+            ambient = _rebias_near(sub, ambient, vlabel("w"))
+    old = pair.ambient.facets
+    return sub, ambient, (old - ambient.facets) | (ambient.facets - old)
+
+
+def _scans_the_change(sub, ambient, changed) -> bool:
+    """Does the scan take the change-set path: fewer changed facets than
+    ambient facets at the subcomplex?"""
+    return len(changed) < sum(1 for f in ambient.facets if not sub.vertex_set().isdisjoint(f))
+
+
+@given(st.sampled_from(["bare", "rebias", "contract"]), st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=120, deadline=None)
+def test_change_set_scan_agrees_with_the_full_scan(kind, dim, seed):
+    moved = _moved_pair(kind, dim, seed)
+    if moved is None:
+        return
+    sub, ambient, changed = moved
+    assert _classify_change(sub, ambient, changed) == classify_pair(sub, ambient)
+    # the least local violation is the global least, intersection faces and all
+    assert _StrongScan(sub, ambient, changed).witness() == is_strongly_induced(sub, ambient)
+
+
+def test_change_set_scan_sources_reach_both_verdicts_on_the_change_path():
+    # seeded: the cases behind the property test above take the change-set path
+    # (fewer changed facets than facets at the subcomplex) in every kind, and
+    # bare subdivisions break strong inducedness there, so witnesses are compared
+    seen = set()
+    for seed in range(120):
+        for kind in ("bare", "rebias", "contract"):
+            moved = _moved_pair(kind, 1 + seed % 4, seed)
+            if moved is None or not _scans_the_change(*moved):
+                continue
+            sub, ambient, changed = moved
+            got = _classify_change(sub, ambient, changed)
+            assert got == classify_pair(sub, ambient)
+            assert _StrongScan(sub, ambient, changed).witness() == is_strongly_induced(sub, ambient)
+            seen.add((kind, got.verdict == STRONGLY_INDUCED))
+    assert seen == {("bare", True), ("bare", False), ("rebias", True), ("contract", True)}
+
+
+@pytest.mark.parametrize(
+    "sub, old, new, verdict",
+    [
+        # dropping {a,b,x} splits the star of x on the edge ab into {a} and {b}: the
+        # violation {x} is a face of the removed facet and of no added one
+        (
+            [["a", "b"]],
+            [["a", "b", "x"], ["a", "x", "y"], ["b", "x", "z"]],
+            [["a", "b"], ["a", "x", "y"], ["b", "x", "z"]],
+            INDUCED,
+        ),
+        # adding the edge between two sub vertices leaves the pair not induced
+        ([[1], [2]], [[1, 4], [2, 5], [4, 5]], [[1, 2], [1, 4], [2, 5], [4, 5]], NOT_INDUCED),
+    ],
+)
+def test_change_set_scan_on_hand_made_changes(sub, old, new, verdict):
+    # changes outside the move types that keep the conditions in `_StrongScan`:
+    # no face of the subcomplex is lost or gained
+    sub, old, new = from_facets(sub), from_facets(old), from_facets(new)
+    assert classify_pair(sub, old).verdict == STRONGLY_INDUCED
+    changed = (old.facets - new.facets) | (new.facets - old.facets)
+    assert _scans_the_change(sub, new, changed)
+    got = _classify_change(sub, new, changed)
+    assert got.verdict == verdict
+    assert got == classify_pair(sub, new)
+    assert _StrongScan(sub, new, changed).witness() == is_strongly_induced(sub, new)
+
+
+def test_change_set_scan_checks_the_sub_facets_it_can_see():
+    # a sub facet that meets the changed facets and is no ambient face is caught;
+    # the error names it exactly as the full scan does
+    sub, ambient = from_facets([[1, 2], [2, 3]]), from_facets([[1, 2], [2, 4], [3, 4]])
+    changed = {Simplex.of([2, 4]), Simplex.of([3, 4])}
+    assert _scans_the_change(sub, ambient, changed)
+    for check in (classify_pair, lambda sub, ambient: _classify_change(sub, ambient, changed)):
+        with pytest.raises(NotASubcomplexError) as err:
+            check(sub, ambient)
+        assert str(err.value) == "facet {2,3} of the subcomplex is not a face of the ambient complex"
 
 
 # -- the subcomplex precondition ------------------------------------------------------

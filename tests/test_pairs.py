@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,13 +35,16 @@ from stellarpair import (
     relabel_complex,
     replay_script,
     search_script,
+    set_debug_validation,
     star,
     verify_script,
     vlabel,
 )
+from stellarpair.complexes import _f_vector_change
 from stellarpair.errors import (
     AbsentFaceError,
     InvalidEdgeError,
+    InvariantViolationError,
     MalformedInputError,
     NotASubcomplexError,
     PreconditionError,
@@ -48,8 +52,15 @@ from stellarpair.errors import (
     ScriptMismatchError,
     ScriptStepError,
 )
-from stellarpair.inducedness import INDUCED, NOT_INDUCED, STRONGLY_INDUCED, classify_pair
-from stellarpair.io import random_induced_pair, random_strongly_induced_pair
+from stellarpair.inducedness import (
+    INDUCED,
+    NOT_INDUCED,
+    STRONGLY_INDUCED,
+    InducednessWitness,
+    _StrongScan,
+    classify_pair,
+)
+from stellarpair.io import random_induced_pair, random_strongly_induced_pair, serialize_report
 
 
 def edge_in_triangle_pair():
@@ -313,6 +324,90 @@ def test_tetrahedron_subdivision_chain_grows_linearly():
     assert euler_characteristic(pair.ambient) == 2
 
 
+def test_change_set_scan_is_local_on_the_tetrahedron_chain(monkeypatch):
+    # the check after each move scans the faces of the facets the move changed:
+    # as many at move 10 as at move 30, while the ambient and the facets at the
+    # subcomplex grow with every move
+    scanned, at_sub = [], []
+    real = pairs_module._classify_change
+
+    def counting(sub, ambient, changed):
+        scanned.append(len(_StrongScan(sub, ambient, changed).scope))
+        at_sub.append(len(_StrongScan(sub, ambient).facets))
+        return real(sub, ambient, changed)
+
+    monkeypatch.setattr(pairs_module, "_classify_change", counting)
+    sizes = [len(pair.ambient.facets) for pair in tetrahedron_chain(30)]
+    assert len(scanned) == 30
+    assert scanned[9] == scanned[29] == 70
+    assert (sizes[10], sizes[30]) == (636, 1636)
+    assert at_sub[9] < at_sub[29]
+
+
+def test_fallback_tests_still_reach_the_fallback(monkeypatch):
+    # the change-set check sees the violation the identity re-bias leaves, so
+    # the two fallback tests above still run the global biased derived subdivision
+    fallbacks = []
+    real = pairs_module.biased_derived
+
+    def counting(sub, ambient, **kwargs):
+        # `pair_biased` derives too, but only the fallback's subcomplex holds v
+        if vlabel("v") in sub.vertex_set():
+            fallbacks.append(len(ambient.facets))
+        return real(sub, ambient, **kwargs)
+
+    monkeypatch.setattr(pairs_module, "biased_derived", counting)
+    test_failed_local_rebias_falls_back_to_global(monkeypatch)
+    assert fallbacks == [6]
+    test_global_fallback_is_budgeted(monkeypatch)
+    assert fallbacks == [6, 6]
+
+
+def test_local_rebias_is_budgeted_before_it_derives(monkeypatch):
+    # the local re-bias could derive sum(|F|!) facets over the ambient facets F
+    # outside the subcomplex that meet near' = (V(star(w)) - V(sub)) | {w}; over
+    # the budget it raises before deriving any, and the global fallback has its
+    # own, larger bound
+    pair = next(tetrahedron_chain(0))
+    move = Move.subdivide(["1", "b{1,2}@0"], "w")
+    sub, ambient = edge_subdivide(pair.sub, move.edge, "w"), edge_subdivide(pair.ambient, move.edge, "w")
+    near = (star(ambient, ["w"]).vertex_set() - sub.vertex_set()) | {vlabel("w")}
+    outside = [f for f in ambient.facets if f not in sub.facets]
+    local = sum(factorial(len(f)) for f in outside if not near.isdisjoint(f))
+    whole = sum(factorial(len(f)) for f in outside)
+    assert local < whole
+    derived = []
+    real = pairs_module._rebias_near
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda *args: derived.append(1) or real(*args))
+    monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", local - 1)
+    with pytest.raises(ResourceLimitError, match="the local re-bias could derive") as exc:
+        apply_move(pair, move)
+    assert exc.value.stats == {"facets": len(ambient.facets), "bound": local, "budget": local - 1}
+    assert derived == []
+    monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", local)
+    assert apply_move(pair, move).status.verdict == STRONGLY_INDUCED
+    assert derived == [1]
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, w: ambient)
+    with pytest.raises(ResourceLimitError, match="the global re-bias could derive") as exc:
+        apply_move(pair, move)
+    assert exc.value.stats == {"facets": len(ambient.facets), "bound": whole, "budget": local}
+
+
+def test_debug_validation_cross_checks_the_change_set(monkeypatch, debug_validation):
+    # under STELLARPAIR_DEBUG_VALIDATE=1 the move re-runs the full scan and the
+    # pipeline the full f-vector; a disagreement is an invariant violation
+    monkeypatch.setattr(pairs_module, "_classify_change", lambda sub, ambient, changed: InducednessWitness(INDUCED))
+    with pytest.raises(InvariantViolationError, match="the change-set scan says induced"):
+        apply_move(edge_in_triangle_pair(), Move.subdivide([1, 2], "v"))
+    monkeypatch.undo()
+    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added: f)
+    with pytest.raises(InvariantViolationError, match="the updated f-vector"):
+        pipeline_run(*tetra_path_setup())
+    set_debug_validation(False)
+    _, report = pipeline_run(*tetra_path_setup())
+    assert len({s.f_ambient for s in report.steps}) == 1
+
+
 # -- edge contraction of pairs --------------------------------------------------------
 
 def test_pair_contract_edge_edge_in_triangle():
@@ -515,6 +610,68 @@ def test_pipeline_search_assisted_round_trip():
     assert all(s.strongly_induced for s in report.steps)
     inverse = {v: k for k, v in report.final_isomorphism.items()}
     assert is_subcomplex(relabel_complex(target, inverse), final)
+
+
+def grow_setup(facets, k):
+    """The path 1-2-3 in `facets`, derived and biased; k pair edge subdivisions
+    along the edge at 1, contracted back; then the README contractions."""
+    ambient = from_facets(facets)
+    sub = from_facets([[1, 2], [2, 3]])
+    target = from_facets([["a", "c"]])
+    b12, b23 = "b{1,2}@0", "b{2,3}@0"
+    fresh = [f"w{j}" for j in range(k)]
+    moves = [Move.subdivide(("1", b12 if j == 0 else fresh[j - 1]), w) for j, w in enumerate(fresh)]
+    moves += [Move.contract(("1", w), "1") for w in reversed(fresh)]
+    moves += [Move.contract(("1", b12), "1"), Move.contract(("1", "2"), "1"), Move.contract(("1", b23), "1")]
+    return ambient, sub, target, MoveScript(tuple(moves), target_map={"1": "a", "3": "c"})
+
+
+TETRA = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
+OCTA = [[1, 2, 3], [1, 2, 4], [1, 5, 3], [1, 5, 4], [6, 2, 3], [6, 2, 4], [6, 5, 3], [6, 5, 4]]
+
+
+@pytest.mark.parametrize("facets, k", [(TETRA, 0), ([[1, 2, 3]], 2), (TETRA, 1), (OCTA, 1)])
+def test_change_set_report_is_byte_identical_to_a_full_recomputation(monkeypatch, facets, k):
+    # the README script (k = 0) and the growth scripts: the report from the
+    # change-set scan and the carried f-vector, and the one from full scans and
+    # full face counts at every step
+    final, report = pipeline_run(*grow_setup(facets, k))
+    monkeypatch.setattr(pairs_module, "_classify_change", lambda sub, ambient, changed: classify_pair(sub, ambient))
+    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added: f_vector(cx))
+    full_final, full_report = pipeline_run(*grow_setup(facets, k))
+    assert serialize_report(report) == serialize_report(full_report)
+    assert final == full_final
+    assert len(report.steps) == 4 + 2 * k
+
+
+@given(st.integers(1, 4), st.integers(0, 10_000))
+@settings(max_examples=40, deadline=None)
+def test_change_set_f_vector_matches_a_full_count(dim, seed):
+    # random pair moves (re-biased subdivisions and contractions of sub edges)
+    # from random strongly induced pairs, dims 1-4, non-pure ambients
+    pair = random_strongly_induced_pair(4 + seed % 3, dim, 0.5, seed)
+    rng = random.Random(seed)
+    f = f_vector(pair.ambient)
+    for j in range(4):
+        edges = sorted(pair.sub.faces().get(1, ()))
+        # the cap keeps the run small: a move on a biased 4-simplex makes ~10^4 facets
+        if not edges or len(pair.ambient.facets) > 400:
+            break
+        e = rng.choice(edges)
+        move = Move.subdivide(e, f"m{j}") if rng.random() < 0.5 else Move.contract(e, e[j % 2])
+        try:
+            pair, removed, added = pairs_module._move(pair, move)
+        except InvalidEdgeError:
+            continue
+        f = _f_vector_change(f, pair.ambient, removed, added)
+        assert f == f_vector(pair.ambient)
+
+
+def test_change_set_f_vector_drops_trailing_zeros_when_the_dimension_falls(triangle):
+    # contracting an edge of the solid triangle leaves an edge: (3, 3, 1) -> (2, 1)
+    out, removed, added = pairs_module._move(pair_new(triangle, triangle), Move.contract([1, 2], 1))
+    assert out.ambient == from_facets([[1, 3]])
+    assert _f_vector_change(f_vector(triangle), out.ambient, removed, added) == (2, 1) == f_vector(out.ambient)
 
 
 @given(st.integers(0, 300))
