@@ -2,14 +2,14 @@
 
 Backtracking individualization-refinement over the vertex/facet incidence
 structure, with orbit pruning from automorphisms discovered at equal
-leaves.  `_labeling` returns those automorphisms with the form and the
-rank map, for callers that prune by symmetry (the search drops a
-successor that an automorphism of its parent maps onto an earlier
-sibling); `canonical_labeling` returns the form and the rank map only.
-Intended for small complexes; a vertex guard raises
-ResourceLimitError beyond it.  `_signature` is a cheap isomorphism
-invariant read off the incidences, for callers that can rule out most
-pairs before labeling either.
+leaves.  `canonical_labeling` is the one labeling entry point: it
+returns the form, the rank map realizing it and those automorphisms,
+for callers that prune by symmetry (the search drops a successor that
+an automorphism of its parent maps onto an earlier sibling), and
+`canonical_form` and `isomorphism` are built on it.  Intended for small
+complexes; a vertex guard raises ResourceLimitError beyond it.
+`_signature` is a cheap isomorphism invariant read off the incidences,
+for callers that can rule out most pairs before labeling either.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ DEFAULT_VERTEX_GUARD = 16
 _LEAF_BUDGET = 50_000
 
 CanonicalForm = tuple[tuple[int, ...], ...]
+# a canonical form, the vertex -> canonical-index map realizing it, and automorphisms
+Labeling = tuple[CanonicalForm, dict[VertexLabel, int], list[dict[VertexLabel, VertexLabel]]]
 
 
 class _UnionFind:
@@ -95,9 +97,7 @@ def _signature(cx: SimplicialComplex) -> tuple:
     return tuple(sorted([(deg[v], tuple(sorted(ss))) for v, ss in at.items()]))
 
 
-def _labeling(
-    cx: SimplicialComplex, guard: int
-) -> tuple[CanonicalForm, dict[VertexLabel, int], list[dict[VertexLabel, VertexLabel]]]:
+def canonical_labeling(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD) -> Labeling:
     """The canonical form, the vertex -> canonical-index map realizing it,
     and the automorphisms proved at equal leaves, each a vertex -> vertex
     map carrying the facets onto the facets.  They generate a subgroup of
@@ -173,14 +173,6 @@ def _labeling(
     return best[0], {verts[v]: rank[v] for v in range(n)}, automorphisms
 
 
-def canonical_labeling(
-    cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD
-) -> tuple[CanonicalForm, dict[VertexLabel, int]]:
-    """Canonical form plus the vertex -> canonical-index map realizing it."""
-    form, rank, _ = _labeling(cx, guard)
-    return form, rank
-
-
 def canonical_form(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD) -> CanonicalForm:
     """A label-independent fingerprint: equal forms iff isomorphic complexes."""
     return canonical_labeling(cx, guard=guard)[0]
@@ -222,8 +214,8 @@ def isomorphism(
         return {v: v for v in a.vertex_set()}
     if a.num_vertices() != b.num_vertices() or f_vector(a) != f_vector(b):
         return None
-    form_a, rank_a = canonical_labeling(a, guard=guard)
-    form_b, rank_b = canonical_labeling(b, guard=guard)
+    form_a, rank_a, _ = canonical_labeling(a, guard=guard)
+    form_b, rank_b, _ = canonical_labeling(b, guard=guard)
     if form_a != form_b:
         return None
     return _compose(a, rank_a, b, rank_b)

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .inducedness import is_induced, is_strongly_induced
 from .pairs import pipeline_run, verify_script
-from .search import search_script
+from .search import DEFAULT_STATE_BUDGET, search_script
 from .subdivision import biased_derived, derived_subdivision, edge_subdivide, stellar_subdivide
 
 EXIT_OK = 0
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="target", required=True)
     p.add_argument("--max-depth", type=int, default=4)
     p.add_argument("--max-vertices", type=int, default=12)
-    p.add_argument("--max-states", type=int, default=100_000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 

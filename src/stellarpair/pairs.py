@@ -278,7 +278,7 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
         near = _near(new_sub, new_ambient, move.new_label)
         rederived = (f for f in new_ambient.facets if not near.isdisjoint(f) and f not in new_sub.facets)
         _within_budget(what, "local", rederived, len(new_ambient.facets))
-        new_ambient = _rebias_near(new_sub, new_ambient, move.new_label)
+        new_ambient = _rebias_near(new_sub, new_ambient, near)
     old = pair.ambient.facets
     removed, added = old - new_ambient.facets, new_ambient.facets - old
     status = _classify_change(new_sub, new_ambient, removed | added)

@@ -20,10 +20,7 @@ only when a cheaper test cannot answer for it:
 - Goal-only last depth.  A successor with no moves left is never
   expanded, so it is only compared with the target, and it is kept out
   of the visited states; had an isomorphic state been visited, that
-  visit would have hit the goal and returned already.  An edge
-  subdivision at e has len(facets) + |star(e)| facets (each facet at e
-  becomes two), so one whose count differs from the target's is not
-  built.
+  visit would have hit the goal and returned already.
 - Degrees at the last depth.  With d the state's vertex degrees (the
   facets holding each vertex), S = star(e) for e = {a, b} and w the new
   vertex, the subdivision at e has d'(a) = d(a), d'(b) = d(b),
@@ -38,15 +35,15 @@ only when a cheaper test cannot answer for it:
   so the hits, the scripts and the budget stats are unchanged.
 - Signature buckets.  `canonical._signature` is an isomorphism
   invariant, so a state whose signature differs from the target's is not
-  isomorphic to it, and the visited states are kept in buckets by
+  isomorphic to it, and the visited complexes are kept in buckets by
   signature.  A successor is labeled only when its signature is the
   target's, to compare forms with the target, or when its bucket already
-  holds a state, to compare forms within the bucket.  A bucket entry
-  stays an unlabeled complex until the first collision labels it, and
-  then only its form is kept.  States in different buckets are never
-  isomorphic, so "some form in the bucket equals this one" decides
-  exactly what "some visited form equals this one" decides, and the
-  entries count the same isomorphism classes as the forms would.
+  holds a state, to compare forms within the bucket; the entries are
+  labeled in order until one's form is the successor's.  States in
+  different buckets are never isomorphic, so "some form in the bucket
+  equals this one" decides exactly what "some visited form equals this
+  one" decides, and the entries count the same isomorphism classes as
+  the forms would.
 - Sibling orbits.  An automorphism g of the expanded state P maps the
   subdivision (contraction) at an edge e onto an isomorphic one at
   g(e), with the same fresh label (the survivor renamed), and a
@@ -58,17 +55,22 @@ only when a cheaper test cannot answer for it:
   the one at r came earlier and was isomorphic to it, so it either hit
   the goal (and the search returned) or was not the target, and then an
   isomorphic state entered the visited states, where `is_new` would
-  have found it.  P is labeled lazily, when the first of its successors
-  lands in a non-empty signature bucket (where `is_new` would label
-  that successor), and its edges are unioned under the automorphisms
-  its labeling proves (`canonical._labeling`); from then on a successor
+  have found it.  P's edge orbits are found lazily, when the first of
+  its successors lands in a non-empty signature bucket (where `is_new`
+  would label that successor): its edges are unioned under the
+  automorphisms that P's labeling proves, and from then on a successor
   at an edge that is not its orbit's least is dropped before it is
   built, signed or labeled.  A state whose signature gives each vertex
   an entry of its own has only the identity automorphism and is not
   labeled.  The queue, the visited states, every hit and so every
   script, target_map and budget stat are unchanged.
-- One labeling of the target.  Its rank map is kept, and a hit's
-  isomorphism onto the target composes it with the hit's rank map.
+- One labeling per complex.  The goal test, the buckets and the orbit
+  step read labels from one memo, keyed by the complex (complexes
+  compare by facets), that calls `canonical.canonical_labeling` at most
+  once per complex.  A state with the target's facets hits the target's
+  entry, so its isomorphism is the identity; a hit's isomorphism onto
+  the target composes the two rank maps.  The memo holds each labeled
+  complex, its rank map and automorphisms until the search returns.
 
 Together these return exactly the scripts that labeling and deduplicating
 every successor would, and they count toward the state budget only
@@ -79,13 +81,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict, deque
+from collections.abc import Callable
 from itertools import chain, combinations
 
 from .canonical import (
     DEFAULT_VERTEX_GUARD,
-    CanonicalForm,
+    Labeling,
     _compose,
-    _labeling,
     _signature,
     _UnionFind,
     canonical_labeling,
@@ -129,14 +131,16 @@ def _subdivided_degrees(deg: Counter, e: Simplex, star: list[Simplex]) -> list[i
     return sorted([*new.values(), 2 * len(star)])
 
 
-def _sibling_orbits(state: SimplicialComplex, edges: list[Simplex], sig: tuple, guard: int) -> dict[Simplex, Simplex]:
+def _sibling_orbits(
+    state: SimplicialComplex, edges: list[Simplex], sig: tuple, label: Callable[[SimplicialComplex], Labeling]
+) -> dict[Simplex, Simplex]:
     """Each edge's representative, the least edge of its orbit in the order
-    of `edges`, under the automorphisms that labeling `state` proves.  A
+    of `edges`, under the automorphisms that `label(state)` proves.  A
     state whose signature `sig` gives each vertex an entry of its own has
     no automorphism but the identity, and is not labeled."""
     if len(set(sig)) == len(sig):
         return {e: e for e in edges}
-    automorphisms = _labeling(state, guard)[2]
+    automorphisms = label(state)[2]
     index = {e: i for i, e in enumerate(edges)}
     orbits = _UnionFind(len(edges))
     for aut in automorphisms:
@@ -180,14 +184,15 @@ def search_script(
 
     Successors whose vertex count cannot reach the target's in the moves
     left are never built, and neither is a last-move subdivision whose
-    facet count or sorted vertex degrees (read off the state and the
-    edge's star) differ from the target's.  A successor is labeled only
-    when its signature (`canonical._signature`) equals the target's or
-    that of a state already visited, and once such a collision has
-    labeled the expanded state, a successor that one of its
-    automorphisms maps onto an earlier sibling is dropped unbuilt.  The
-    result is the script that labeling every successor gives, but pruned
-    states take no share of the budget, so a search can finish within a
+    sorted vertex degrees (read off the state and the edge's star)
+    differ from the target's.  A successor is labeled only when its
+    signature (`canonical._signature`) equals the target's or that of a
+    state already visited, and once such a collision has labeled the
+    expanded state, a successor that one of its automorphisms maps onto
+    an earlier sibling is dropped unbuilt.  No complex is labeled twice:
+    every label goes through one memo for the whole search.  The result
+    is the script that labeling every successor gives, but pruned states
+    take no share of the budget, so a search can finish within a
     `max_states` that labeling every successor would exhaust.
     """
     for cx, name in ((source, "source"), (target, "target")):
@@ -198,36 +203,38 @@ def search_script(
                 budget=max_vertices,
             )
     guard = max(DEFAULT_VERTEX_GUARD, max_vertices)
-    goal, goal_rank = canonical_labeling(target, guard=guard)
+    labelings: dict[SimplicialComplex, Labeling] = {}
+
+    def label(cx: SimplicialComplex) -> Labeling:
+        """The canonical labeling of `cx`, made at most once in this search."""
+        out = labelings.get(cx)
+        if out is None:
+            out = labelings[cx] = canonical_labeling(cx, guard=guard)
+        return out
+
+    goal, goal_rank, _ = label(target)
     goal_sig = _signature(target)
     goal_degrees = sorted(_degrees(target).values())
 
-    def onto_goal(cx: SimplicialComplex, sig: tuple):
-        """The form of `cx` if it was labeled (else None), and its
-        isomorphism onto the target if it has one (else None)."""
+    def onto_goal(cx: SimplicialComplex, sig: tuple) -> dict[VertexLabel, VertexLabel] | None:
+        """The isomorphism of `cx` onto the target, or None."""
         if sig != goal_sig:
-            return None, None
-        if cx.facets == target.facets:
-            return None, {v: v for v in cx.vertex_set()}
-        form, rank = canonical_labeling(cx, guard=guard)
-        return form, (_compose(cx, rank, target, goal_rank) if form == goal else None)
+            return None
+        form, rank, _ = label(cx)
+        return _compose(cx, rank, target, goal_rank) if form == goal else None
 
-    def is_new(cx: SimplicialComplex, sig: tuple, form: CanonicalForm | None) -> bool:
+    def is_new(cx: SimplicialComplex, sig: tuple) -> bool:
         """Enter `cx` in its signature's bucket unless an isomorphic state is there."""
         bucket = visited.setdefault(sig, [])
         if bucket:
-            if form is None:
-                form = canonical_labeling(cx, guard=guard)[0]
-            for i, entry in enumerate(bucket):
-                if isinstance(entry, SimplicialComplex):
-                    entry = bucket[i] = canonical_labeling(entry, guard=guard)[0]
-                if entry == form:
-                    return False
-        bucket.append(cx if form is None else form)
+            form = label(cx)[0]
+            if any(label(entry)[0] == form for entry in bucket):
+                return False
+        bucket.append(cx)
         return True
 
     start_sig = _signature(source)
-    form, iso = onto_goal(source, start_sig)
+    iso = onto_goal(source, start_sig)
     if iso is not None:
         return MoveScript((), target_map=iso)
 
@@ -235,16 +242,13 @@ def search_script(
         return None
 
     n_goal = target.num_vertices()
-    goal_facets = len(target.facets)
     base = _fresh_label_base(source)
     # each queued state with its moves, as (edge, fresh label or None) pairs, and its signature
     queue: deque[tuple[SimplicialComplex, tuple[tuple[Simplex, str | None], ...], tuple]] = deque(
         [(source, (), start_sig)]
     )
-    # signature -> the visited states with it, each a complex until labeled, then its form
-    visited: dict[tuple, list[SimplicialComplex | CanonicalForm]] = {
-        start_sig: [source if form is None else form]
-    }
+    # signature -> the visited states with it
+    visited: dict[tuple, list[SimplicialComplex]] = {start_sig: [source]}
     expanded = 0
 
     while queue:
@@ -266,10 +270,7 @@ def search_script(
             fresh = f"n{base + len(path)}"
             deg = _degrees(state) if left == 0 else None
             for e, star in stars.items():
-                if left > 0 or (
-                    len(state.facets) + len(star) == goal_facets
-                    and _subdivided_degrees(deg, e, star) == goal_degrees
-                ):
+                if left > 0 or _subdivided_degrees(deg, e, star) == goal_degrees:
                     moves.append((e, fresh))
         if abs(n - 1 - n_goal) <= left:
             moves += [(e, None) for e in stars]
@@ -284,16 +285,16 @@ def search_script(
             else:
                 nxt = edge_subdivide(state, e, fresh)
             sig = _signature(nxt)
-            form, iso = onto_goal(nxt, sig)
+            iso = onto_goal(nxt, sig)
             if iso is not None:
                 return MoveScript(tuple(_move(*m) for m in (*path, (e, fresh))), target_map=iso)
             if left == 0:
                 continue
             if reps is None and visited.get(sig):
                 # the first successor `is_new` would label: find the state's edge orbits first
-                reps = _sibling_orbits(state, list(stars), state_sig, guard)
+                reps = _sibling_orbits(state, list(stars), state_sig, label)
                 if reps[e] != e:
                     continue
-            if is_new(nxt, sig, form):
+            if is_new(nxt, sig):
                 queue.append((nxt, (*path, (e, fresh)), sig))
     return None

@@ -164,9 +164,10 @@ def _near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLabel) ->
     return near
 
 
-def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLabel) -> SimplicialComplex:
+def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, near: set[VertexLabel]) -> SimplicialComplex:
     """The biased derived subdivision of `ambient` that subdivides only the
-    faces outside `sub` that meet `near = (V(star(w)) - V(sub)) ∪ {w}`:
+    faces outside `sub` that meet `near = (V(star(w)) - V(sub)) ∪ {w}`,
+    the set `_near(sub, ambient, w)` gives for the new vertex w:
     `biased_derived(P, ambient)` with the protected complex
     `P = sub ∪ induced_subcomplex(ambient, V - near)`.
 
@@ -208,7 +209,6 @@ def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLa
     facets in proportion to star(w) away from the subcomplex, not to the
     stars of the edge's endpoints.
     """
-    near = _near(sub, ambient, w)
     sub_faces = _face_set(sub.facets)
     result, _, _ = _relative_derived(ambient, lambda t: near.isdisjoint(t) or t in sub_faces, None)
     return result

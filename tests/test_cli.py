@@ -232,6 +232,15 @@ def test_search_with_a_symmetric_source_is_byte_stable(tmp_path, capsys):
     assert capsys.readouterr().out == (FIXTURES / "search_tetrahedron_to_octahedron.json").read_text()
 
 
+def test_search_onto_the_same_complex_is_byte_stable(tmp_path, capsys):
+    # a symmetric complex onto itself: the empty script, with the identity as target_map
+    tetrahedron = [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]
+    src = write_complex(tmp_path / "src.json", tetrahedron)
+    dst = write_complex(tmp_path / "dst.json", tetrahedron)
+    assert main(["search", "--source", src, "--to", dst, "--max-depth", "2", "--out", "-"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "search_tetrahedron_to_itself.json").read_text()
+
+
 def test_search_not_found_exits_one(tmp_path, capsys):
     src = write_complex(tmp_path / "src.json", [[1, 2], [2, 3], [3, 4], [1, 4]])
     dst = write_complex(tmp_path / "dst.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]])
@@ -277,7 +286,7 @@ def test_pair_run_pipeline(tmp_path, capsys):
 def test_pair_run_fallback_over_budget_exits_three(tmp_path, capsys, monkeypatch):
     # a zero budget: the subdivision's local re-bias is over it before it
     # derives anything (the global fallback is budgeted in test_pairs.py)
-    monkeypatch.setattr("stellarpair.pairs._rebias_near", lambda sub, ambient, w: ambient)
+    monkeypatch.setattr("stellarpair.pairs._rebias_near", lambda sub, ambient, near: ambient)
     monkeypatch.setattr("stellarpair.pairs._FALLBACK_FACET_BUDGET", 0)
     ambient = write_complex(tmp_path / "m.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], "tetra")
     sub = write_complex(tmp_path / "x.json", [[1, 2], [2, 3]], "path")

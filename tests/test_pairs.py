@@ -220,8 +220,8 @@ def test_failed_local_rebias_falls_back_to_global(monkeypatch):
     # induced, so the move has to take the global biased derived subdivision
     calls = []
 
-    def no_rebias(sub, ambient, w):
-        calls.append(w)
+    def no_rebias(sub, ambient, near):
+        calls.append(near)
         return ambient
 
     monkeypatch.setattr(pairs_module, "_rebias_near", no_rebias)
@@ -232,13 +232,14 @@ def test_failed_local_rebias_falls_back_to_global(monkeypatch):
     expected = pair_new(new_sub, biased_derived(new_sub, new_ambient)[0])
     assert expected.status.verdict == STRONGLY_INDUCED
     assert apply_move(pair, Move.subdivide([1, 2], "v")) == expected
-    assert calls == ["v"]
+    # called once, with near = (V(star(v)) - V(sub)) ∪ {v}
+    assert calls == [(star(new_ambient, ["v"]).vertex_set() - new_sub.vertex_set()) | {vlabel("v")}]
 
 
 def test_global_fallback_is_budgeted(monkeypatch):
     # the subdivided edge-in-triangle ambient has 6 triangles, none in the
     # subcomplex, so the fallback could derive up to 6 * 3! = 36 facets
-    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, w: ambient)
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near: ambient)
     monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", 35)
     with pytest.raises(ResourceLimitError) as exc:
         apply_move(edge_in_triangle_pair(), Move.subdivide([1, 2], "v"))
@@ -387,7 +388,7 @@ def test_local_rebias_is_budgeted_before_it_derives(monkeypatch):
     monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", local)
     assert apply_move(pair, move).status.verdict == STRONGLY_INDUCED
     assert derived == [1]
-    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, w: ambient)
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near: ambient)
     with pytest.raises(ResourceLimitError, match="the global re-bias could derive") as exc:
         apply_move(pair, move)
     assert exc.value.stats == {"facets": len(ambient.facets), "bound": whole, "budget": local}

@@ -100,10 +100,13 @@ def test_search_triangle_to_four_cycle(hollow_triangle, four_cycle):
     assert verify_script(hollow_triangle, script, four_cycle)
 
 
-def test_search_empty_script_on_isomorphic_inputs(four_cycle):
-    script = search_script(four_cycle, four_cycle, max_depth=3, max_vertices=8)
-    assert script is not None and len(script) == 0
-    assert verify_script(four_cycle, script, four_cycle)
+def test_search_empty_script_on_isomorphic_inputs(four_cycle, tetra_boundary):
+    # a complex searched onto itself maps by the identity, symmetric or not
+    for cx in (four_cycle, tetra_boundary):
+        script = search_script(cx, cx, max_depth=3, max_vertices=8)
+        assert script is not None and len(script) == 0
+        assert script.target_map == {v: v for v in cx.vertex_set()}
+        assert verify_script(cx, script, cx)
     relabeled = from_facets([["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]])
     script = search_script(four_cycle, relabeled, max_depth=0, max_vertices=8)
     assert script is not None and len(script) == 0
@@ -296,9 +299,9 @@ def _outcome(source, target, max_depth, max_vertices, max_states):
 
 def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labelings):
     """Every last-move subdivision built has the target's sorted degrees,
-    and against the search without that test (every last-move subdivision
-    with the target's facet count built), fewer are built for the same
-    outcome and the same labelings."""
+    and against the search with no last-move test (every last-move
+    subdivision built), fewer are built for the same outcome and the same
+    labelings."""
     built = []
     subdivide = search.edge_subdivide
 
@@ -308,7 +311,7 @@ def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labe
         return out
 
     monkeypatch.setattr(search, "edge_subdivide", counted)
-    totals = {"degrees": 0, "facet count only": 0}
+    totals = {"degrees": 0, "no last-move test": 0}
     for case in _differential_cases():
         source, target, max_depth = case[:3]
         goal = sorted(_degrees(target).values())
@@ -316,7 +319,7 @@ def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labe
         runs = {}
         for mode in totals:
             with monkeypatch.context() as m:
-                if mode == "facet count only":
+                if mode == "no last-move test":
                     m.setattr(search, "_subdivided_degrees", lambda *args: goal)
                 built.clear()
                 labelings[0] = 0
@@ -326,23 +329,24 @@ def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labe
                 for fresh, out in built:
                     if fresh == last:
                         assert sorted(_degrees(out).values()) == goal
-        assert runs["degrees"] == runs["facet count only"]
-    assert totals["degrees"] < totals["facet count only"]
+        assert runs["degrees"] == runs["no last-move test"]
+    assert totals["degrees"] < totals["no last-move test"]
 
 
 @pytest.fixture
 def labelings(monkeypatch):
     """A counter of the canonical labelings made while the test runs: every
-    labeling, `canonical_labeling` included, goes through `_labeling`."""
+    labeling, `canonical_form`'s and the search's included, goes through
+    `canonical_labeling`."""
     count = [0]
-    label = canonical._labeling
+    label = canonical.canonical_labeling
 
     def counted(*args, **kwargs):
         count[0] += 1
         return label(*args, **kwargs)
 
-    monkeypatch.setattr(canonical, "_labeling", counted)
-    monkeypatch.setattr(search, "_labeling", counted)
+    monkeypatch.setattr(canonical, "canonical_labeling", counted)
+    monkeypatch.setattr(search, "canonical_labeling", counted)
     return count
 
 
@@ -418,7 +422,7 @@ def test_sibling_orbits_change_no_outcome_and_save_labels(monkeypatch, labelings
         pruned = _outcome(*case)
         pruned_labels = labelings[0]
         with monkeypatch.context() as m:
-            m.setattr(search, "_sibling_orbits", lambda state, edges, sig, guard: {e: e for e in edges})
+            m.setattr(search, "_sibling_orbits", lambda state, edges, sig, label: {e: e for e in edges})
             labelings[0] = 0
             unpruned = _outcome(*case)
         assert pruned == unpruned
@@ -430,12 +434,31 @@ def test_sibling_orbits_change_no_outcome_and_save_labels(monkeypatch, labelings
     assert totals["pruned"] < totals["unpruned"]
 
 
+def test_search_labels_no_complex_twice(monkeypatch):
+    # every label goes through the search's memo: the goal test, the
+    # buckets and the orbit step never label one complex again
+    labeled = []
+    label = canonical.canonical_labeling
+
+    def recorded(cx, **kwargs):
+        labeled.append(cx)
+        return label(cx, **kwargs)
+
+    monkeypatch.setattr(search, "canonical_labeling", recorded)
+    total = 0
+    for case in chain(_differential_cases(), _random_pairs()):
+        labeled.clear()
+        _outcome(*case)
+        assert len(set(labeled)) == len(labeled)
+        total += len(labeled)
+    assert total > 0
+
+
 @given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from((0.3, 0.5, 0.7)))
 @settings(max_examples=60, deadline=None)
 def test_labeling_automorphisms_carry_facets_onto_facets(seed, dim, density):
     cx = random_complex(3 + seed % 5, dim, density, seed)
-    form, rank, automorphisms = canonical._labeling(cx, DEFAULT_VERTEX_GUARD)
-    assert (form, rank) == canonical.canonical_labeling(cx)
+    automorphisms = canonical.canonical_labeling(cx)[2]
     for aut in automorphisms:
         assert sorted(aut) == sorted(aut.values()) == sorted(cx.vertex_set())
         assert {Simplex(sorted(aut[v] for v in f)) for f in cx.facets} == cx.facets
@@ -444,7 +467,7 @@ def test_labeling_automorphisms_carry_facets_onto_facets(seed, dim, density):
 def test_tetrahedron_boundary_edges_form_one_orbit(tetra_boundary, labelings):
     edges = list(_edge_stars(tetra_boundary))
     assert len(edges) == 6
-    reps = _sibling_orbits(tetra_boundary, edges, canonical._signature(tetra_boundary), DEFAULT_VERTEX_GUARD)
+    reps = _sibling_orbits(tetra_boundary, edges, canonical._signature(tetra_boundary), canonical.canonical_labeling)
     assert reps == {e: edges[0] for e in edges}
     assert labelings[0] == 1
 
@@ -456,14 +479,14 @@ def test_rigid_complex_gets_singleton_orbits(labelings):
     sig = canonical._signature(rigid)
     assert len(set(sig)) < len(sig)
     edges = list(_edge_stars(rigid))
-    assert _sibling_orbits(rigid, edges, sig, DEFAULT_VERTEX_GUARD) == {e: e for e in edges}
+    assert _sibling_orbits(rigid, edges, sig, canonical.canonical_labeling) == {e: e for e in edges}
     assert labelings[0] == 1
     # a signature with an entry for each vertex settles it without a label
     distinct = from_facets([[1, 2], [1, 3], [2, 3, 4], [3, 4, 5]])
     sig = canonical._signature(distinct)
     assert len(set(sig)) == len(sig)
     edges = list(_edge_stars(distinct))
-    assert _sibling_orbits(distinct, edges, sig, DEFAULT_VERTEX_GUARD) == {e: e for e in edges}
+    assert _sibling_orbits(distinct, edges, sig, canonical.canonical_labeling) == {e: e for e in edges}
     assert labelings[0] == 1
 
 
