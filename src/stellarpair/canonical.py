@@ -9,15 +9,13 @@ an automorphism of its parent maps onto an earlier sibling), and
 `canonical_form` and `isomorphism` are built on it.  Intended for small
 complexes; a vertex guard raises ResourceLimitError beyond it.
 `_signature` is a cheap isomorphism invariant read off the incidences,
-for callers that can rule out most pairs before labeling either.
+for callers that can rule out most pairs before labeling either.  The
+vertex degrees and the orbit union-find come from `complexes`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
-
-from .complexes import Simplex, SimplicialComplex, f_vector
+from .complexes import Simplex, SimplicialComplex, _degrees, _UnionFind, f_vector
 from .errors import ResourceLimitError
 from .labels import VertexLabel
 
@@ -27,26 +25,6 @@ _LEAF_BUDGET = 50_000
 CanonicalForm = tuple[tuple[int, ...], ...]
 # a canonical form, the vertex -> canonical-index map realizing it, and automorphisms
 Labeling = tuple[CanonicalForm, dict[VertexLabel, int], list[dict[VertexLabel, VertexLabel]]]
-
-
-class _UnionFind:
-    """Disjoint sets of 0..n-1; the root of each set is its least member."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra < rb:
-            self.parent[rb] = ra
-        elif rb < ra:
-            self.parent[ra] = rb
 
 
 def _refine(colors: list[int], facet_members: list[tuple[int, ...]], facets_of: list[tuple[int, ...]]) -> list[int]:
@@ -88,7 +66,7 @@ def _signature(cx: SimplicialComplex) -> tuple:
     number of facets holding v and s(F) the sorted degrees over F, the
     sorted (d(v), sorted s(F) over the facets F at v) over the vertices.
     Isomorphic complexes have equal signatures; the converse can fail."""
-    deg = Counter(chain.from_iterable(cx.facets))
+    deg = _degrees(cx)
     at: dict[VertexLabel, list[tuple[int, ...]]] = {v: [] for v in deg}
     for f in cx.facets:
         s = tuple(sorted([deg[v] for v in f]))

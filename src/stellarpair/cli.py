@@ -73,7 +73,7 @@ def _cmd_info(args) -> int:
         "euler_characteristic": _alternating_sum(f),
         "pseudomanifold": is_pseudomanifold(cx, cx.dim),
     }
-    _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(sio._canonical_json(data), args.out)
     return EXIT_OK
 
 
@@ -114,19 +114,19 @@ def _cmd_check(args) -> int:
         if witness.sigma is not None:
             payload["sigma"] = list(witness.sigma)
             payload["intersection_faces"] = [list(s) for s in witness.intersection_faces]
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(sio._canonical_json(payload), args.out)
         return EXIT_OK if witness.at_least_induced else EXIT_DOMAIN
     if args.predicate == "valid-edge":
         cx = sio.load_complex(args.complex).complex
         blockers = blocking_missing_simplices(cx, _labels(args.edge))
         payload = {"valid": not blockers, "blockers": [list(b) for b in blockers]}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(sio._canonical_json(payload), args.out)
         return EXIT_OK if not blockers else EXIT_DOMAIN
     # missing
     cx = sio.load_complex(args.complex).complex
     missing = sorted(missing_simplices(cx, args.max_dim), key=Simplex.sort_key)
     payload = {"missing_simplices": [list(s) for s in missing]}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(sio._canonical_json(payload), args.out)
     return EXIT_OK
 
 
@@ -147,7 +147,7 @@ def _cmd_pair_run(args) -> int:
             "report": sio.report_dict(report),
             "result": sio.complex_document_dict(sio.ComplexDocument(ambient.name, final)),
         }
-        _emit(json.dumps(combined, indent=2, sort_keys=True) + "\n", None)
+        _emit(sio._canonical_json(combined), None)
     elif not args.report:
         _emit(report_text, None)
     elif not args.out:
@@ -200,7 +200,7 @@ def _cmd_random(args) -> int:
         "status": pair.status.verdict,
         "sub": sio.complex_document_dict(sio.ComplexDocument("sub", pair.sub)),
     }
-    _emit(json.dumps(combined, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(sio._canonical_json(combined), args.out)
     return EXIT_OK
 
 

@@ -9,15 +9,20 @@ each face reader enumerates them from the facets.  A local question
 (membership, star, link) reads the facets at its face in one linear
 filter; no index outlives the question.  The one lazy cache, the vertex
 set, is filled by idempotent assignment, so concurrent readers are safe.
+
+The incidence primitives the other modules share live here only: the face
+enumerator `_face_set`, the subcomplex test `is_subcomplex` (raising through
+`_require_subcomplex` and `_not_a_subcomplex`), `_degrees` and `_UnionFind`.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from itertools import chain, combinations
 from typing import Iterable, Iterator
 
-from .errors import AbsentFaceError, MalformedInputError, StellarPairError
+from .errors import AbsentFaceError, MalformedInputError, NotASubcomplexError, StellarPairError
 from .labels import VertexLabel, vlabel
 
 _DEBUG_VALIDATE = os.environ.get("STELLARPAIR_DEBUG_VALIDATE", "") == "1"
@@ -194,25 +199,19 @@ class SimplicialComplex:
         held = frozenset(as_simplex(simplex))
         return not held or any(held.issubset(f) for f in self.facets)
 
-    def _face_tuples(self) -> dict[int, set[tuple[VertexLabel, ...]]]:
-        """The distinct vertex tuples of the nonempty faces, keyed by dimension
-        (each facet adds its dimensions in increasing order, so the keys run 0..dim)."""
-        grouped: dict[int, set[tuple[VertexLabel, ...]]] = {}
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                grouped.setdefault(k - 1, set()).update(combinations(f, k))
-        return grouped
-
     def faces(self) -> dict[int, frozenset[Simplex]]:
-        """All nonempty faces grouped by dimension."""
-        return {d: frozenset(map(Simplex, g)) for d, g in self._face_tuples().items()}
+        """All nonempty faces grouped by dimension, keyed 0..dim in order."""
+        grouped: dict[int, list[Simplex]] = {d: [] for d in range(self.dim + 1)}
+        for t in _face_set(self.facets):
+            grouped[len(t) - 1].append(Simplex(t))
+        return {d: frozenset(g) for d, g in grouped.items()}
 
     def all_faces(self) -> list[Simplex]:
         """All nonempty faces in canonical (dimension, lexicographic) order."""
         return sorted(chain.from_iterable(self.faces().values()), key=Simplex.sort_key)
 
     def face_count(self) -> int:
-        return sum(map(len, self._face_tuples().values()))
+        return len(_face_set(self.facets))
 
     # -- invariants ----------------------------------------------------
 
@@ -291,7 +290,8 @@ def link(cx: SimplicialComplex, simplex) -> SimplicialComplex:
 
 def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
     """Face counts by dimension, f_0 through f_dim."""
-    return tuple(map(len, cx._face_tuples().values()))
+    by_size = Counter(map(len, _face_set(cx.facets)))
+    return tuple(by_size[k] for k in range(1, cx.dim + 2))
 
 
 def _f_vector_change(
@@ -340,7 +340,7 @@ def euler_characteristic(cx: SimplicialComplex) -> int:
 def _face_set(facets: Iterable[Simplex]) -> set[tuple[VertexLabel, ...]]:
     """Every nonempty face of the given facets, as vertex tuples; a `Simplex`
     hashes and compares as its tuple, so it can be looked up directly."""
-    return {c for f in facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
+    return set(chain.from_iterable(combinations(f, k) for f in facets for k in range(1, len(f) + 1)))
 
 
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
@@ -348,6 +348,43 @@ def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
     ambient's restriction to V(sub)."""
     faces = _face_set(induced_subcomplex(ambient, sub.vertex_set()).facets)
     return all(f in faces for f in sub.facets)
+
+
+def _not_a_subcomplex(sub: SimplicialComplex, is_face) -> NotASubcomplexError:
+    """The error naming the first facet of `sub` (canonical order) that `is_face` rejects."""
+    bad = next(f for f in sub.sorted_facets() if not is_face(f))
+    return NotASubcomplexError(f"facet {bad} of the subcomplex is not a face of the ambient complex")
+
+
+def _require_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> None:
+    """`is_subcomplex`, raising the error that names the least bad facet."""
+    if not is_subcomplex(sub, ambient):
+        raise _not_a_subcomplex(sub, ambient.__contains__)
+
+
+def _degrees(cx: SimplicialComplex) -> Counter:
+    """The number of facets holding each vertex."""
+    return Counter(chain.from_iterable(cx.facets))
+
+
+class _UnionFind:
+    """Disjoint sets of 0..n-1; the root of each set is its least member."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra < rb:
+            self.parent[rb] = ra
+        elif rb < ra:
+            self.parent[ra] = rb
 
 
 def induced_subcomplex(cx: SimplicialComplex, labels: Iterable) -> SimplicialComplex:
@@ -387,18 +424,9 @@ def is_pseudomanifold(cx: SimplicialComplex, d: int) -> bool:
             ridge_to_facets.setdefault(r, []).append(i)
     if any(len(ids) > 2 for ids in ridge_to_facets.values()):
         return False
-    # dual-graph connectivity through shared ridges
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(facets))}
+    # join the facets that share a ridge: strongly connected iff all join facet 0
+    parts = _UnionFind(len(facets))
     for ids in ridge_to_facets.values():
         if len(ids) == 2:
-            a, b = ids
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(facets)
+            parts.union(*ids)
+    return all(parts.find(i) == 0 for i in range(len(facets)))

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Iterator
 
-from .complexes import Simplex, SimplicialComplex, _face_set, induced_subcomplex
-from .errors import NotASubcomplexError
+from .complexes import Simplex, SimplicialComplex, _not_a_subcomplex
 from .labels import VertexLabel
 
 INDUCED = "induced"
@@ -67,18 +66,6 @@ class InducednessWitness:
             faces = ", ".join(str(f) for f in self.intersection_faces)
             return f"{self.verdict}(sigma={self.sigma}, intersection=[{faces}])"
         return self.verdict
-
-
-def _not_a_subcomplex(sub: SimplicialComplex, is_face) -> NotASubcomplexError:
-    """The error naming the first facet of `sub` (canonical order) that `is_face` rejects."""
-    bad = next(f for f in sub.sorted_facets() if not is_face(f))
-    return NotASubcomplexError(f"facet {bad} of the subcomplex is not a face of the ambient complex")
-
-
-def _require_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> None:
-    faces = _face_set(induced_subcomplex(ambient, sub.vertex_set()).facets)
-    if not all(f in faces for f in sub.facets):
-        raise _not_a_subcomplex(sub, faces.__contains__)
 
 
 def is_induced(sub: SimplicialComplex, ambient: SimplicialComplex) -> InducednessWitness:

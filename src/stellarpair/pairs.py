@@ -37,9 +37,9 @@ from .complexes import (
     SimplicialComplex,
     _alternating_sum,
     _f_vector_change,
+    _require_subcomplex,
     as_simplex,
     f_vector,
-    is_subcomplex,
     relabel_complex,
 )
 from .canonical import isomorphism
@@ -49,7 +49,6 @@ from .errors import (
     DomainError,
     InvariantViolationError,
     MalformedInputError,
-    NotASubcomplexError,
     PreconditionError,
     ResourceLimitError,
     ScriptMismatchError,
@@ -337,8 +336,7 @@ def pipeline_run(
     ambient's f-vector is carried from step to step, updated from the faces
     each move's changed facets lose and gain (`complexes._f_vector_change`).
     """
-    if not is_subcomplex(sub, ambient):
-        raise NotASubcomplexError("the subdivided target is not a subcomplex of the input triangulation")
+    _require_subcomplex(sub, ambient)
     pair = _biased(*_derived(sub, ambient))
     f_ambient = f_vector(pair.ambient)
     steps = [_step(pair, "init", None, f_ambient)]

@@ -27,8 +27,10 @@ only when a cheaper test cannot answer for it:
   d'(w) = 2|S|, and d'(c) = d(c) + #{F in S : c in F} for every other
   vertex c, since F becomes F - a + w and F - b + w.  A last-move
   subdivision whose sorted d' differs from the target's sorted degrees
-  is not built.  The sorted degrees are an isomorphism invariant and the
-  first coordinates of `canonical._signature`, so every subdivision this
+  is not built, and its d' is not computed when its facet count, that
+  of the state plus |S|, differs from the target's.  Both are
+  isomorphism invariants that `canonical._signature` determines (the
+  sorted degrees are its first coordinates), so every subdivision this
   drops had a signature other than the target's: it was never labeled,
   and as a last-depth successor it never entered the visited states or
   the queue, nor counted as expanded.  The same complexes are labeled,
@@ -82,17 +84,16 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict, deque
 from collections.abc import Callable
-from itertools import chain, combinations
+from itertools import combinations
 
 from .canonical import (
     DEFAULT_VERTEX_GUARD,
     Labeling,
     _compose,
     _signature,
-    _UnionFind,
     canonical_labeling,
 )
-from .complexes import Simplex, SimplicialComplex
+from .complexes import Simplex, SimplicialComplex, _degrees, _UnionFind
 from .contraction import _contract_if_valid
 from .errors import ResourceLimitError
 from .labels import VertexLabel
@@ -110,11 +111,6 @@ def _edge_stars(cx: SimplicialComplex) -> dict[Simplex, list[Simplex]]:
         for e in combinations(f, 2):
             held[e].append(f)
     return {Simplex(e): held[e] for e in sorted(held)}
-
-
-def _degrees(cx: SimplicialComplex) -> Counter:
-    """The number of facets holding each vertex."""
-    return Counter(chain.from_iterable(cx.facets))
 
 
 def _subdivided_degrees(deg: Counter, e: Simplex, star: list[Simplex]) -> list[int]:
@@ -242,6 +238,7 @@ def search_script(
         return None
 
     n_goal = target.num_vertices()
+    goal_facets = len(target.facets)
     base = _fresh_label_base(source)
     # each queued state with its moves, as (edge, fresh label or None) pairs, and its signature
     queue: deque[tuple[SimplicialComplex, tuple[tuple[Simplex, str | None], ...], tuple]] = deque(
@@ -270,7 +267,10 @@ def search_script(
             fresh = f"n{base + len(path)}"
             deg = _degrees(state) if left == 0 else None
             for e, star in stars.items():
-                if left > 0 or _subdivided_degrees(deg, e, star) == goal_degrees:
+                if left > 0 or (
+                    len(state.facets) + len(star) == goal_facets
+                    and _subdivided_degrees(deg, e, star) == goal_degrees
+                ):
                     moves.append((e, fresh))
         if abs(n - 1 - n_goal) <= left:
             moves += [(e, None) for e in stars]

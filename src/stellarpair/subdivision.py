@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .complexes import Simplex, SimplicialComplex, _face_set, as_simplex
+from .complexes import Simplex, SimplicialComplex, _face_set, _require_subcomplex, as_simplex
 from .errors import AbsentFaceError, DomainError, MalformedInputError, NamingError
-from .inducedness import _require_subcomplex
 from .labels import VertexLabel, next_round, vlabel
 
 

@@ -152,6 +152,11 @@ def test_random_is_seed_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_random_pair_standard_output_is_byte_stable(capsys):
+    assert main(["random", "strong-pair", "--vertices", "5", "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "random_strong_pair.json").read_text()
+
+
 def test_random_strong_pair_outputs(tmp_path):
     sub = tmp_path / "sub.json"
     ambient = tmp_path / "ambient.json"
@@ -248,7 +253,9 @@ def test_search_not_found_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "no-script"
 
 
-def test_pair_run_pipeline(tmp_path, capsys):
+@pytest.fixture
+def readme_pipeline(tmp_path):
+    """`pair run` and its input options for the README tetrahedron/path pipeline."""
     ambient = write_complex(tmp_path / "m.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], "tetra")
     sub = write_complex(tmp_path / "x.json", [[1, 2], [2, 3]], "path")
     target = write_complex(tmp_path / "X.json", [["a", "c"]], "edge")
@@ -265,15 +272,13 @@ def test_pair_run_pipeline(tmp_path, capsys):
             }
         )
     )
+    return ["pair", "run", "--ambient", ambient, "--sub", sub, "--target", target, "--script", str(script)]
+
+
+def test_pair_run_pipeline(tmp_path, capsys, readme_pipeline):
     out = tmp_path / "final.json"
     report = tmp_path / "report.json"
-    code = main(
-        [
-            "pair", "run",
-            "--ambient", ambient, "--sub", sub, "--target", target,
-            "--script", str(script), "--out", str(out), "--report", str(report),
-        ]
-    )
+    code = main(readme_pipeline + ["--out", str(out), "--report", str(report)])
     assert code == 0
     rep = json.loads(report.read_text())
     assert all(step["strongly_induced"] for step in rep["steps"])
@@ -281,6 +286,21 @@ def test_pair_run_pipeline(tmp_path, capsys):
     final = json.loads(out.read_text())
     assert ["a", "c"] not in final["facets"]  # target appears under the inverse relabeling
     assert rep["final_isomorphism"] == {"1": "a", "3": "c"}
+
+
+def test_pair_run_standard_output_is_byte_stable(tmp_path, capsys, readme_pipeline):
+    expected = (FIXTURES / "pair_run_readme.json").read_text()
+    assert main(readme_pipeline) == 0
+    assert capsys.readouterr().out == expected
+    # with one output file, the other document goes to standard output
+    combined = json.loads(expected)
+    report, result = (json.dumps(combined[k], indent=2, sort_keys=True) + "\n" for k in ("report", "result"))
+    assert main(readme_pipeline + ["--out", str(tmp_path / "final.json")]) == 0
+    assert capsys.readouterr().out == report
+    assert (tmp_path / "final.json").read_text() == result
+    assert main(readme_pipeline + ["--report", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out == result
+    assert (tmp_path / "report.json").read_text() == report
 
 
 def test_pair_run_fallback_over_budget_exits_three(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,8 @@ from __future__ import annotations
 import gc
 import json
 import tracemalloc
-from itertools import permutations, product
+from collections import deque
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from stellarpair import (
 )
 from stellarpair import canonical
 from stellarpair.canonical import _signature
+from stellarpair.complexes import _face_set
 from stellarpair.errors import (
     AbsentFaceError,
     MalformedInputError,
@@ -97,15 +99,20 @@ def test_equality_is_by_facet_set():
     assert a != from_facets([[1, 2]])
 
 
-@given(st.integers(0, 400))
-@settings(max_examples=60, deadline=None)
-def test_faces_match_brute_enumeration_by_dimension(seed):
-    cx = random_complex(7, 3, 0.5, seed)
+@given(st.integers(0, 400), st.integers(-1, 4))
+@settings(max_examples=80, deadline=None)
+def test_faces_match_brute_enumeration_by_dimension(seed, max_dim):
+    # max_dim -1 stands for the empty complex
+    cx = random_complex(7, max_dim, 0.5, seed) if max_dim >= 0 else SimplicialComplex([])
+    brute = oracles.all_faces_brute(cx)
     expected: dict[int, set[Simplex]] = {}
-    for s in oracles.all_faces_brute(cx):
+    for s in brute:
         expected.setdefault(s.dim, set()).add(s)
     assert cx.faces() == {d: frozenset(g) for d, g in expected.items()}
-    assert f_vector(cx) == tuple(len(expected[d]) for d in range(max(expected) + 1))
+    assert list(cx.faces()) == list(range(cx.dim + 1))
+    assert f_vector(cx) == tuple(len(expected[d]) for d in range(len(expected)))
+    assert cx.face_count() == len(brute)
+    assert _face_set(cx.facets) == brute
 
 
 # -- star / link --------------------------------------------------------
@@ -337,6 +344,57 @@ def test_pseudomanifold_edge_cases(four_cycle):
     assert not is_pseudomanifold(SimplicialComplex([]), 2)
     assert is_pseudomanifold(from_facets([[1], [2]]), 0)
     assert not is_pseudomanifold(from_facets([[1], [2], [3]]), 0)
+
+
+def _pseudomanifold_by_search(cx: SimplicialComplex, d: int) -> bool:
+    """The definition: pure of dimension d, each ridge in at most two
+    facets, and every facet reached from one by a breadth-first search
+    through shared ridges."""
+    facets = sorted(cx.facets)
+    if not facets or d < 0 or any(len(f) != d + 1 for f in facets):
+        return False
+    if d == 0:
+        return len(facets) <= 2
+    at_ridge: dict[tuple, list[int]] = {}
+    for i, f in enumerate(facets):
+        for r in combinations(f, d):
+            at_ridge.setdefault(r, []).append(i)
+    if any(len(ids) > 2 for ids in at_ridge.values()):
+        return False
+    seen, queue = {0}, deque([0])
+    while queue:
+        for r in combinations(facets[queue.popleft()], d):
+            for j in at_ridge[r]:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+    return len(seen) == len(facets)
+
+
+@st.composite
+def pure_complexes(draw):
+    """A pure complex of dimension 0-3: random (d+1)-sets on a few vertices,
+    or a disjoint union of simplex boundaries (closed, so only the union's
+    strong connectivity can fail), with a few random facets mixed in or not."""
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(d + 1, d + 5))
+    cells = list(combinations(range(n), d + 1))
+    facets = draw(st.lists(st.sampled_from(cells), max_size=10))
+    if draw(st.booleans()):
+        copies = draw(st.integers(1, 3))
+        facets = [f for f in facets if draw(st.booleans())]
+        for c in range(copies):
+            vertices = [f"c{c}.{v}" for v in range(d + 2)]
+            facets += list(combinations(vertices, d + 1))
+    return from_facets(facets) if facets else SimplicialComplex([]), d
+
+
+@given(pure_complexes())
+@settings(max_examples=300, deadline=None)
+def test_pseudomanifold_matches_ridge_graph_search(drawn):
+    cx, d = drawn
+    for k in (d - 1, d, d + 1):
+        assert is_pseudomanifold(cx, k) == _pseudomanifold_by_search(cx, k)
 
 
 def test_pseudomanifold_strong_connectivity_oracle():

@@ -574,7 +574,7 @@ def test_pipeline_step_error_carries_index():
 
 def test_pipeline_rejects_non_subcomplex():
     ambient, _, target, script = tetra_path_setup()
-    with pytest.raises(NotASubcomplexError):
+    with pytest.raises(NotASubcomplexError, match=r"^facet \{1,9\} of the subcomplex is not a face of the ambient complex$"):
         pipeline_run(ambient, from_facets([[1, 9]]), target, script)
 
 
