@@ -340,7 +340,7 @@ def euler_characteristic(cx: SimplicialComplex) -> int:
 def _face_set(facets: Iterable[Simplex]) -> set[tuple[VertexLabel, ...]]:
     """Every nonempty face of the given facets, as vertex tuples; a `Simplex`
     hashes and compares as its tuple, so it can be looked up directly."""
-    return set(chain.from_iterable(combinations(f, k) for f in facets for k in range(1, len(f) + 1)))
+    return {c for f in facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
 
 
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:

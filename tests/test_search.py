@@ -299,8 +299,8 @@ def _outcome(source, target, max_depth, max_vertices, max_states):
 
 def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labelings):
     """Every last-move subdivision built has the target's sorted degrees,
-    and against the search with no last-move test (every last-move
-    subdivision built), fewer are built for the same outcome and the same
+    and against the search with only the facet-count test (the degree test
+    stubbed out), fewer are built for the same outcome and the same
     labelings."""
     built = []
     subdivide = search.edge_subdivide
@@ -311,7 +311,7 @@ def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labe
         return out
 
     monkeypatch.setattr(search, "edge_subdivide", counted)
-    totals = {"degrees": 0, "no last-move test": 0}
+    totals = {"degrees": 0, "facet count only": 0}
     for case in _differential_cases():
         source, target, max_depth = case[:3]
         goal = sorted(_degrees(target).values())
@@ -319,7 +319,7 @@ def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labe
         runs = {}
         for mode in totals:
             with monkeypatch.context() as m:
-                if mode == "no last-move test":
+                if mode == "facet count only":
                     m.setattr(search, "_subdivided_degrees", lambda *args: goal)
                 built.clear()
                 labelings[0] = 0
@@ -329,8 +329,8 @@ def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labe
                 for fresh, out in built:
                     if fresh == last:
                         assert sorted(_degrees(out).values()) == goal
-        assert runs["degrees"] == runs["no last-move test"]
-    assert totals["degrees"] < totals["no last-move test"]
+        assert runs["degrees"] == runs["facet count only"]
+    assert totals["degrees"] < totals["facet count only"]
 
 
 @pytest.fixture
