@@ -12,8 +12,17 @@ cost is one linear filter over the ambient facets, then work
 proportional to the facets kept.  One lemma decides each face: the
 subcomplex meets its star in one simplex iff one facet at the face has a
 trace on the subcomplex's vertices that holds every other such trace and
-is a face of the subcomplex.  The hot path is pure integer bitmask
-arithmetic; simplices are only materialized when a violation is found.
+is a face of the subcomplex.  Most faces never reach that lemma's exact
+check (`single`): a face of a facet whose trace is a face of the
+subcomplex passes by one AND when no facet at it has a subcomplex vertex
+outside that facet (trace dominance), a facet whose vertices outside the
+subcomplex touch no such facet is skipped without walking its faces (the
+prefilter), and a face inside the subcomplex's vertices is a violation
+iff it is an ambient face and no face of the subcomplex.  The hot path is
+pure integer bitmask arithmetic; simplices are only materialized when a
+violation is found.  A facet is walked through its 2^n faces only for n
+at most 20 (`_FACET_VERTEX_BOUND`); a larger one raises
+`ResourceLimitError` before any of its faces is built.
 
 A pair move scans less: `_classify_change` is told the facets a move
 removed from and added to an ambient whose pair was strongly induced.
@@ -31,12 +40,16 @@ from itertools import chain
 from typing import Collection, Iterator
 
 from .complexes import Simplex, SimplicialComplex, _not_a_subcomplex
+from .errors import ResourceLimitError
 from .labels import VertexLabel
 
 INDUCED = "induced"
 NOT_INDUCED = "not_induced"
 STRONGLY_INDUCED = "strongly_induced"
 NOT_STRONGLY_INDUCED = "not_strongly_induced"
+
+# the most vertices of a facet whose 2^n faces the scan walks
+_FACET_VERTEX_BOUND = 20
 
 
 @dataclass(frozen=True)
@@ -97,6 +110,29 @@ class _StrongScan:
     single maximal face iff U is a face of `sub` inside some F ⊇ σ; and
     U ⊆ F forces T(F) = U.
 
+    Three facts decide most faces without `single`.  Let F be a kept facet
+    (so F is in the `support` of each of its faces) whose trace T(F) is a
+    face of `sub`, and let away(F) be the kept facets with a vertex of
+    V(sub) - F: the OR of `vmask[u]` over those u (`away`, cached per
+    trace, since it depends on T(F) only).
+    - Trace dominance: a face σ ⊆ F is `single` when S & away(F) = 0.  Every
+      G in S then has T(G) ⊆ F ∩ V(sub) = T(F), and F is in S, so U = T(F),
+      a face of `sub` that F holds.
+    - The prefilter: if no vertex x of F outside V(sub) has
+      `vmask[x] & away(F)`, no face of F is a violation, and F is not
+      walked.  A face σ ⊆ F with such a vertex x has S ⊆ `vmask[x]`, so it
+      is `single` by dominance; a face σ ⊆ V(sub) lies in T(F), so it is in
+      `sub`.
+    - Faces inside V(sub), of any scanned facet: σ ⊆ V(sub) is a violation
+      iff S ≠ 0 and σ is no face of `sub`, i.e. no sub facet is at all its
+      vertices.  S = 0 puts σ in no ambient facet; and `sub ∩ star(σ)`
+      holds every vertex of σ, so a single maximal piece would hold σ and
+      put it in `sub`.
+    A facet whose trace is no face of `sub` does not take the dominance
+    test, nor does a facet that is not kept: a removed facet of a
+    change-set scan is in the `support` of none of its faces, which other
+    facets with larger traces may hold.
+
     Construction also checks that `sub` is a subcomplex: an ambient facet
     holding a sub facet g meets V(sub), so it lies in N, and g is an ambient
     face iff its `support` (the AND of its vertices' facet bits) is nonzero.
@@ -105,8 +141,10 @@ class _StrongScan:
     the scan keeps only the facets of N that meet C = V(changed), checks
     only the sub facets that meet C, and scans only the faces of the
     changed facets, skipping one with `support` 0.  Every facet at such a
-    face meets C, so its `support` is exact.  A change set at least as
-    large as N would scan more than N does, so then N is scanned whole.
+    face meets C, so its `support` is exact.  An added facet that meets
+    V(sub) is kept, so it takes the dominance test as above.  A change set
+    at least as large as N would scan more than N does, so then N is
+    scanned whole.
     The change-set scan is exact when the old pair (L, K) was strongly
     induced and the new pair (L', K') is a move's: no face of L - L' is a
     face of K', and every face of L' - L meets C and is no face of K.  An
@@ -145,33 +183,55 @@ class _StrongScan:
             is_face = lambda g: near.isdisjoint(g) or self.support(g)
         else:
             changed = None
+        # a bit per sub vertex, and the sub facets at each sub vertex as a bitmask
+        self._vbit = vbit = {v: 1 << k for k, v in enumerate(gamma)}
+        self._sub_at = sub_at = dict.fromkeys(gamma, 0)
+        for j, g in enumerate(sub.facets):
+            for v in g:
+                sub_at[v] |= 1 << j
+        # one pass over the kept facets: the facets at each vertex, and each
+        # facet's trace on V(sub) with whether it is a face of sub
         self.vmask: dict[VertexLabel, int] = {}
+        self.traces: list[int] = []
+        self.trace_in_sub: list[bool] = []
+        vmask = self.vmask
         for i, f in enumerate(self.facets):
             bit = 1 << i
             for v in f:
-                self.vmask[v] = self.vmask.get(v, 0) | bit
+                vmask[v] = vmask.get(v, 0) | bit
+            trace, fits = self._trace(f)
+            self.traces.append(trace)
+            self.trace_in_sub.append(fits)
         if not all(map(is_face, sub.facets)):
             raise _not_a_subcomplex(sub, is_face)
-        # each kept facet's trace on V(sub) as a bitmask, and whether a sub facet holds it
-        vbit = {v: 1 << k for k, v in enumerate(gamma)}
-        self.traces = [sum(vbit[v] for v in f if v in vbit) for f in self.facets]
-        sub_masks = [sum(map(vbit.get, g)) for g in sub.facets]
-        in_sub = {t: any(t & g == t for g in sub_masks) for t in set(self.traces)}
-        self.trace_in_sub = [in_sub[t] for t in self.traces]
-        # the facets `_violations` scans, each with whether its trace is a face of sub
-        if changed is None:
-            self.scope = list(zip(self.facets, self.trace_in_sub))
-        else:
-            # each changed facet on its vertices in kept facets: a face with
-            # another vertex has `support` 0
-            self.scope = []
-            for f in changed:
-                t = sum(vbit[v] for v in f if v in vbit)
-                fits = in_sub[t] if t in in_sub else any(t & g == t for g in sub_masks)
-                self.scope.append((Simplex(v for v in f if v in self.vmask), fits))
         # a face held by no kept facet is no face of the ambient, or its star
         # misses `sub`
         self._single: dict[int, bool] = {0: True}
+        self._aways: dict[int, int] = {}
+        # the facets `_violations` scans, each with its trace and whether its
+        # faces may take the dominance test: it is kept and its trace is a face
+        # of sub
+        if changed is None:
+            self.scope = list(zip(self.facets, self.traces, self.trace_in_sub))
+        else:
+            # each changed facet on its vertices in kept facets (a face with
+            # another vertex has `support` 0); an added facet that meets
+            # V(sub) is kept, a removed one is not
+            self.scope = []
+            for f in changed:
+                trace, fits = self._trace(f)
+                kept = trace != 0 and f in ambient.facets
+                self.scope.append((tuple(v for v in f if v in vmask), trace, fits and kept))
+
+    def _trace(self, facet: Simplex) -> tuple[int, bool]:
+        """`facet`'s trace on V(sub) as a bitmask, and whether it is a face of
+        `sub`: whether some sub facet is at every vertex of the trace."""
+        trace, at = 0, -1
+        for v in facet:
+            if v in self._vbit:
+                trace |= self._vbit[v]
+                at &= self._sub_at[v]
+        return trace, at != 0
 
     def support(self, simplex: Simplex) -> int:
         """Bitmask of the kept facets containing the nonempty `simplex`."""
@@ -180,6 +240,19 @@ class _StrongScan:
         for v in simplex:
             mask &= get(v, 0)
         return mask
+
+    def away(self, trace: int) -> int:
+        """Bitmask of the kept facets with a vertex of V(sub) outside `trace`:
+        the OR of `vmask[u]` over the sub vertices u that `trace` misses."""
+        got = self._aways.get(trace)
+        if got is None:
+            got = 0
+            get = self.vmask.get
+            for v, bit in self._vbit.items():
+                if not bit & trace:
+                    got |= get(v, 0)
+            self._aways[trace] = got
+        return got
 
     def single(self, support: int) -> bool:
         """Does `sub` meet the star of a face held by exactly the kept
@@ -196,30 +269,67 @@ class _StrongScan:
             got = self._single[support] = union in fits
         return got
 
+    def _walks(self) -> list[tuple[list[VertexLabel], int, int]]:
+        """The scanned facets the prefilter does not skip, each as (its
+        vertices, those in V(sub) first; how many are in V(sub); `away`, or -1
+        when it takes no dominance test).  `ResourceLimitError` if one has
+        more than `_FACET_VERTEX_BOUND` vertices, before any is walked."""
+        vmask, vbit = self.vmask, self._vbit
+        walks = []
+        for facet, trace, dominated in self.scope:
+            inside, outside, reach = [], [], 0
+            for v in facet:
+                if v in vbit:
+                    inside.append(v)
+                else:
+                    outside.append(v)
+                    reach |= vmask[v]
+            away = -1
+            if dominated:
+                away = self.away(trace)
+                if not reach & away:
+                    continue  # the prefilter: no face of `facet` is a violation
+            walks.append((inside + outside, len(inside), away))
+        n = max((len(facet) for facet, _, _ in walks), default=0)
+        if n > _FACET_VERTEX_BOUND:
+            raise ResourceLimitError(
+                f"the strong-inducedness scan would walk the {1 << n} faces of a facet "
+                f"with {n} vertices, above the bound of {_FACET_VERTEX_BOUND} vertices",
+                facet_vertices=n,
+                bound=_FACET_VERTEX_BOUND,
+            )
+        return walks
+
     def _violations(self) -> Iterator[Simplex]:
-        """Every violation, once per scanned facet holding it.  Integer-only
-        subset scan of each facet; a simplex is built only for a violation or
-        for a face in V(sub) inside a trace that is not a face of `sub`."""
-        gamma = self.gamma_verts
+        """Every violation, once per walked facet holding it.  Integer-only
+        subset walk of each facet, its faces in V(sub) first; a simplex is
+        built only for a violation."""
+        vmask, sub_at = self.vmask, self._sub_at
         cached = self._single.get
-        for facet, trace_in_sub in self.scope:
-            masks = [self.vmask[v] for v in facet]
-            outside = sum(1 << j for j, v in enumerate(facet) if v not in gamma)
-            size = 1 << len(facet)
-            sup = [-1] * size
-            for t in range(1, size):
+        for facet, inside, away in self._walks():
+            masks = [vmask[v] for v in facet]
+            at = [sub_at[v] for v in facet[:inside]]
+            split, size = 1 << inside, 1 << len(facet)
+            sup, sub_sup = [-1] * size, [-1] * split
+            # a face in V(sub) is a violation iff it is an ambient face and no face of sub
+            for t in range(1, split):
+                low = t & -t
+                k = low.bit_length() - 1
+                sup[t] = sup_t = sup[t ^ low] & masks[k]
+                sub_sup[t] = in_sub = sub_sup[t ^ low] & at[k]
+                if sup_t and not in_sub:
+                    yield _face(facet, t)
+            # a face with a vertex outside V(sub) is one iff it is not `single`,
+            # and it is `single` if no facet at it is `away`
+            for t in range(split, size):
                 low = t & -t
                 sup[t] = sup_t = sup[t ^ low] & masks[low.bit_length() - 1]
-                single = cached(sup_t)
-                if single is None:
-                    single = self.single(sup_t)
-                # not a violation if single, nor if in sub, as it is when it lies
-                # in V(sub) and its facet's trace is a face of sub
-                if single or (not t & outside and trace_in_sub):
-                    continue
-                sigma = Simplex(v for k, v in enumerate(facet) if t >> k & 1)
-                if t & outside or sigma not in self.sub:
-                    yield sigma
+                if sup_t & away:
+                    single = cached(sup_t)
+                    if single is None:
+                        single = self.single(sup_t)
+                    if not single:
+                        yield _face(facet, t)
 
     def has_violation(self) -> bool:
         return next(self._violations(), None) is not None
@@ -259,6 +369,11 @@ class _StrongScan:
         if not self.has_violation():
             return InducednessWitness(STRONGLY_INDUCED)
         return self.induced()
+
+
+def _face(facet: tuple[VertexLabel, ...], t: int) -> Simplex:
+    """The face of `facet` at the positions set in `t`."""
+    return Simplex(sorted(v for k, v in enumerate(facet) if t >> k & 1))
 
 
 def is_strongly_induced(sub: SimplicialComplex, ambient: SimplicialComplex) -> InducednessWitness:

@@ -92,7 +92,7 @@ class VertexLabel(str):
             token = str(token)
         if not isinstance(token, str) or token == "":
             raise MalformedInputError(f"vertex label must be a nonempty string, got {token!r}")
-        return _INTERN.get(token) or _intern(token, _label_type(token))
+        return _INTERN.get(token) or _intern(_new_label(token))
 
     @classmethod
     def barycenter(cls, constituents: Iterable[str], rnd: int) -> "VertexLabel":
@@ -113,26 +113,32 @@ class VertexLabel(str):
         for lbl in parts:
             if type(lbl) is _Reserved:
                 raise NamingError(f"label {lbl} holds ',', '{{' or '}}', which barycenter labels reserve")
-        return _intern(_barycenter_token(parts, rnd), _Barycenter)
+        token = _barycenter_token(parts, rnd)
+        return _INTERN.get(token) or _intern(_Barycenter(token, rnd))
 
     def __repr__(self):
         return f"VertexLabel({str.__repr__(self)})"
 
 
 class _Barycenter(VertexLabel):
-    """A label whose token is a canonical barycenter token ``b{...}@r``."""
+    """A label whose token is a canonical barycenter token ``b{...}@r``; its
+    round r is stored when the label is made, so reading it parses nothing."""
 
-    __slots__ = ()
+    __slots__ = ("round",)
 
     kind = BARYCENTER
+
+    def __new__(cls, token: str, rnd: int):
+        lbl = super().__new__(cls, token)
+        lbl.round = rnd
+        return lbl
+
+    def __getnewargs__(self):
+        return str(self), self.round
 
     @property
     def face(self) -> tuple[str, ...]:
         return _parse_barycenter(self)[0]
-
-    @property
-    def round(self) -> int:
-        return int(self[self.rindex("@") + 1 :])
 
 
 class _Reserved(VertexLabel):
@@ -142,19 +148,20 @@ class _Reserved(VertexLabel):
     __slots__ = ()
 
 
-def _label_type(token: str) -> type[VertexLabel]:
-    """The class of a new label, decided once, when its token is interned."""
-    if _parse_barycenter(token):
-        return _Barycenter
-    return VertexLabel if _RESERVED.isdisjoint(token) else _Reserved
+def _new_label(token: str) -> VertexLabel:
+    """A new label for `token`, its class (and a barycenter's round) decided
+    once, when the token is interned."""
+    parsed = _parse_barycenter(token)
+    if parsed:
+        return _Barycenter(token, parsed[1])
+    return (VertexLabel if _RESERVED.isdisjoint(token) else _Reserved)(token)
 
 
-def _intern(token: str, label_type: type[VertexLabel]) -> VertexLabel:
-    lbl = _INTERN.get(token)
-    if lbl is None:
-        with _INTERN_LOCK:
-            lbl = _INTERN.setdefault(token, label_type(token))
-    return lbl
+def _intern(lbl: VertexLabel) -> VertexLabel:
+    """The interned label equal to the new `lbl`: `lbl` itself, unless another
+    thread interned its token first."""
+    with _INTERN_LOCK:
+        return _INTERN.setdefault(lbl, lbl)
 
 
 def vlabel(token) -> VertexLabel:

@@ -145,6 +145,14 @@ def test_resource_limit_exits_three(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "resource-limit"
 
 
+def test_check_strong_refuses_a_facet_too_large_to_walk(tmp_path, capsys):
+    sub = write_complex(tmp_path / "g.json", [[1], [2]])
+    ambient = write_complex(tmp_path / "d.json", [list(range(1, 22))])
+    assert main(["check", "strong", "--sub", sub, "--ambient", ambient]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["facet_vertices"], err["bound"]) == ("resource-limit", 21, 20)
+
+
 def test_random_is_seed_deterministic(capsys):
     assert main(["random", "complex", "--vertices", "5", "--max-dim", "2", "--density", "0.5", "--seed", "42"]) == 0
     first = capsys.readouterr().out

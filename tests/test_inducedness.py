@@ -27,7 +27,7 @@ from stellarpair import (
     star,
     vlabel,
 )
-from stellarpair.errors import InvalidEdgeError, NotASubcomplexError
+from stellarpair.errors import InvalidEdgeError, NotASubcomplexError, ResourceLimitError
 from stellarpair.inducedness import (
     INDUCED,
     NOT_INDUCED,
@@ -429,6 +429,14 @@ def test_change_set_scan_sources_reach_both_verdicts_on_the_change_path():
         ),
         # adding the edge between two sub vertices leaves the pair not induced
         ([[1], [2]], [[1, 4], [2, 5], [4, 5]], [[1, 2], [1, 4], [2, 5], [4, 5]], NOT_INDUCED),
+        # the removed facet {a,b,x} has the trace {a,b}, a face of sub, and dropping it
+        # splits the star of x into {a} and {b}: a removed facet takes no dominance test
+        (
+            [["a", "b", "c"]],
+            [["a", "b", "c"], ["a", "b", "x"], ["a", "x", "y"], ["b", "x", "z"]],
+            [["a", "b", "c"], ["a", "x", "y"], ["b", "x", "z"]],
+            INDUCED,
+        ),
     ],
 )
 def test_change_set_scan_on_hand_made_changes(sub, old, new, verdict):
@@ -454,6 +462,89 @@ def test_change_set_scan_checks_the_sub_facets_it_can_see():
         with pytest.raises(NotASubcomplexError) as err:
             check(sub, ambient)
         assert str(err.value) == "facet {2,3} of the subcomplex is not a face of the ambient complex"
+
+
+# -- trace dominance and the prefilter: what they pass, `single` passes -----------------
+
+def _scans(kind: str, dim: int, seed: int):
+    """The full scan of a pair from `_random_pair` or `_local_pair`, or both the
+    change-set and the full scan of a pair from `_moved_pair`."""
+    if kind in ("bare", "rebias", "contract"):
+        moved = _moved_pair(kind, dim, seed)
+        return [] if moved is None else [_StrongScan(*moved), _StrongScan(*moved[:2])]
+    local = kind in ("biased", "derived", "subdivided")
+    return [_StrongScan(*(_local_pair if local else _random_pair)(kind, dim, seed))]
+
+
+def _dominance_cases(scan):
+    """(facet, away, skipped) for each scanned facet that takes the dominance
+    test, with whether the prefilter skips it (leaves it out of `_walks`)."""
+    walked = {frozenset(facet) for facet, _, _ in scan._walks()}
+    for facet, trace, dominated in scan.scope:
+        if dominated:
+            yield facet, scan.away(trace), frozenset(facet) not in walked
+
+
+@given(
+    st.sampled_from(
+        ["subcomplex", "induced", "strong", "biased", "derived", "subdivided", "bare", "rebias", "contract"]
+    ),
+    st.integers(1, 4),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=90, deadline=None)
+def test_dominance_and_prefilter_pass_only_what_single_passes(kind, dim, seed):
+    for scan in _scans(kind, dim, seed):
+        for facet, away, skipped in _dominance_cases(scan):
+            for k in range(1, len(facet) + 1):
+                for face in itertools.combinations(facet, k):
+                    support = scan.support(face)
+                    if not support & away:
+                        assert scan.single(support)
+                    if skipped:
+                        # no face of a skipped facet is a violation
+                        assert Simplex(face) in scan.sub or scan.single(support)
+
+
+def test_dominance_sources_reach_skipped_and_walked_facets():
+    # the sources behind the property test above give facets the prefilter skips
+    # and facets it walks, in full scans and in scans that take the change-set path
+    seen = set()
+    for seed in range(12):
+        for kind in ("biased", "derived", "subdivided"):
+            (scan,) = _scans(kind, 1 + seed % 3, seed)
+            seen.update(("full", skipped) for *_, skipped in _dominance_cases(scan))
+        for kind in ("bare", "rebias", "contract"):
+            moved = _moved_pair(kind, 1 + seed % 3, seed)
+            if moved is not None and _scans_the_change(*moved):
+                scan = _StrongScan(*moved)
+                seen.update(("change", skipped) for *_, skipped in _dominance_cases(scan))
+    assert seen == {("full", True), ("full", False), ("change", True), ("change", False)}
+
+
+# -- the subset walk is bounded ------------------------------------------------------
+
+def test_scan_bound_refuses_a_facet_it_would_walk():
+    # the faces in {1,2} of the 21-vertex facet need a walk: {1,2} is no face of sub
+    ambient, sub = from_facets([range(1, 22)]), from_facets([[1], [2]])
+    for check in (classify_pair, is_strongly_induced, is_induced):
+        with pytest.raises(ResourceLimitError) as err:
+            check(sub, ambient)
+        assert err.value.stats == {"facet_vertices": 21, "bound": 20}
+
+
+def test_scan_bound_spares_a_facet_it_does_not_walk():
+    # the prefilter skips the 21-vertex facet when no sub vertex lies outside it
+    facet = list(range(1, 22))
+    assert classify_pair(from_facets([[1, 2]]), from_facets([facet])).verdict == STRONGLY_INDUCED
+    # every trace is a face of sub, so `is_induced` walks nothing; the strong
+    # checks must walk the facet, as its vertex 21 sees both sub vertices, and
+    # refuse before walking any facet, so also when the edge would show that
+    sub, ambient = from_facets([[1], [22]]), from_facets([facet, [21, 22]])
+    assert is_induced(sub, ambient).verdict == INDUCED
+    for check in (classify_pair, is_strongly_induced):
+        with pytest.raises(ResourceLimitError):
+            check(sub, ambient)
 
 
 # -- the subcomplex precondition ------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -88,6 +89,19 @@ def test_next_round_skips_used_rounds():
     assert next_round(labels) == 5
     assert next_round([vlabel("1"), vlabel("2")]) == 0
     assert next_round([]) == 0
+
+
+def test_built_and_parsed_barycenters_store_equal_rounds():
+    # the round is stored when a label is interned, and fresh tokens make one
+    # label through `barycenter` and one through the parser
+    built = VertexLabel.barycenter(["round-1", "round-2"], 731)
+    parsed = vlabel("b{round-1,round-3}@731")
+    assert type(built) is type(parsed) is _Barycenter
+    assert built.round == parsed.round == 731
+    assert next_round([built, parsed]) == 732
+    # a copy made through pickle keeps it
+    again = pickle.loads(pickle.dumps(parsed))
+    assert (again, again.round) == (parsed, 731)
 
 
 @given(st.lists(st.text(alphabet="abc123", min_size=1, max_size=4), min_size=1, max_size=4, unique=True),
