@@ -11,6 +11,11 @@ complexes; a vertex guard raises ResourceLimitError beyond it.
 `_signature` is a cheap isomorphism invariant read off the incidences,
 for callers that can rule out most pairs before labeling either.  The
 vertex degrees and the orbit union-find come from `complexes`.
+
+Three facts skip work and change no returned value: a refinement round
+giving every vertex its own color is final, a leaf's coloring 0..n-1 is
+its rank map, and facet order reaches no output (facet signatures are
+ranked through a sorted set, and the form is sorted).
 """
 
 from __future__ import annotations
@@ -27,38 +32,30 @@ CanonicalForm = tuple[tuple[int, ...], ...]
 Labeling = tuple[CanonicalForm, dict[VertexLabel, int], list[dict[VertexLabel, VertexLabel]]]
 
 
-def _refine(colors: list[int], facet_members: list[tuple[int, ...]], facets_of: list[tuple[int, ...]]) -> list[int]:
+def _refine(colors: list[int], facet_members: list[tuple[int, ...]], facets_of: list[list[int]]) -> list[int]:
     """Stable color refinement on the bipartite vertex/facet incidence graph.
 
     Each facet signature is replaced by its rank among the distinct
     signatures; the rank is strictly monotone, so the vertex signatures
-    sort, and the new colors come out, exactly as with the signatures."""
+    sort, and the new colors come out, exactly as with the signatures.
+    A vertex signature starts with the vertex's color, so a round refines
+    the last and is stable when it adds no color.  A discrete round is
+    final: its colors are the ranks 0..n-1, which the next round returns
+    again (and so a leaf's rank map).  Facet order does not matter: facet
+    signatures are ranked through a sorted set, and each vertex sorts its
+    facets' colors."""
     n = len(colors)
+    count = len(set(colors))
     while True:
-        fsig = [
-            (len(members), tuple(sorted([colors[v] for v in members])))
-            for members in facet_members
-        ]
+        fsig = [(len(members), tuple(sorted(map(colors.__getitem__, members)))) for members in facet_members]
         franking = {sig: i for i, sig in enumerate(sorted(set(fsig)))}
-        fcolors = [franking[s] for s in fsig]
-        vsig = [
-            (colors[v], tuple(sorted([fcolors[i] for i in facets_of[v]])))
-            for v in range(n)
-        ]
+        fcolors = list(map(franking.__getitem__, fsig))
+        vsig = [(colors[v], tuple(sorted(map(fcolors.__getitem__, facets_of[v])))) for v in range(n)]
         ranking = {sig: i for i, sig in enumerate(sorted(set(vsig)))}
-        new_colors = [ranking[s] for s in vsig]
-        if len(set(new_colors)) == len(set(colors)):
-            return new_colors
-        colors = new_colors
-
-
-def _leaf_form(colors: list[int], facet_members: list[tuple[int, ...]]) -> tuple[CanonicalForm, list[int]]:
-    order = sorted(range(len(colors)), key=lambda v: colors[v])
-    rank = [0] * len(colors)
-    for pos, v in enumerate(order):
-        rank[v] = pos
-    form = tuple(sorted(tuple(sorted(rank[v] for v in members)) for members in facet_members))
-    return form, rank
+        colors = list(map(ranking.__getitem__, vsig))
+        if len(ranking) in (count, n):
+            return colors
+        count = len(ranking)
 
 
 def _signature(cx: SimplicialComplex) -> tuple:
@@ -69,10 +66,17 @@ def _signature(cx: SimplicialComplex) -> tuple:
     deg = _degrees(cx)
     at: dict[VertexLabel, list[tuple[int, ...]]] = {v: [] for v in deg}
     for f in cx.facets:
-        s = tuple(sorted([deg[v] for v in f]))
+        degs = list(map(deg.__getitem__, f))
+        degs.sort()
+        s = tuple(degs)
         for v in f:
             at[v].append(s)
-    return tuple(sorted([(deg[v], tuple(sorted(ss))) for v, ss in at.items()]))
+    out = []
+    for v, ss in at.items():
+        ss.sort()
+        out.append((deg[v], tuple(ss)))
+    out.sort()
+    return tuple(out)
 
 
 def canonical_labeling(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD) -> Labeling:
@@ -89,17 +93,16 @@ def canonical_labeling(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUA
             guard=guard,
         )
     vid = {v: i for i, v in enumerate(verts)}
-    facet_members = [tuple(vid[v] for v in f) for f in cx.sorted_facets()]
+    facet_members = [tuple(map(vid.__getitem__, f)) for f in cx.facets]
     facets_of: list[list[int]] = [[] for _ in range(n)]
     for i, members in enumerate(facet_members):
         for v in members:
             facets_of[v].append(i)
-    facets_of_t = [tuple(ids) for ids in facets_of]
 
     if n == 0:
         return (), {}, []
 
-    base = _refine([0] * n, facet_members, facets_of_t)
+    base = _refine([0] * n, facet_members, facets_of)
 
     best: list = [None, None]  # form, rank
     orbits = _UnionFind(n)
@@ -109,19 +112,16 @@ def canonical_labeling(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUA
 
     def visit(colors: list[int]) -> None:
         nonlocal leaf_count
-        classes: dict[int, list[int]] = {}
-        for v in range(n):
-            classes.setdefault(colors[v], []).append(v)
-        target = None
-        for color in sorted(classes):
-            if len(classes[color]) > 1:
-                target = classes[color]
-                break
-        if target is None:
+        counts = [0] * n
+        for c in colors:
+            counts[c] += 1
+        cell = next((c for c, size in enumerate(counts) if size > 1), None)
+        if cell is None:
             leaf_count += 1
             if leaf_count > _LEAF_BUDGET:
                 raise ResourceLimitError("canonical labeling leaf budget exceeded", leaves=leaf_count)
-            form, rank = _leaf_form(colors, facet_members)
+            rank = colors  # a discrete refinement is its own rank map
+            form = tuple(sorted([tuple(sorted(map(rank.__getitem__, members))) for members in facet_members]))
             prior = leaves_seen.get(form)
             if prior is not None:
                 # equal forms certify an automorphism; keep it and fold it into the orbits
@@ -138,13 +138,13 @@ def canonical_labeling(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUA
                 best[1] = rank
             return
         tried: list[int] = []
-        for u in target:
+        for u in [v for v in range(n) if colors[v] == cell]:
             if any(orbits.find(u) == orbits.find(t) for t in tried):
                 continue
             tried.append(u)
             branched = list(colors)
             branched[u] = -1  # individualize: strictly smallest color
-            visit(_refine(branched, facet_members, facets_of_t))
+            visit(_refine(branched, facet_members, facets_of))
 
     visit(base)
     rank = best[1]

@@ -13,6 +13,7 @@ outside is parsed to learn it.
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Iterable
 
@@ -34,7 +35,7 @@ def _parse_barycenter(token: str) -> tuple[tuple[str, ...], int] | None:
     if at < 2:
         return None
     round_part = token[at + 2 :]
-    if not (round_part.isascii() and round_part.isdigit()):
+    if not (round_part.isascii() and round_part.isdigit() and _next_round_spellable(round_part)):
         return None
     inner = token[2:at]
     parts: list[str] = []
@@ -62,6 +63,18 @@ def _parse_barycenter(token: str) -> tuple[tuple[str, ...], int] | None:
     if _barycenter_token(sorted(parts), rnd) != token:
         return None
     return tuple(parts), rnd
+
+
+def _digit_limit() -> int:
+    """The most decimal digits `int` and `str` convert between (0: no limit)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _next_round_spellable(digits: str) -> bool:
+    """Whether the round spelled by the ASCII `digits` and the round after it
+    both convert between `int` and `str` under the interpreter's digit limit."""
+    limit = _digit_limit()
+    return not limit or len(digits) < limit or (len(digits) == limit and digits != "9" * limit)
 
 
 def _barycenter_token(constituents: list[str], rnd: int) -> str:

@@ -66,6 +66,9 @@ only when a cheaper test cannot answer for it:
   an entry of its own has only the identity automorphism and is not
   labeled.  The queue, the visited states, every hit and so every
   script, target_map and budget stat are unchanged.
+- Successors from the star.  A subdivision is built from the facets
+  `_edge_stars` holds at its edge, by the builder `stellar_subdivide`
+  calls after scanning for them; the fresh label is still checked.
 - One labeling per complex.  The goal test, the buckets and the orbit
   step read labels from one memo, keyed by the complex (complexes
   compare by facets), that calls `canonical.canonical_labeling` at most
@@ -96,9 +99,9 @@ from .canonical import (
 from .complexes import Simplex, SimplicialComplex, _degrees, _UnionFind
 from .contraction import _contract_if_valid
 from .errors import ResourceLimitError
-from .labels import VertexLabel
+from .labels import VertexLabel, _digit_limit
 from .pairs import Move, MoveScript
-from .subdivision import edge_subdivide
+from .subdivision import _subdivide_star
 
 DEFAULT_STATE_BUDGET = 100_000
 
@@ -152,11 +155,14 @@ def _move(e: Simplex, fresh: str | None) -> Move:
 
 
 def _fresh_label_base(cx: SimplicialComplex) -> int:
-    """The least k such that no label n<j> with j >= k is taken."""
+    """The least k such that no label n<j> with j >= k is taken, skipping
+    runs of at least the int/str digit limit, so that n<k+i> is spelled
+    (a taken label is still refused when a successor is built)."""
+    limit = _digit_limit()
     taken = [-1]
     for v in cx.vertex_set():
         m = re.fullmatch(r"n(\d+)", v)
-        if m:
+        if m and (not limit or len(m.group(1)) < limit):
             taken.append(int(m.group(1)))
     return max(taken) + 1
 
@@ -178,18 +184,11 @@ def search_script(
     queued (states with no moves left are never queued), the depth reached
     and the isomorphism classes visited.
 
-    Successors whose vertex count cannot reach the target's in the moves
-    left are never built, and neither is a last-move subdivision whose
-    sorted vertex degrees (read off the state and the edge's star)
-    differ from the target's.  A successor is labeled only when its
-    signature (`canonical._signature`) equals the target's or that of a
-    state already visited, and once such a collision has labeled the
-    expanded state, a successor that one of its automorphisms maps onto
-    an earlier sibling is dropped unbuilt.  No complex is labeled twice:
-    every label goes through one memo for the whole search.  The result
-    is the script that labeling every successor gives, but pruned states
-    take no share of the budget, so a search can finish within a
-    `max_states` that labeling every successor would exhaust.
+    The cheap tests of the module docstring decide which successors are
+    built and labeled; the result is the script that labeling every
+    successor gives, but pruned states take no share of the budget, so a
+    search can finish within a `max_states` that labeling every successor
+    would exhaust.
     """
     for cx, name in ((source, "source"), (target, "target")):
         if cx.num_vertices() > max_vertices:
@@ -283,7 +282,7 @@ def search_script(
                 if nxt is None:
                     continue
             else:
-                nxt = edge_subdivide(state, e, fresh)
+                nxt = _subdivide_star(state, e, stars[e], fresh)
             sig = _signature(nxt)
             iso = onto_goal(nxt, sig)
             if iso is not None:

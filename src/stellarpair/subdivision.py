@@ -42,19 +42,29 @@ def stellar_subdivide(cx: SimplicialComplex, simplex, new_label) -> SimplicialCo
             f"stellar subdivision at {s} rejected: at a vertex it is the identity"
         )
     held = frozenset(s)
-    hits: list[Simplex] = []
-    new_facets: list[Simplex] = []
-    for f in cx.facets:
-        (hits if held.issubset(f) else new_facets).append(f)
+    hits = [f for f in cx.facets if held.issubset(f)]
     if not hits:
         raise AbsentFaceError(f"{s} is not a face of the complex")
+    return _subdivide_star(cx, s, hits, new_label)
+
+
+def _subdivide_star(cx: SimplicialComplex, s: Simplex, hits: list[Simplex], new_label) -> SimplicialComplex:
+    """The stellar subdivision of `cx` at `s`, given `hits`, the facets of
+    `cx` that hold `s`: each becomes the facets {new} + (F - w), one per
+    vertex w of `s`.  `NamingError` if the new label names a vertex."""
     v = vlabel(new_label)
     if v in cx.vertex_set():
         raise NamingError(f"label {v} already names a vertex of the complex")
+    facets = set(cx.facets)
+    facets.difference_update(hits)
     for f in hits:
         for w in s:
-            new_facets.append(Simplex(sorted(set(f) - {w} | {v})))
-    return SimplicialComplex._from_antichain(new_facets)
+            cell = list(f)
+            cell.remove(w)
+            cell.append(v)
+            cell.sort()
+            facets.add(Simplex(cell))
+    return SimplicialComplex._from_antichain(facets)
 
 
 def edge_subdivide(cx: SimplicialComplex, edge, new_label) -> SimplicialComplex:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import random
 import tracemalloc
 from collections import deque
 from itertools import combinations, permutations, product
@@ -35,7 +36,7 @@ from stellarpair import (
 )
 from stellarpair import canonical
 from stellarpair.canonical import _signature
-from stellarpair.complexes import _face_set
+from stellarpair.complexes import _face_set, _UnionFind
 from stellarpair.errors import (
     AbsentFaceError,
     MalformedInputError,
@@ -327,6 +328,156 @@ def test_canonical_labeling_leaf_budget(monkeypatch, tetra_boundary):
     with pytest.raises(ResourceLimitError) as exc:
         canonical_form(tetra_boundary)
     assert exc.value.stats == {"leaves": 2}
+
+
+# -- labeling oracle: the plain refinement and search the library's fast paths must reproduce
+
+
+def _oracle_refine(colors, facet_members, facets_of):
+    n = len(colors)
+    while True:
+        fsig = [
+            (len(members), tuple(sorted([colors[v] for v in members])))
+            for members in facet_members
+        ]
+        franking = {sig: i for i, sig in enumerate(sorted(set(fsig)))}
+        fcolors = [franking[s] for s in fsig]
+        vsig = [
+            (colors[v], tuple(sorted([fcolors[i] for i in facets_of[v]])))
+            for v in range(n)
+        ]
+        ranking = {sig: i for i, sig in enumerate(sorted(set(vsig)))}
+        new_colors = [ranking[s] for s in vsig]
+        if len(set(new_colors)) == len(set(colors)):
+            return new_colors
+        colors = new_colors
+
+
+def _oracle_leaf_form(colors, facet_members):
+    order = sorted(range(len(colors)), key=lambda v: colors[v])
+    rank = [0] * len(colors)
+    for pos, v in enumerate(order):
+        rank[v] = pos
+    form = tuple(sorted(tuple(sorted(rank[v] for v in members)) for members in facet_members))
+    return form, rank
+
+
+def oracle_labeling(cx):
+    """`canonical_labeling` as it was before its exact fast paths: the form,
+    the rank map and the automorphisms, in the order they were found."""
+    verts = cx.vertices()
+    n = len(verts)
+    vid = {v: i for i, v in enumerate(verts)}
+    facet_members = [tuple(vid[v] for v in f) for f in cx.sorted_facets()]
+    facets_of = [[] for _ in range(n)]
+    for i, members in enumerate(facet_members):
+        for v in members:
+            facets_of[v].append(i)
+    facets_of_t = [tuple(ids) for ids in facets_of]
+    if n == 0:
+        return (), {}, []
+    base = _oracle_refine([0] * n, facet_members, facets_of_t)
+    best = [None, None]
+    orbits = _UnionFind(n)
+    automorphisms = []
+    leaves_seen = {}
+
+    def visit(colors):
+        classes = {}
+        for v in range(n):
+            classes.setdefault(colors[v], []).append(v)
+        target = None
+        for color in sorted(classes):
+            if len(classes[color]) > 1:
+                target = classes[color]
+                break
+        if target is None:
+            form, rank = _oracle_leaf_form(colors, facet_members)
+            prior = leaves_seen.get(form)
+            if prior is not None:
+                inv_prior = [0] * n
+                for v in range(n):
+                    inv_prior[prior[v]] = v
+                for v in range(n):
+                    orbits.union(v, inv_prior[rank[v]])
+                automorphisms.append({verts[v]: verts[inv_prior[rank[v]]] for v in range(n)})
+            else:
+                leaves_seen[form] = rank
+            if best[0] is None or form < best[0]:
+                best[0] = form
+                best[1] = rank
+            return
+        tried = []
+        for u in target:
+            if any(orbits.find(u) == orbits.find(t) for t in tried):
+                continue
+            tried.append(u)
+            branched = list(colors)
+            branched[u] = -1
+            visit(_oracle_refine(branched, facet_members, facets_of_t))
+
+    visit(base)
+    rank = best[1]
+    return best[0], {verts[v]: rank[v] for v in range(n)}, automorphisms
+
+
+def _graph(n, edges):
+    """The 1-dimensional complex on vertices 0..n-1 with these edges."""
+    return from_facets([sorted(map(str, e)) for e in edges] + [[str(v)] for v in range(n)])
+
+
+def _symmetric_complexes():
+    """Complexes whose labeling branches below the root: disjoint unions of
+    equal cycles, circulants C_n(a, b), K_{n,n} and the octahedron boundary."""
+    for m, k in [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3), (6, 2), (7, 2), (8, 2)]:
+        yield f"{k}C{m}", _graph(m * k, [(c * m + i, c * m + (i + 1) % m) for c in range(k) for i in range(m)])
+    for n in range(5, 13):
+        for a in range(1, n // 2 + 1):
+            for b in range(a + 1, n // 2 + 1):
+                yield f"C{n}({a},{b})", _graph(n, [(i, (i + s) % n) for i in range(n) for s in (a, b)])
+    for n in range(2, 6):
+        yield f"K{n},{n}", _graph(2 * n, [(i, n + j) for i in range(n) for j in range(n)])
+    yield "octahedron", from_facets(
+        [[1, 2, 3], [1, 2, 4], [1, 5, 3], [1, 5, 4], [6, 2, 3], [6, 2, 4], [6, 5, 3], [6, 5, 4]]
+    )
+
+
+def _relabeled(cx, rng):
+    names = [f"w{i}" for i in range(cx.num_vertices())]
+    rng.shuffle(names)
+    return relabel_complex(cx, dict(zip(cx.vertices(), names)))
+
+
+@given(
+    st.integers(3, 12),
+    st.integers(1, 3),
+    st.sampled_from((0.3, 0.5, 0.7)),
+    st.integers(0, 10_000),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=150, deadline=None)
+def test_labeling_matches_the_oracle_on_random_complexes(n, dim, density, seed, rng):
+    cx = random_complex(n, dim, density, seed)
+    labeling = canonical.canonical_labeling(cx)
+    assert labeling == oracle_labeling(cx)
+    relabeled = _relabeled(cx, rng)
+    assert canonical.canonical_labeling(relabeled) == oracle_labeling(relabeled)
+    assert canonical_form(relabeled) == labeling[0]
+
+
+SYMMETRIC = list(_symmetric_complexes())
+
+
+@pytest.mark.parametrize("name, cx", SYMMETRIC, ids=[name for name, _ in SYMMETRIC])
+def test_labeling_matches_the_oracle_on_symmetric_complexes(name, cx):
+    labeling = canonical.canonical_labeling(cx)
+    assert labeling == oracle_labeling(cx)
+    assert labeling[2], f"{name}: the labeling should branch below the root and find automorphisms"
+    rng = random.Random(name)
+    for _ in range(4):
+        relabeled = _relabeled(cx, rng)
+        assert canonical.canonical_labeling(relabeled) == oracle_labeling(relabeled)
+        assert canonical_form(relabeled) == labeling[0]
 
 
 # -- pseudomanifold --------------------------------------------------------

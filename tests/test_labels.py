@@ -6,9 +6,17 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from stellarpair import from_facets, next_round, vlabel
+from stellarpair import derived_subdivision, from_facets, next_round, vlabel
 from stellarpair.errors import MalformedInputError, NamingError
-from stellarpair.labels import BARYCENTER, ORIGINAL, VertexLabel, _Barycenter, _parse_barycenter, _Reserved
+from stellarpair.labels import (
+    BARYCENTER,
+    ORIGINAL,
+    VertexLabel,
+    _Barycenter,
+    _digit_limit,
+    _parse_barycenter,
+    _Reserved,
+)
 
 
 def test_interning_is_injective():
@@ -45,6 +53,30 @@ def test_noncanonical_tokens_stay_opaque():
     assert vlabel("b{1}@²").kind == ORIGINAL  # a digit, but not an ASCII one
     assert from_facets([["b{1}@²", "2"]]).num_vertices() == 2
     assert vlabel("plain").kind == ORIGINAL
+
+
+@pytest.mark.parametrize("digits", [5000, 4300])
+def test_a_round_whose_next_round_cannot_be_spelled_stays_opaque(digits):
+    # int() refuses a round of 5000 digits, and str() refuses the round after
+    # 4300 nines (the interpreter's default digit limit): both stay opaque, so
+    # reading them answers and deriving them is a NamingError, never a ValueError
+    token = "b{1,2}@" + "9" * digits
+    cx = from_facets([[token, "a"]])
+    assert cx.num_vertices() == 2
+    if 0 < _digit_limit() <= digits:
+        assert vlabel(token).kind == ORIGINAL
+        with pytest.raises(NamingError):
+            derived_subdivision(cx)
+
+
+def test_a_round_at_the_digit_limit_is_a_barycenter_while_the_next_round_spells():
+    limit = _digit_limit()
+    if not limit:
+        pytest.skip("the interpreter sets no int/str digit limit")
+    lbl = vlabel("b{1,2}@" + "9" * (limit - 1) + "8")
+    assert lbl.kind == BARYCENTER and lbl.round == 10**limit - 2
+    result, record = derived_subdivision(from_facets([[lbl, "a"]]))
+    assert record.round == 10**limit - 1 and len(result.facets) == 2
 
 
 def test_empty_label_rejected():

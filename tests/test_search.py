@@ -7,6 +7,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from stellarpair import (
     Move,
     MoveScript,
@@ -22,7 +23,7 @@ from stellarpair import (
 from stellarpair import canonical, contraction, search
 from stellarpair.canonical import DEFAULT_VERTEX_GUARD, canonical_form
 from stellarpair.complexes import Simplex
-from stellarpair.errors import ResourceLimitError, ScriptStepError
+from stellarpair.errors import NamingError, ResourceLimitError, ScriptStepError
 from stellarpair.io import random_complex
 from stellarpair.search import _degrees, _edge_stars, _fresh_label_base, _sibling_orbits, _subdivided_degrees
 
@@ -248,10 +249,23 @@ def test_search_bound_skips_subdivisions_for_a_contraction_target(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("subdivision successor built outside the vertex-count bound")
 
-    monkeypatch.setattr(search, "edge_subdivide", refuse)
+    monkeypatch.setattr(search, "_subdivide_star", refuse)
     script = search_script(src, dst, max_depth=2, max_vertices=7)
     assert script is not None and len(script) == 1
     assert verify_script(src, script, dst)
+
+
+@pytest.mark.parametrize("digits", [5000, 4300])
+def test_search_from_a_label_with_too_many_digits_gets_fresh_labels(digits):
+    # n<5000 nines> cannot convert to an int, and n<4300 nines> + 1 cannot be
+    # spelled under the default digit limit: the fresh base skips both
+    source = from_facets([["n" + "9" * digits, "a"], ["a", "b"]])
+    target = from_facets([["p", "q"], ["q", "r"], ["r", "s"], ["s", "t"]])
+    assert _fresh_label_base(source) == 0
+    script = search_script(source, target, max_depth=2, max_vertices=6)
+    assert script is not None and verify_script(source, script, target)
+    fresh = [m.new_label for m in script.moves]
+    assert len(set(fresh)) == 2 and not set(fresh) & source.vertex_set()
 
 
 def test_search_finishes_where_pruned_states_used_up_the_budget():
@@ -289,6 +303,18 @@ def test_subdivided_degrees_match_the_built_subdivision(seed, dim, density):
         assert _subdivided_degrees(deg, e, star) == sorted(_degrees(built).values())
 
 
+@given(st.integers(0, 10_000), st.integers(1, 4), st.sampled_from((0.3, 0.5, 0.7)))
+@settings(max_examples=60, deadline=None)
+def test_star_built_successor_equals_edge_subdivide(seed, dim, density):
+    cx = random_complex(3 + seed % 5, dim, density, seed)
+    for e, star in _edge_stars(cx).items():
+        built = search._subdivide_star(cx, e, star, "w")
+        assert built == edge_subdivide(cx, e, "w") == oracles.stellar_by_definition(cx, e, "w")
+        assert built.vertex_set() == cx.vertex_set() | {"w"}
+        with pytest.raises(NamingError):
+            search._subdivide_star(cx, e, star, e[0])
+
+
 def _outcome(source, target, max_depth, max_vertices, max_states):
     """The script, or the stats of the budget error."""
     try:
@@ -303,14 +329,14 @@ def test_search_builds_only_last_moves_with_the_target_degrees(monkeypatch, labe
     stubbed out), fewer are built for the same outcome and the same
     labelings."""
     built = []
-    subdivide = search.edge_subdivide
+    subdivide = search._subdivide_star
 
-    def counted(cx, e, fresh):
-        out = subdivide(cx, e, fresh)
+    def counted(cx, e, star, fresh):
+        out = subdivide(cx, e, star, fresh)
         built.append((fresh, out))
         return out
 
-    monkeypatch.setattr(search, "edge_subdivide", counted)
+    monkeypatch.setattr(search, "_subdivide_star", counted)
     totals = {"degrees": 0, "facet count only": 0}
     for case in _differential_cases():
         source, target, max_depth = case[:3]
