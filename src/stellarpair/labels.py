@@ -112,11 +112,13 @@ class VertexLabel(str):
         """The label ``b{c1,c2,...}@rnd`` of the face spanned by `constituents`.
 
         `NamingError` if a constituent that is no barycenter label holds `,`,
-        `{` or `}` ({`a,b`, `c`} would spell b{a,b,c}); `MalformedInputError`
-        for no constituents or a round that is no nonnegative int.  The token
-        is then canonical and interned unparsed: by induction each constituent
-        is reserved-free or a canonical barycenter token with its commas inside
-        balanced braces, so the token's depth-0 commas are exactly its joins.
+        `{` or `}` ({`a,b`, `c`} would spell b{a,b,c}), or if the round has
+        more digits than the interpreter's int/str limit lets it spell;
+        `MalformedInputError` for no constituents or a round that is no
+        nonnegative int.  The token is then canonical and interned unparsed:
+        by induction each constituent is reserved-free or a canonical
+        barycenter token with its commas inside balanced braces, so the
+        token's depth-0 commas are exactly its joins.
         """
         if type(rnd) is not int or rnd < 0:
             raise MalformedInputError(f"subdivision round must be a nonnegative int, got {rnd!r}")
@@ -126,7 +128,10 @@ class VertexLabel(str):
         for lbl in parts:
             if type(lbl) is _Reserved:
                 raise NamingError(f"label {lbl} holds ',', '{{' or '}}', which barycenter labels reserve")
-        token = _barycenter_token(parts, rnd)
+        try:
+            token = _barycenter_token(parts, rnd)
+        except ValueError:
+            raise NamingError(f"a round of more than {_digit_limit()} digits cannot be spelled into a label") from None
         return _INTERN.get(token) or _intern(_Barycenter(token, rnd))
 
     def __repr__(self):

@@ -7,8 +7,8 @@ followed by a re-bias that is local to the new vertex w.  The re-bias is
 the biased derived subdivision that protects the new subcomplex and every
 ambient face missing near' = (V(star(w)) - V(new sub)) ∪ {w}, so facets
 away from w, and those at w that lie in the subcomplex, stay as they are.
-The re-bias is bounded before it derives anything, under the same facet
-budget as the fallback below.
+The re-bias, like every derived subdivision, is bounded before it derives
+anything (`subdivision._relative_derived`).
 
 The check after a move is local too.  The move knows the ambient facets
 it removed and added, and `inducedness._classify_change` scans only the
@@ -18,7 +18,7 @@ keeps its star and its traces on the subcomplex, so it keeps its verdict
 (proof sketch in `inducedness._StrongScan`).  If the result is not
 strongly induced (a proof sketch in `subdivision._rebias_near` says it
 always is), the move falls back once to the global biased derived
-subdivision of the new pair, within a facet budget, and checks that with
+subdivision of the new pair, within the same budget, and checks that with
 the full scan.  `pipeline_run` likewise carries the ambient's f-vector
 from step to step, updated from the faces the changed facets lose and
 gain.  Under `STELLARPAIR_DEBUG_VALIDATE=1` both are checked against a
@@ -29,7 +29,6 @@ subdivision of a target complex into one containing the target itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 from . import complexes
 from .complexes import (
@@ -60,10 +59,6 @@ from .subdivision import _near, _rebias_near, biased_derived, derived_subdivisio
 
 SUBDIVIDE = "subdivide"
 CONTRACT = "contract"
-
-# most facets the local re-bias of a pair subdivision, or its global
-# fallback, may derive
-_FALLBACK_FACET_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -186,11 +181,15 @@ def pair_derive(pair: ComplexPair) -> ComplexPair:
     return pair_new(*_derived(pair.sub, pair.ambient))
 
 
-def _biased(sub: SimplicialComplex, ambient: SimplicialComplex) -> ComplexPair:
-    """The biased derived subdivision of an induced pair, checked once."""
-    new_ambient, _ = biased_derived(sub, ambient)
-    failure = "biased derived subdivision failed to produce a strongly induced pair"
-    return _strong_pair(sub, new_ambient, failure)
+def _biased(sub: SimplicialComplex, ambient: SimplicialComplex, what: str = "biased derived subdivision") -> ComplexPair:
+    """The biased derived subdivision of an induced pair, checked once: it
+    must come out strongly induced, else `what` names the failed step."""
+    out = pair_new(sub, biased_derived(sub, ambient)[0])
+    if out.status.verdict != STRONGLY_INDUCED:
+        raise InvariantViolationError(
+            f"{what} failed to produce a strongly induced pair: {out.status}", witness=out.status
+        )
+    return out
 
 
 def pair_biased(pair: ComplexPair) -> ComplexPair:
@@ -204,33 +203,11 @@ def pair_biased(pair: ComplexPair) -> ComplexPair:
     return _biased(pair.sub, pair.ambient)
 
 
-def _strong_pair(sub: SimplicialComplex, ambient: SimplicialComplex, failure: str) -> ComplexPair:
-    """The pair of `sub` in `ambient`, which must come out strongly induced."""
-    out = pair_new(sub, ambient)
-    if out.status.verdict != STRONGLY_INDUCED:
-        raise InvariantViolationError(f"{failure}: {out.status}", witness=out.status)
-    return out
-
-
 def _apply(cx: SimplicialComplex, move: Move) -> SimplicialComplex:
     """Apply a move to a bare complex."""
     if move.op == SUBDIVIDE:
         return edge_subdivide(cx, move.edge, move.new_label)
     return contract_edge(cx, move.edge, move.survivor)
-
-
-def _within_budget(what: str, rebias: str, facets, total: int) -> None:
-    """Raise `ResourceLimitError` when a re-bias of `facets` could derive more
-    than the budget: a facet F derives at most |F|! facets."""
-    bound = sum(factorial(len(f)) for f in facets)
-    if bound > _FALLBACK_FACET_BUDGET:
-        raise ResourceLimitError(
-            f"{what}: the {rebias} re-bias could derive {bound} facets, "
-            f"above the budget of {_FALLBACK_FACET_BUDGET}",
-            facets=total,
-            bound=bound,
-            budget=_FALLBACK_FACET_BUDGET,
-        )
 
 
 def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
@@ -246,7 +223,7 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
     near' = (V(star(w)) - V(new sub)) ∪ {w} are protected, everything else
     gets a barycenter (`_rebias_near`).  That re-derives at most sum(|F|!)
     facets over the ambient facets F outside the new subcomplex that meet
-    near'; above `_FALLBACK_FACET_BUDGET` it raises `ResourceLimitError`
+    near'; above `subdivision._FACET_BUDGET` it raises `ResourceLimitError`
     before deriving any.  A contraction needs no re-bias.
 
     The check is local too: strong inducedness is decided on the facets the
@@ -274,10 +251,7 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
     new_sub = _apply(pair.sub, move)
     new_ambient = _apply(pair.ambient, move)
     if move.op == SUBDIVIDE:
-        near = _near(new_sub, new_ambient, move.new_label)
-        rederived = (f for f in new_ambient.facets if not near.isdisjoint(f) and f not in new_sub.facets)
-        _within_budget(what, "local", rederived, len(new_ambient.facets))
-        new_ambient = _rebias_near(new_sub, new_ambient, near)
+        new_ambient = _rebias_near(new_sub, new_ambient, _near(new_sub, new_ambient, move.new_label))
     old = pair.ambient.facets
     removed, added = old - new_ambient.facets, new_ambient.facets - old
     status = _classify_change(new_sub, new_ambient, removed | added)
@@ -291,11 +265,8 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
         return ComplexPair(new_sub, new_ambient, status), removed, added
     if move.op == CONTRACT:
         raise InvariantViolationError(f"{what} lost strong inducedness: {status}", witness=status)
-    outside = (f for f in new_ambient.facets if f not in new_sub.facets)
-    _within_budget(what, "global", outside, len(new_ambient.facets))
-    new_ambient, _ = biased_derived(new_sub, new_ambient)
-    out = _strong_pair(new_sub, new_ambient, f"{what} lost strong inducedness")
-    return out, old - new_ambient.facets, new_ambient.facets - old
+    out = _biased(new_sub, new_ambient, f"{what}'s fallback")
+    return out, old - out.ambient.facets, out.ambient.facets - old
 
 
 def pair_subdivide_edge(pair: ComplexPair, edge, new_label) -> ComplexPair:
@@ -335,6 +306,8 @@ def pipeline_run(
     f-vectors, Euler characteristics and strong-inducedness verdicts.  The
     ambient's f-vector is carried from step to step, updated from the faces
     each move's changed facets lose and gain (`complexes._f_vector_change`).
+    A move's domain error comes wrapped in `ScriptStepError`, and a move's
+    `ResourceLimitError` carries its index as the `step` stat.
     """
     _require_subcomplex(sub, ambient)
     pair = _biased(*_derived(sub, ambient))
@@ -345,6 +318,9 @@ def pipeline_run(
             pair, removed, added = _move(pair, move)
         except DomainError as exc:
             raise ScriptStepError(i, exc) from exc
+        except ResourceLimitError as exc:
+            exc.stats["step"] = i
+            raise
         f_ambient = _f_vector_change(f_ambient, pair.ambient, removed, added)
         if complexes._DEBUG_VALIDATE:
             full = f_vector(pair.ambient)

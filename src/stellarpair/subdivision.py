@@ -12,11 +12,15 @@ original vertex labels persist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Callable, Mapping
 
 from .complexes import Simplex, SimplicialComplex, _face_set, _require_subcomplex, as_simplex
-from .errors import AbsentFaceError, DomainError, MalformedInputError, NamingError
+from .errors import AbsentFaceError, DomainError, MalformedInputError, NamingError, ResourceLimitError
 from .labels import VertexLabel, next_round, vlabel
+
+# most cells a derived or biased derived subdivision may build
+_FACET_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,10 @@ def _relative_derived(
     of the ambient.  `VertexLabel.barycenter` rejects a non-barycenter label
     with `,`, `{` or `}` in a face that is subdivided.
 
+    An unprotected facet F derives at most |F|! cells; when their sum is
+    above `_FACET_BUDGET` the subdivision raises `ResourceLimitError`
+    before it makes any barycenter or cell.
+
     A protected facet survives as-is.  An unprotected face F becomes the cone
     from its barycenter b(F) over its boundary, each ridge subdivided the
     same way; a protected ridge or a lone vertex is its own cone.  So a cell
@@ -124,11 +132,22 @@ def _relative_derived(
         return cells
 
     facets: set[Simplex] = set()
+    derived: list[Simplex] = []
     for facet in ambient.facets:
         if len(facet) == 1 or protected(facet):
             facets.add(facet)
         else:
-            facets.update([Simplex(sorted(c)) for c in cone(facet)])
+            derived.append(facet)
+    bound = sum(factorial(len(f)) for f in derived)
+    if bound > _FACET_BUDGET:
+        raise ResourceLimitError(
+            f"the subdivision could derive {bound} facets, above the budget of {_FACET_BUDGET}",
+            facets=len(ambient.facets),
+            bound=bound,
+            budget=_FACET_BUDGET,
+        )
+    for facet in derived:
+        facets.update([Simplex(sorted(c)) for c in cone(facet)])
     return SimplicialComplex._from_antichain(facets), rnd, recorded
 
 
@@ -141,6 +160,8 @@ def derived_subdivision(
     vertices keep their labels and higher faces get barycenter labels for
     the given (or next fresh) round; a given round that is no nonnegative
     int raises `MalformedInputError`, and one that is not fresh `NamingError`.
+    More than `_FACET_BUDGET` cells raise `ResourceLimitError` (see
+    `_relative_derived`).
     """
     result, rnd, labels = _relative_derived(cx, lambda t: False, round)
     return result, SubdivisionRecord(round=rnd, new_labels=labels)
@@ -154,7 +175,8 @@ def biased_derived(
 ) -> tuple[SimplicialComplex, SubdivisionRecord]:
     """Stellar subdivisions at every face of the ambient complex not in
     `sub` (dimension >= 1), in reverse order of inclusion; `sub` survives
-    unchanged as a subcomplex of the result."""
+    unchanged as a subcomplex of the result.  Budgeted like
+    `derived_subdivision`."""
     _require_subcomplex(sub, ambient)
     sub_faces = _face_set(sub.facets)
     result, rnd, labels = _relative_derived(ambient, sub_faces.__contains__, round)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from stellarpair import from_facets, set_debug_validation
+from stellarpair import VertexLabel, from_facets, set_debug_validation
 
 
 @pytest.fixture
@@ -48,3 +48,17 @@ def octahedron_boundary():
             [6, 5, 4],
         ]
     )
+
+
+@pytest.fixture
+def barycenters_made(monkeypatch):
+    """The faces `VertexLabel.barycenter` labels from here on, in call order."""
+    made = []
+    real = VertexLabel.barycenter
+
+    def counting(cls, face, rnd):
+        made.append(face)
+        return real(face, rnd)
+
+    monkeypatch.setattr(VertexLabel, "barycenter", classmethod(counting))
+    return made

@@ -312,10 +312,11 @@ def test_pair_run_standard_output_is_byte_stable(tmp_path, capsys, readme_pipeli
 
 
 def test_pair_run_fallback_over_budget_exits_three(tmp_path, capsys, monkeypatch):
-    # a zero budget: the subdivision's local re-bias is over it before it
-    # derives anything (the global fallback is budgeted in test_pairs.py)
+    # with the identity re-bias the move falls back to the global biased
+    # derived subdivision, whose bound of 828 cells is over a budget of 144:
+    # the bound of the pipeline's own biased derived step, which still runs
     monkeypatch.setattr("stellarpair.pairs._rebias_near", lambda sub, ambient, near: ambient)
-    monkeypatch.setattr("stellarpair.pairs._FALLBACK_FACET_BUDGET", 0)
+    monkeypatch.setattr("stellarpair.subdivision._FACET_BUDGET", 144)
     ambient = write_complex(tmp_path / "m.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], "tetra")
     sub = write_complex(tmp_path / "x.json", [[1, 2], [2, 3]], "path")
     target = write_complex(tmp_path / "X.json", [["a", "c"]], "edge")
@@ -327,7 +328,8 @@ def test_pair_run_fallback_over_budget_exits_three(tmp_path, capsys, monkeypatch
     assert code == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "resource-limit"
-    assert err["budget"] == 0 and err["bound"] > 0 and err["facets"] > 0
+    assert err["budget"] == 144 and err["bound"] == 828 and err["facets"] == 138
+    assert err["step"] == 0
 
 
 def test_pair_run_bad_script_exits_one(tmp_path, capsys):

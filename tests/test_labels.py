@@ -79,6 +79,31 @@ def test_a_round_at_the_digit_limit_is_a_barycenter_while_the_next_round_spells(
     assert record.round == 10**limit - 1 and len(result.facets) == 2
 
 
+needs_digit_limit = pytest.mark.skipif(not _digit_limit(), reason="the interpreter sets no int/str digit limit")
+
+
+@needs_digit_limit
+def test_a_round_too_long_to_spell_is_a_naming_error():
+    # `VertexLabel.barycenter` spells every new label, so a round past the
+    # digit limit is a NamingError there, never a bare ValueError
+    limit = _digit_limit()
+    with pytest.raises(NamingError, match="cannot be spelled"):
+        VertexLabel.barycenter(["1", "2"], 10**limit)
+    with pytest.raises(NamingError, match="cannot be spelled"):
+        derived_subdivision(from_facets([["1", "2"]]), round=10**limit)
+
+
+@needs_digit_limit
+def test_deriving_twice_past_the_digit_limit_is_a_naming_error():
+    # from round 10^limit - 2 the first derivation spells 10^limit - 1, and
+    # the second cannot spell 10^limit
+    limit = _digit_limit()
+    once, record = derived_subdivision(from_facets([["b{1,2}@" + "9" * (limit - 1) + "8", "a"]]))
+    assert record.round == 10**limit - 1
+    with pytest.raises(NamingError, match="cannot be spelled"):
+        derived_subdivision(once)
+
+
 def test_empty_label_rejected():
     with pytest.raises(MalformedInputError):
         vlabel("")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import stellarpair.pairs as pairs_module
+import stellarpair.subdivision as subdivision_module
 from stellarpair import (
     Move,
     MoveScript,
@@ -236,16 +237,20 @@ def test_failed_local_rebias_falls_back_to_global(monkeypatch):
     assert calls == [(star(new_ambient, ["v"]).vertex_set() - new_sub.vertex_set()) | {vlabel("v")}]
 
 
-def test_global_fallback_is_budgeted(monkeypatch):
+def test_global_fallback_is_budgeted(monkeypatch, barycenters_made):
     # the subdivided edge-in-triangle ambient has 6 triangles, none in the
-    # subcomplex, so the fallback could derive up to 6 * 3! = 36 facets
+    # subcomplex, so the fallback could derive up to 6 * 3! = 36 facets; over
+    # the budget it raises before making any barycenter
     monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near: ambient)
-    monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", 35)
+    monkeypatch.setattr(subdivision_module, "_FACET_BUDGET", 35)
+    pair = edge_in_triangle_pair()
+    barycenters_made.clear()
     with pytest.raises(ResourceLimitError) as exc:
-        apply_move(edge_in_triangle_pair(), Move.subdivide([1, 2], "v"))
+        apply_move(pair, Move.subdivide([1, 2], "v"))
     assert exc.value.stats == {"facets": 6, "bound": 36, "budget": 35}
-    monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", 36)
-    assert apply_move(edge_in_triangle_pair(), Move.subdivide([1, 2], "v")).status.verdict == STRONGLY_INDUCED
+    assert barycenters_made == []
+    monkeypatch.setattr(subdivision_module, "_FACET_BUDGET", 36)
+    assert apply_move(pair, Move.subdivide([1, 2], "v")).status.verdict == STRONGLY_INDUCED
 
 
 def test_multi_move_local_rebias_never_falls_back(monkeypatch):
@@ -345,9 +350,10 @@ def test_change_set_scan_is_local_on_the_tetrahedron_chain(monkeypatch):
     assert at_sub[9] < at_sub[29]
 
 
-def test_fallback_tests_still_reach_the_fallback(monkeypatch):
+def test_fallback_tests_still_reach_the_fallback(monkeypatch, barycenters_made):
     # the change-set check sees the violation the identity re-bias leaves, so
-    # the two fallback tests above still run the global biased derived subdivision
+    # the two fallback tests above still run the global biased derived
+    # subdivision (the budget test twice: refused, then within the budget)
     fallbacks = []
     real = pairs_module.biased_derived
 
@@ -360,15 +366,15 @@ def test_fallback_tests_still_reach_the_fallback(monkeypatch):
     monkeypatch.setattr(pairs_module, "biased_derived", counting)
     test_failed_local_rebias_falls_back_to_global(monkeypatch)
     assert fallbacks == [6]
-    test_global_fallback_is_budgeted(monkeypatch)
-    assert fallbacks == [6, 6]
+    test_global_fallback_is_budgeted(monkeypatch, barycenters_made)
+    assert fallbacks == [6, 6, 6]
 
 
-def test_local_rebias_is_budgeted_before_it_derives(monkeypatch):
+def test_local_rebias_is_budgeted_before_it_derives(monkeypatch, barycenters_made):
     # the local re-bias could derive sum(|F|!) facets over the ambient facets F
     # outside the subcomplex that meet near' = (V(star(w)) - V(sub)) | {w}; over
-    # the budget it raises before deriving any, and the global fallback has its
-    # own, larger bound
+    # the budget it raises before making any barycenter, and the global
+    # fallback has its own, larger bound
     pair = next(tetrahedron_chain(0))
     move = Move.subdivide(["1", "b{1,2}@0"], "w")
     sub, ambient = edge_subdivide(pair.sub, move.edge, "w"), edge_subdivide(pair.ambient, move.edge, "w")
@@ -377,21 +383,21 @@ def test_local_rebias_is_budgeted_before_it_derives(monkeypatch):
     local = sum(factorial(len(f)) for f in outside if not near.isdisjoint(f))
     whole = sum(factorial(len(f)) for f in outside)
     assert local < whole
-    derived = []
-    real = pairs_module._rebias_near
-    monkeypatch.setattr(pairs_module, "_rebias_near", lambda *args: derived.append(1) or real(*args))
-    monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", local - 1)
-    with pytest.raises(ResourceLimitError, match="the local re-bias could derive") as exc:
+    barycenters_made.clear()
+    monkeypatch.setattr(subdivision_module, "_FACET_BUDGET", local - 1)
+    with pytest.raises(ResourceLimitError, match="the subdivision could derive") as exc:
         apply_move(pair, move)
     assert exc.value.stats == {"facets": len(ambient.facets), "bound": local, "budget": local - 1}
-    assert derived == []
-    monkeypatch.setattr(pairs_module, "_FALLBACK_FACET_BUDGET", local)
+    assert barycenters_made == []
+    monkeypatch.setattr(subdivision_module, "_FACET_BUDGET", local)
     assert apply_move(pair, move).status.verdict == STRONGLY_INDUCED
-    assert derived == [1]
+    assert barycenters_made
+    barycenters_made.clear()
     monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near: ambient)
-    with pytest.raises(ResourceLimitError, match="the global re-bias could derive") as exc:
+    with pytest.raises(ResourceLimitError, match="the subdivision could derive") as exc:
         apply_move(pair, move)
     assert exc.value.stats == {"facets": len(ambient.facets), "bound": whole, "budget": local}
+    assert barycenters_made == []
 
 
 def test_debug_validation_cross_checks_the_change_set(monkeypatch, debug_validation):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import pathlib
 import sys
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from stellarpair import (
+    MoveScript,
     SimplicialComplex,
     as_simplex,
     biased_derived,
@@ -23,13 +25,16 @@ from stellarpair import (
     link,
     next_round,
     pair_biased,
+    pair_derive,
     pair_new,
     pair_subdivide_edge,
+    pipeline_run,
     stellar_subdivide,
     vlabel,
 )
 from stellarpair import labels
-from stellarpair.errors import AbsentFaceError, DomainError, MalformedInputError, NamingError
+from stellarpair.cli import main
+from stellarpair.errors import AbsentFaceError, DomainError, MalformedInputError, NamingError, ResourceLimitError
 from stellarpair.io import ComplexDocument, random_complex, random_subcomplex_pair, serialize_complex_document
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -298,6 +303,68 @@ def test_biased_keeps_sub_untouched(seed):
     sub, ambient = random_subcomplex_pair(6, 2, 0.5, seed)
     out, _ = biased_derived(sub, ambient)
     assert is_subcomplex(sub, out)
+
+
+# -- budget -----------------------------------------------------------------------
+
+def _refused(derive):
+    """An entry point that derives a complex in-process: the stats of its
+    `ResourceLimitError`."""
+
+    def run(cx, tmp_path, capsys):
+        with pytest.raises(ResourceLimitError) as exc:
+            derive(cx)
+        return exc.value.stats
+
+    return run
+
+
+def _refused_on_the_command_line(cx, tmp_path, capsys):
+    """`stellarpair subdivide derived`: exit 3 and the stats of its JSON error."""
+    path = tmp_path / "facet.json"
+    path.write_text(serialize_complex_document(ComplexDocument("facet", cx)))
+    assert main(["subdivide", "derived", "--complex", str(path), "--out", "-"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    err = json.loads(out.err)
+    assert err.pop("error") == "resource-limit" and "could derive" in err.pop("message")
+    return err
+
+
+EMPTY = SimplicialComplex([])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        _refused(derived_subdivision),
+        _refused(lambda cx: biased_derived(EMPTY, cx)),
+        _refused(lambda cx: pair_derive(pair_new(EMPTY, cx))),
+        _refused(lambda cx: pipeline_run(cx, EMPTY, EMPTY, MoveScript(()))),
+        _refused_on_the_command_line,
+    ],
+    ids=["derived_subdivision", "biased_derived", "pair_derive", "pipeline_run", "cli"],
+)
+def test_an_eleven_vertex_facet_is_refused_before_any_barycenter(entry, tmp_path, capsys, barycenters_made):
+    # one facet of 11 vertices derives 11! = 39916800 cells, above the budget
+    # of 100000: every entry point that derives it raises (exit 3 on the
+    # command line) before a barycenter is made
+    facet = from_facets([[str(v) for v in range(1, 12)]])
+    assert entry(facet, tmp_path, capsys) == {"facets": 1, "bound": 39916800, "budget": 100000}
+    assert barycenters_made == []
+
+
+def test_the_budget_counts_only_the_facets_it_derives(barycenters_made):
+    # protected facets and lone vertices pass through and count nothing: a
+    # 9-vertex facet kept by the subcomplex, a lone vertex and a triangle
+    # to derive bound the subdivision by 3! = 6 cells
+    big = [str(v) for v in range(1, 10)]
+    ambient = from_facets([big, ["a"], ["x", "y", "z"]])
+    out, record = biased_derived(from_facets([big]), ambient)
+    assert len(out.facets) == 2 + 6 and len(barycenters_made) == len(record.new_labels) == 4
+    with pytest.raises(ResourceLimitError) as exc:
+        derived_subdivision(ambient)
+    assert exc.value.stats == {"facets": 3, "bound": 362880 + 6, "budget": 100000}
 
 
 # -- conservation -----------------------------------------------------------------
