@@ -13,6 +13,9 @@ set, is filled by idempotent assignment, so concurrent readers are safe.
 The incidence primitives the other modules share live here only: the face
 enumerator `_face_set`, the subcomplex test `is_subcomplex` (raising through
 `_require_subcomplex` and `_not_a_subcomplex`), `_degrees` and `_UnionFind`.
+The face enumerator is bounded: asked for more than `_FACE_BUDGET` faces,
+it raises `ResourceLimitError` before it builds any, so every face reader
+(`faces`, `f_vector`, the missing-simplex and validity searches) is too.
 """
 
 from __future__ import annotations
@@ -20,12 +23,15 @@ from __future__ import annotations
 import os
 from collections import Counter
 from itertools import chain, combinations
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
-from .errors import AbsentFaceError, MalformedInputError, NotASubcomplexError, StellarPairError
+from .errors import AbsentFaceError, MalformedInputError, NotASubcomplexError, ResourceLimitError, StellarPairError
 from .labels import VertexLabel, vlabel
 
 _DEBUG_VALIDATE = os.environ.get("STELLARPAIR_DEBUG_VALIDATE", "") == "1"
+
+# most faces the face enumerator may build in one call
+_FACE_BUDGET = 2_000_000
 
 
 def set_debug_validation(enabled: bool) -> bool:
@@ -337,9 +343,22 @@ def euler_characteristic(cx: SimplicialComplex) -> int:
     return _alternating_sum(f_vector(cx))
 
 
-def _face_set(facets: Iterable[Simplex]) -> set[tuple[VertexLabel, ...]]:
+def _face_set(facets: Collection[Simplex]) -> set[tuple[VertexLabel, ...]]:
     """Every nonempty face of the given facets, as vertex tuples; a `Simplex`
-    hashes and compares as its tuple, so it can be looked up directly."""
+    hashes and compares as its tuple, so it can be looked up directly.
+
+    The facets can hold at most sum(2^|F| - 1) faces; above `_FACE_BUDGET`
+    it raises `ResourceLimitError` before it builds any.  So one facet of
+    more than 20 vertices is refused.  `facets` is read twice, so it must
+    be a collection, not an iterator."""
+    bound = sum(1 << len(f) for f in facets) - len(facets)
+    if bound > _FACE_BUDGET:
+        raise ResourceLimitError(
+            f"the facets could hold {bound} faces, above the budget of {_FACE_BUDGET}",
+            facets=len(facets),
+            bound=bound,
+            budget=_FACE_BUDGET,
+        )
     return {c for f in facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
 
 

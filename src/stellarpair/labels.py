@@ -77,6 +77,18 @@ def _next_round_spellable(digits: str) -> bool:
     return not limit or len(digits) < limit or (len(digits) == limit and digits != "9" * limit)
 
 
+def _check_round(rnd) -> None:
+    """`MalformedInputError` unless `rnd` is a nonnegative int.  A value too
+    long to print (an int past the digit limit) is described instead."""
+    if type(rnd) is int and rnd >= 0:
+        return
+    try:
+        shown = repr(rnd)
+    except ValueError:
+        shown = f"a value of type {type(rnd).__name__} with more than {_digit_limit()} digits"
+    raise MalformedInputError(f"subdivision round must be a nonnegative int, got {shown}")
+
+
 def _barycenter_token(constituents: list[str], rnd: int) -> str:
     """The token of sorted `constituents` in round `rnd`."""
     return "b{" + ",".join(constituents) + "}@" + str(rnd)
@@ -120,8 +132,7 @@ class VertexLabel(str):
         barycenter token with its commas inside balanced braces, so the
         token's depth-0 commas are exactly its joins.
         """
-        if type(rnd) is not int or rnd < 0:
-            raise MalformedInputError(f"subdivision round must be a nonnegative int, got {rnd!r}")
+        _check_round(rnd)
         parts = sorted(map(cls.of, constituents))
         if not parts:
             raise MalformedInputError("a barycenter needs at least one constituent")

@@ -7,6 +7,8 @@ followed by a re-bias that is local to the new vertex w.  The re-bias is
 the biased derived subdivision that protects the new subcomplex and every
 ambient face missing near' = (V(star(w)) - V(new sub)) ∪ {w}, so facets
 away from w, and those at w that lie in the subcomplex, stay as they are.
+star(w) is read off the facets the edge subdivision added, which are
+exactly the facets at w, so near' takes no pass over the ambient.
 The re-bias, like every derived subdivision, is bounded before it derives
 anything (`subdivision._relative_derived`).
 
@@ -55,7 +57,7 @@ from .errors import (
 )
 from .inducedness import STRONGLY_INDUCED, InducednessWitness, _classify_change, classify_pair
 from .labels import VertexLabel, vlabel
-from .subdivision import _near, _rebias_near, biased_derived, derived_subdivision, edge_subdivide
+from .subdivision import _rebias_near, biased_derived, derived_subdivision, edge_subdivide
 
 SUBDIVIDE = "subdivide"
 CONTRACT = "contract"
@@ -221,10 +223,12 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
     After a subdivision with new vertex w the ambient complex is re-biased
     locally: faces in the new subcomplex and faces missing
     near' = (V(star(w)) - V(new sub)) ∪ {w} are protected, everything else
-    gets a barycenter (`_rebias_near`).  That re-derives at most sum(|F|!)
-    facets over the ambient facets F outside the new subcomplex that meet
-    near'; above `subdivision._FACET_BUDGET` it raises `ResourceLimitError`
-    before deriving any.  A contraction needs no re-bias.
+    gets a barycenter (`_rebias_near`).  V(star(w)) is the vertex set of
+    the facets the edge subdivision added, the cone cells at w.  That
+    re-derives at most sum(|F|!) facets over the ambient facets F outside
+    the new subcomplex that meet near'; above `subdivision._FACET_BUDGET` it
+    raises `ResourceLimitError` before deriving any.  A contraction needs no
+    re-bias.
 
     The check is local too: strong inducedness is decided on the facets the
     move removed from or added to the ambient (`_classify_change`), which is
@@ -250,9 +254,12 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
         raise AbsentFaceError(f"{e} is not an edge of the subcomplex")
     new_sub = _apply(pair.sub, move)
     new_ambient = _apply(pair.ambient, move)
-    if move.op == SUBDIVIDE:
-        new_ambient = _rebias_near(new_sub, new_ambient, _near(new_sub, new_ambient, move.new_label))
     old = pair.ambient.facets
+    if move.op == SUBDIVIDE:
+        # the facets the edge subdivision added are star(w)'s
+        near = set().union(*(new_ambient.facets - old)) - new_sub.vertex_set()
+        near.add(move.new_label)
+        new_ambient = _rebias_near(new_sub, new_ambient, near)
     removed, added = old - new_ambient.facets, new_ambient.facets - old
     status = _classify_change(new_sub, new_ambient, removed | added)
     if complexes._DEBUG_VALIDATE:

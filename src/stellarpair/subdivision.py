@@ -16,8 +16,8 @@ from math import factorial
 from typing import Callable, Mapping
 
 from .complexes import Simplex, SimplicialComplex, _face_set, _require_subcomplex, as_simplex
-from .errors import AbsentFaceError, DomainError, MalformedInputError, NamingError, ResourceLimitError
-from .labels import VertexLabel, next_round, vlabel
+from .errors import AbsentFaceError, DomainError, NamingError, ResourceLimitError
+from .labels import VertexLabel, _check_round, next_round, vlabel
 
 # most cells a derived or biased derived subdivision may build
 _FACET_BUDGET = 100_000
@@ -107,8 +107,8 @@ def _relative_derived(
     faces, so the cone of every face below a facet is kept; a facet's is
     not, since a facet is no ridge.
     """
-    if rnd is not None and (type(rnd) is not int or rnd < 0):
-        raise MalformedInputError(f"subdivision round must be a nonnegative int, got {rnd!r}")
+    if rnd is not None:
+        _check_round(rnd)
     fresh = next_round(ambient.vertex_set())
     rnd = fresh if rnd is None else rnd
     if rnd < fresh:
@@ -183,30 +183,22 @@ def biased_derived(
     return result, SubdivisionRecord(round=rnd, new_labels=labels)
 
 
-def _near(sub: SimplicialComplex, ambient: SimplicialComplex, w: VertexLabel) -> set[VertexLabel]:
-    """`near = (V(star(w)) - V(sub)) ∪ {w}`: `_rebias_near` re-derives the
-    ambient facets outside `sub` that meet it."""
-    near: set[VertexLabel] = set()
-    for f in ambient.facets:
-        if w in f:
-            near.update(f)
-    near -= sub.vertex_set()
-    near.add(w)
-    return near
-
-
 def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, near: set[VertexLabel]) -> SimplicialComplex:
     """The biased derived subdivision of `ambient` that subdivides only the
-    faces outside `sub` that meet `near = (V(star(w)) - V(sub)) ∪ {w}`,
-    the set `_near(sub, ambient, w)` gives for the new vertex w:
-    `biased_derived(P, ambient)` with the protected complex
-    `P = sub ∪ induced_subcomplex(ambient, V - near)`.
+    faces outside `sub` that meet `near = (V(star(w)) - V(sub)) ∪ {w}` for
+    the new vertex w: `biased_derived(P, ambient)` with the protected
+    complex `P = sub ∪ induced_subcomplex(ambient, V - near)`.  The caller
+    (`pairs._move`) reads V(star(w)) off the facets the edge subdivision
+    added: w is new, so the facets at w are exactly the cone cells
+    {w} + (F - a) and {w} + (F - b) over the facets F at the edge ab.
 
     `_relative_derived` only asks about ambient faces, and an ambient face
     lies in that induced subcomplex iff it misses `near`, so the protected
     set is a predicate and no union complex is built.  Facets missing `near`
-    come through unchanged.  `sub` must be a subcomplex of `ambient`; it is
-    not checked here.
+    come through unchanged.  A face meeting `near` lies in `sub` only inside
+    a facet of `sub` that meets `near`, so only those facets' faces are
+    enumerated.  `sub` must be a subcomplex of `ambient`; it is not checked
+    here.
 
     Use: (K, L) is a strongly induced pair, ab an edge of L, and `ambient`
     K' and `sub` L' are K and L with ab subdivided at the new vertex `w`.
@@ -240,6 +232,6 @@ def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, near: set[V
     facets in proportion to star(w) away from the subcomplex, not to the
     stars of the edge's endpoints.
     """
-    sub_faces = _face_set(sub.facets)
+    sub_faces = _face_set([f for f in sub.facets if not near.isdisjoint(f)])
     result, _, _ = _relative_derived(ambient, lambda t: near.isdisjoint(t) or t in sub_faces, None)
     return result

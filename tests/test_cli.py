@@ -6,8 +6,9 @@ import pathlib
 
 import pytest
 
-from stellarpair import biased_derived, from_facets
+from stellarpair import biased_derived, contract_edge, f_vector, from_facets, is_valid_edge, missing_simplices
 from stellarpair.cli import main
+from stellarpair.errors import ResourceLimitError
 from stellarpair.io import ComplexDocument, serialize_complex_document
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -151,6 +152,52 @@ def test_check_strong_refuses_a_facet_too_large_to_walk(tmp_path, capsys):
     assert main(["check", "strong", "--sub", sub, "--ambient", ambient]) == 3
     err = json.loads(capsys.readouterr().err)
     assert (err["error"], err["facet_vertices"], err["bound"]) == ("resource-limit", 21, 20)
+
+
+def _library_call(call):
+    def run(cx, path, capsys):
+        with pytest.raises(ResourceLimitError, match="could hold") as exc:
+            call(cx)
+        return exc.value.stats
+
+    return run
+
+
+def _cli_call(*command):
+    def run(cx, path, capsys):
+        argv = list(command)
+        argv[argv.index("{path}")] = path
+        assert main(argv) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err.pop("error") == "resource-limit" and "could hold" in err.pop("message")
+        return err
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        _library_call(f_vector),
+        _library_call(lambda cx: cx.faces()),
+        _library_call(missing_simplices),
+        _library_call(lambda cx: is_valid_edge(cx, ["1", "2"])),
+        _library_call(lambda cx: contract_edge(cx, ["1", "2"])),
+        _cli_call("info", "--complex", "{path}"),
+        _cli_call("check", "missing", "--complex", "{path}"),
+        _cli_call("check", "valid-edge", "--complex", "{path}", "--edge", "1,2"),
+        _cli_call("contract", "--complex", "{path}", "--edge", "1,2"),
+    ],
+    ids=["f_vector", "faces", "missing_simplices", "is_valid_edge", "contract_edge"]
+    + ["cli-info", "cli-check-missing", "cli-check-valid-edge", "cli-contract"],
+)
+def test_face_enumeration_is_refused_above_the_face_budget(tmp_path, capsys, run):
+    # one 26-vertex facet holds 2^26 - 1 faces: every face reader refuses it
+    # before it builds any, with exit 3 from the CLI
+    facet = [str(v) for v in range(1, 27)]
+    cx = from_facets([facet])
+    path = write_complex(tmp_path / "big.json", [facet])
+    assert run(cx, path, capsys) == {"facets": 1, "bound": 2**26 - 1, "budget": 2_000_000}
 
 
 def test_random_is_seed_deterministic(capsys):

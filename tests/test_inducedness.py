@@ -42,7 +42,7 @@ from stellarpair.io import (
     random_strongly_induced_pair,
     random_subcomplex_pair,
 )
-from stellarpair.subdivision import _near, _rebias_near
+from stellarpair.subdivision import _rebias_near
 
 
 def tokens(simplex) -> tuple[str, ...]:
@@ -375,7 +375,8 @@ def _moved_pair(kind: str, dim: int, seed: int):
     else:
         sub, ambient = edge_subdivide(pair.sub, e, "w"), edge_subdivide(pair.ambient, e, "w")
         if kind == "rebias":
-            ambient = _rebias_near(sub, ambient, _near(sub, ambient, vlabel("w")))
+            near = (star(ambient, ["w"]).vertex_set() - sub.vertex_set()) | {vlabel("w")}
+            ambient = _rebias_near(sub, ambient, near)
     old = pair.ambient.facets
     return sub, ambient, (old - ambient.facets) | (ambient.facets - old)
 

@@ -104,6 +104,19 @@ def test_deriving_twice_past_the_digit_limit_is_a_naming_error():
         derived_subdivision(once)
 
 
+def test_a_negative_round_too_long_to_print_is_malformed_input():
+    # one round check serves both callers, and it describes a value it cannot
+    # print; with no digit limit the value prints, and the error is the same
+    for call in (
+        lambda: VertexLabel.barycenter(["1", "2"], -(10**4300)),
+        lambda: derived_subdivision(from_facets([["1", "2"]]), round=-(10**4300)),
+    ):
+        with pytest.raises(MalformedInputError, match="nonnegative int") as exc:
+            call()
+        if _digit_limit():
+            assert str(exc.value).endswith(f"got a value of type int with more than {_digit_limit()} digits")
+
+
 def test_empty_label_rejected():
     with pytest.raises(MalformedInputError):
         vlabel("")

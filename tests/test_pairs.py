@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import oracles
 import stellarpair.pairs as pairs_module
@@ -672,6 +673,79 @@ def test_change_set_f_vector_matches_a_full_count(dim, seed):
             continue
         f = _f_vector_change(f, pair.ambient, removed, added)
         assert f == f_vector(pair.ambient)
+
+
+class StatefulPairMoves(RuleBasedStateMachine):
+    """Random mixes of pair edge subdivisions (fresh labels) and valid pair
+    edge contractions, all through `pairs._move`, from a random strongly
+    induced pair on the acceptance suite's schedule (dims 1-3, non-pure
+    ambients).  Every state is checked against full recomputations."""
+
+    def __init__(self):
+        super().__init__()
+        self.real_biased_derived = None
+
+    @initialize(i=st.integers(0, 10_000))
+    def start(self, i):
+        n, dim, density = 4 + i % 5, 1 + (i // 5) % 3, (0.25, 0.4, 0.55)[(i // 15) % 3]
+        self.pair = random_strongly_induced_pair(n, dim, density, i)
+        self.source, self.moves = self.pair.sub, []
+        self.chi = euler_characteristic(self.pair.ambient)
+        self.f = f_vector(self.pair.ambient)
+        # counted from here on, so the start pair's own bias is no fallback
+        self.fallbacks = []
+        self.real_biased_derived = real = pairs_module.biased_derived
+
+        def counting(sub, ambient, **kwargs):
+            self.fallbacks.append(len(ambient.facets))
+            return real(sub, ambient, **kwargs)
+
+        pairs_module.biased_derived = counting
+
+    def teardown(self):
+        if self.real_biased_derived is not None:
+            pairs_module.biased_derived = self.real_biased_derived
+
+    def _edges(self):
+        # the cap keeps the run small: a few moves can grow the ambient ~10x
+        if len(self.pair.ambient.facets) > 1500:
+            return []
+        return sorted(self.pair.sub.faces().get(1, ()))
+
+    def _move(self, move):
+        self.pair, removed, added = pairs_module._move(self.pair, move)
+        self.moves.append(move)
+        self.f = _f_vector_change(self.f, self.pair.ambient, removed, added)
+
+    @rule(k=st.integers(0, 10**6))
+    def subdivide(self, k):
+        edges = self._edges()
+        if edges:
+            self._move(Move.subdivide(edges[k % len(edges)], f"m{len(self.moves)}"))
+
+    @rule(k=st.integers(0, 10**6), keep=st.integers(0, 1))
+    def contract(self, k, keep):
+        edges = [e for e in self._edges() if is_valid_edge(self.pair.sub, e)]
+        if edges:
+            e = edges[k % len(edges)]
+            self._move(Move.contract(e, e[keep]))
+
+    @invariant()
+    def agrees_with_full_recomputation(self):
+        pair = self.pair
+        assert pair.status == classify_pair(pair.sub, pair.ambient)
+        assert pair.status.verdict == STRONGLY_INDUCED
+        assert pair.sub == replay_script(self.source, MoveScript(tuple(self.moves)))
+        assert euler_characteristic(pair.ambient) == self.chi
+        assert self.f == f_vector(pair.ambient)
+        if len(pair.ambient.facets) <= 40:
+            assert oracles.naive_is_strongly_induced(pair.sub, pair.ambient)
+        # by the proof sketch in `_rebias_near` the global fallback never runs
+        assert self.fallbacks == []
+
+
+TestStatefulPairMoves = StatefulPairMoves.TestCase
+TestStatefulPairMoves.settings = settings(max_examples=25, stateful_step_count=8, deadline=None)
 
 
 def test_change_set_f_vector_drops_trailing_zeros_when_the_dimension_falls(triangle):
