@@ -11,11 +11,16 @@ filter; no index outlives the question.  The one lazy cache, the vertex
 set, is filled by idempotent assignment, so concurrent readers are safe.
 
 The incidence primitives the other modules share live here only: the face
-enumerator `_face_set`, the subcomplex test `is_subcomplex` (raising through
+enumerator `_face_set`, the facet incidence masks `_vertex_masks` (vertex ->
+bitmask of the facets at it) and `_support` (the facets holding a simplex,
+as the AND of its vertices' masks), the one face budget
+`_check_face_budget`, the subcomplex test `is_subcomplex` (raising through
 `_require_subcomplex` and `_not_a_subcomplex`), `_degrees` and `_UnionFind`.
-The face enumerator is bounded: asked for more than `_FACE_BUDGET` faces,
-it raises `ResourceLimitError` before it builds any, so every face reader
-(`faces`, `f_vector`, the missing-simplex and validity searches) is too.
+The face budget refuses a walk of more than `_FACE_BUDGET` faces with
+`ResourceLimitError` before any is built.  The face enumerator checks it,
+so every face reader (`faces`, `f_vector`, the missing-simplex and
+validity searches) is bounded, and so does the strong-inducedness scan,
+summed over the facets it walks.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .labels import VertexLabel, vlabel
 
 _DEBUG_VALIDATE = os.environ.get("STELLARPAIR_DEBUG_VALIDATE", "") == "1"
 
-# most faces the face enumerator may build in one call
+# most faces the face enumerator, or the strong-inducedness scan, may walk in one call
 _FACE_BUDGET = 2_000_000
 
 
@@ -54,10 +59,13 @@ class Simplex(tuple):
     __slots__ = ()
 
     @classmethod
-    def of(cls, labels: Iterable) -> "Simplex":
-        """Build a simplex from label-ish values, with set semantics (duplicates merge)."""
+    def of(cls, labels: Iterable | str | int) -> "Simplex":
+        """Build a simplex from label-ish values, with set semantics (duplicates
+        merge); a lone str or int is one label."""
         if isinstance(labels, Simplex):
             return labels
+        if isinstance(labels, (str, int)):
+            labels = (labels,)
         return cls(sorted(set(vlabel(x) for x in labels)))
 
     @property
@@ -107,11 +115,7 @@ EMPTY_SIMPLEX = Simplex(())
 
 
 def as_simplex(value) -> Simplex:
-    """Coerce a Simplex or an iterable of labels into a Simplex."""
-    if isinstance(value, Simplex):
-        return value
-    if isinstance(value, (str, int)):
-        return Simplex.of([value])
+    """Coerce a Simplex, a lone label or an iterable of labels into a Simplex."""
     return Simplex.of(value)
 
 
@@ -196,9 +200,9 @@ class SimplicialComplex:
         """The facets in canonical order, sorted on each call."""
         return tuple(sorted(self.facets, key=Simplex.sort_key))
 
-    def facets_containing(self, simplex: Simplex) -> tuple[Simplex, ...]:
+    def facets_containing(self, simplex) -> tuple[Simplex, ...]:
         """All facets that contain `simplex`, in canonical order."""
-        held = frozenset(simplex)
+        held = frozenset(Simplex.of(simplex))
         return tuple(sorted((f for f in self.facets if held.issubset(f)), key=Simplex.sort_key))
 
     def __contains__(self, simplex) -> bool:
@@ -310,24 +314,15 @@ def _f_vector_change(
     is the faces of `added` in no unchanged facet, gained, less the faces of
     `removed` in no unchanged facet, lost; a face of both cancels.  Such a
     face's vertices lie in V(removed ∪ added), so only the unchanged facets
-    meeting those vertices are indexed, as one bit each per vertex, and a
-    face is in an unchanged facet iff the AND of its vertices' bits is
-    nonzero.  Trailing zeros are dropped when the dimension falls."""
+    meeting those vertices are masked (`_vertex_masks`), and a face is in an
+    unchanged facet iff its `_support` is nonzero.  Trailing zeros are
+    dropped when the dimension falls."""
     near = frozenset().union(*removed, *added)
-    vmask: dict[VertexLabel, int] = {}
-    bit = 1
-    for g in cx.facets:
-        if not near.isdisjoint(g) and g not in added:
-            for v in g:
-                vmask[v] = vmask.get(v, 0) | bit
-            bit <<= 1
+    masks = _vertex_masks(g for g in cx.facets if not near.isdisjoint(g) and g not in added)
     counts = list(f) + [0] * (max(map(len, added), default=0) - len(f))
     for sign, facets in ((1, added), (-1, removed)):
         for face in _face_set(facets):
-            mask = -1
-            for v in face:
-                mask &= vmask.get(v, 0)
-            if not mask:
+            if not _support(masks, face):
                 counts[len(face) - 1] += sign
     while counts and not counts[-1]:
         counts.pop()
@@ -343,14 +338,10 @@ def euler_characteristic(cx: SimplicialComplex) -> int:
     return _alternating_sum(f_vector(cx))
 
 
-def _face_set(facets: Collection[Simplex]) -> set[tuple[VertexLabel, ...]]:
-    """Every nonempty face of the given facets, as vertex tuples; a `Simplex`
-    hashes and compares as its tuple, so it can be looked up directly.
-
-    The facets can hold at most sum(2^|F| - 1) faces; above `_FACE_BUDGET`
-    it raises `ResourceLimitError` before it builds any.  So one facet of
-    more than 20 vertices is refused.  `facets` is read twice, so it must
-    be a collection, not an iterator."""
+def _check_face_budget(facets: Collection[Collection]) -> None:
+    """Refuse a walk of the nonempty faces of `facets`, at most
+    sum(2^|F| - 1) of them, above `_FACE_BUDGET` with `ResourceLimitError`.
+    So one facet of more than 20 vertices is refused."""
     bound = sum(1 << len(f) for f in facets) - len(facets)
     if bound > _FACE_BUDGET:
         raise ResourceLimitError(
@@ -359,14 +350,46 @@ def _face_set(facets: Collection[Simplex]) -> set[tuple[VertexLabel, ...]]:
             bound=bound,
             budget=_FACE_BUDGET,
         )
+
+
+def _face_set(facets: Collection[Simplex]) -> set[tuple[VertexLabel, ...]]:
+    """Every nonempty face of the given facets, as vertex tuples; a `Simplex`
+    hashes and compares as its tuple, so it can be looked up directly.
+
+    `_check_face_budget` runs first, so no face is built above the budget.
+    `facets` is read twice, so it must be a collection, not an iterator."""
+    _check_face_budget(facets)
     return {c for f in facets for k in range(1, len(f) + 1) for c in combinations(f, k)}
 
 
+def _vertex_masks(facets: Iterable[Collection[VertexLabel]]) -> dict[VertexLabel, int]:
+    """Each vertex of `facets`, with the bitmask of the facets at it: bit i
+    for the i-th facet in iteration order."""
+    masks: dict[VertexLabel, int] = {}
+    bit = 1
+    for f in facets:
+        for v in f:
+            masks[v] = masks.get(v, 0) | bit
+        bit <<= 1
+    return masks
+
+
+def _support(masks: dict[VertexLabel, int], simplex: Iterable[VertexLabel]) -> int:
+    """Bitmask of the facets behind `masks` that hold every vertex of the
+    nonempty `simplex`: the AND of its vertices' masks."""
+    get = masks.get
+    mask = -1
+    for v in simplex:
+        mask &= get(v, 0)
+    return mask
+
+
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:
-    """True iff every facet of `sub` is a face of `ambient`, that is, of the
-    ambient's restriction to V(sub)."""
-    faces = _face_set(induced_subcomplex(ambient, sub.vertex_set()).facets)
-    return all(f in faces for f in sub.facets)
+    """True iff every facet of `sub` is a face of `ambient`: iff some ambient
+    facet meeting V(sub) holds it, its `_support` among them."""
+    verts = sub.vertex_set()
+    masks = _vertex_masks(f for f in ambient.facets if not verts.isdisjoint(f))
+    return all(_support(masks, g) for g in sub.facets)
 
 
 def _not_a_subcomplex(sub: SimplicialComplex, is_face) -> NotASubcomplexError:

@@ -19,10 +19,11 @@ outside that facet (trace dominance), a facet whose vertices outside the
 subcomplex touch no such facet is skipped without walking its faces (the
 prefilter), and a face inside the subcomplex's vertices is a violation
 iff it is an ambient face and no face of the subcomplex.  The hot path is
-pure integer bitmask arithmetic; simplices are only materialized when a
-violation is found.  A facet is walked through its 2^n faces only for n
-at most 20 (`_FACET_VERTEX_BOUND`); a larger one raises
-`ResourceLimitError` before any of its faces is built.
+pure integer bitmask arithmetic over the facet incidence masks of
+`complexes` (`_vertex_masks`, `_support`); simplices are only materialized
+when a violation is found.  The walk is counted against the one face
+budget (`complexes._check_face_budget`), summed over the facets it walks:
+above it, `ResourceLimitError` is raised before any face is built.
 
 A pair move scans less: `_classify_change` is told the facets a move
 removed from and added to an ambient whose pair was strongly induced.
@@ -39,17 +40,13 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Iterator
 
-from .complexes import Simplex, SimplicialComplex, _not_a_subcomplex
-from .errors import ResourceLimitError
+from .complexes import Simplex, SimplicialComplex, _check_face_budget, _not_a_subcomplex, _support, _vertex_masks
 from .labels import VertexLabel
 
 INDUCED = "induced"
 NOT_INDUCED = "not_induced"
 STRONGLY_INDUCED = "strongly_induced"
 NOT_STRONGLY_INDUCED = "not_strongly_induced"
-
-# the most vertices of a facet whose 2^n faces the scan walks
-_FACET_VERTEX_BOUND = 20
 
 
 @dataclass(frozen=True)
@@ -183,22 +180,14 @@ class _StrongScan:
             is_face = lambda g: near.isdisjoint(g) or self.support(g)
         else:
             changed = None
-        # a bit per sub vertex, and the sub facets at each sub vertex as a bitmask
-        self._vbit = vbit = {v: 1 << k for k, v in enumerate(gamma)}
-        self._sub_at = sub_at = dict.fromkeys(gamma, 0)
-        for j, g in enumerate(sub.facets):
-            for v in g:
-                sub_at[v] |= 1 << j
-        # one pass over the kept facets: the facets at each vertex, and each
-        # facet's trace on V(sub) with whether it is a face of sub
-        self.vmask: dict[VertexLabel, int] = {}
+        # a bit per sub vertex; the sub facets, and the kept facets, at each vertex
+        self._vbit = {v: 1 << k for k, v in enumerate(gamma)}
+        self._sub_at = _vertex_masks(sub.facets)
+        self.vmask = vmask = _vertex_masks(self.facets)
+        # each kept facet's trace on V(sub), with whether it is a face of sub
         self.traces: list[int] = []
         self.trace_in_sub: list[bool] = []
-        vmask = self.vmask
-        for i, f in enumerate(self.facets):
-            bit = 1 << i
-            for v in f:
-                vmask[v] = vmask.get(v, 0) | bit
+        for f in self.facets:
             trace, fits = self._trace(f)
             self.traces.append(trace)
             self.trace_in_sub.append(fits)
@@ -235,11 +224,7 @@ class _StrongScan:
 
     def support(self, simplex: Simplex) -> int:
         """Bitmask of the kept facets containing the nonempty `simplex`."""
-        get = self.vmask.get
-        mask = -1
-        for v in simplex:
-            mask &= get(v, 0)
-        return mask
+        return _support(self.vmask, simplex)
 
     def away(self, trace: int) -> int:
         """Bitmask of the kept facets with a vertex of V(sub) outside `trace`:
@@ -272,8 +257,8 @@ class _StrongScan:
     def _walks(self) -> list[tuple[list[VertexLabel], int, int]]:
         """The scanned facets the prefilter does not skip, each as (its
         vertices, those in V(sub) first; how many are in V(sub); `away`, or -1
-        when it takes no dominance test).  `ResourceLimitError` if one has
-        more than `_FACET_VERTEX_BOUND` vertices, before any is walked."""
+        when it takes no dominance test).  `ResourceLimitError` if their
+        faces together exceed the face budget, before any is walked."""
         vmask, vbit = self.vmask, self._vbit
         walks = []
         for facet, trace, dominated in self.scope:
@@ -290,14 +275,7 @@ class _StrongScan:
                 if not reach & away:
                     continue  # the prefilter: no face of `facet` is a violation
             walks.append((inside + outside, len(inside), away))
-        n = max((len(facet) for facet, _, _ in walks), default=0)
-        if n > _FACET_VERTEX_BOUND:
-            raise ResourceLimitError(
-                f"the strong-inducedness scan would walk the {1 << n} faces of a facet "
-                f"with {n} vertices, above the bound of {_FACET_VERTEX_BOUND} vertices",
-                facet_vertices=n,
-                bound=_FACET_VERTEX_BOUND,
-            )
+        _check_face_budget([facet for facet, _, _ in walks])
         return walks
 
     def _violations(self) -> Iterator[Simplex]:

@@ -361,13 +361,18 @@ def _target_map(
 
 
 def replay_script(source: SimplicialComplex, script: MoveScript) -> SimplicialComplex:
-    """Replay a script on a bare complex; step failures carry their index."""
+    """Replay a script on a bare complex; step failures carry their index: a
+    domain error comes wrapped in `ScriptStepError`, and a `ResourceLimitError`
+    carries it as the `step` stat."""
     cx = source
     for i, move in enumerate(script.moves):
         try:
             cx = _apply(cx, move)
         except DomainError as exc:
             raise ScriptStepError(i, exc) from exc
+        except ResourceLimitError as exc:
+            exc.stats["step"] = i
+            raise
     return cx
 
 

@@ -151,7 +151,7 @@ def test_check_strong_refuses_a_facet_too_large_to_walk(tmp_path, capsys):
     ambient = write_complex(tmp_path / "d.json", [list(range(1, 22))])
     assert main(["check", "strong", "--sub", sub, "--ambient", ambient]) == 3
     err = json.loads(capsys.readouterr().err)
-    assert (err["error"], err["facet_vertices"], err["bound"]) == ("resource-limit", 21, 20)
+    assert (err["error"], err["facets"], err["bound"], err["budget"]) == ("resource-limit", 1, 2097151, 2000000)
 
 
 def _library_call(call):
@@ -377,6 +377,17 @@ def test_pair_run_fallback_over_budget_exits_three(tmp_path, capsys, monkeypatch
     assert err["error"] == "resource-limit"
     assert err["budget"] == 144 and err["bound"] == 828 and err["facets"] == 138
     assert err["step"] == 0
+
+
+def test_verify_script_names_the_step_over_a_resource_limit(tmp_path, capsys):
+    # the second move contracts {1,2} of a 26-vertex facet, whose faces are over the budget
+    src = write_complex(tmp_path / "big.json", [list(range(1, 27))])
+    moves = [{"op": "subdivide", "edge": ["1", "3"], "new_label": "m"}, {"op": "contract", "edge": ["1", "2"], "survivor": "1"}]
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps({"moves": moves}))
+    assert main(["verify-script", "--source", src, "--script", str(script), "--to", src]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["facets"], err["step"]) == ("resource-limit", 2, 1)
 
 
 def test_pair_run_bad_script_exits_one(tmp_path, capsys):

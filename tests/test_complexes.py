@@ -36,7 +36,7 @@ from stellarpair import (
 )
 from stellarpair import canonical
 from stellarpair.canonical import _signature
-from stellarpair.complexes import _face_set, _UnionFind
+from stellarpair.complexes import _face_set, _require_subcomplex, _UnionFind
 from stellarpair.errors import (
     AbsentFaceError,
     MalformedInputError,
@@ -205,6 +205,27 @@ def test_is_subcomplex_examples(four_cycle):
     with pytest.raises(NotASubcomplexError) as err:
         biased_derived(bad_sub, ambient)
     assert str(err.value) == f"facet {bad} of the subcomplex is not a face of the ambient complex"
+
+
+def test_is_subcomplex_answers_on_a_facet_above_the_face_budget():
+    # 2^26 - 1 faces are over the face budget, but the test walks none of them
+    facet = from_facets([range(1, 27)])
+    assert is_subcomplex(facet, facet)
+    assert not is_subcomplex(from_facets([[1, 27]]), facet)
+
+
+@given(facet_lists, st.lists(st.sets(st.sampled_from(LABELS + ["7", "8"]), min_size=1, max_size=4), max_size=5))
+@settings(max_examples=200)
+def test_is_subcomplex_matches_facet_containment(ambient_facets, sub_facets):
+    # sub vertices 7 and 8 lie outside every ambient
+    ambient, sub = build(ambient_facets), build(sub_facets)
+    expected = all(any(set(g) <= set(f) for f in ambient.facets) for g in sub.facets)
+    assert is_subcomplex(sub, ambient) == expected
+    if expected:
+        _require_subcomplex(sub, ambient)
+    else:
+        with pytest.raises(NotASubcomplexError):
+            _require_subcomplex(sub, ambient)
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -704,6 +725,10 @@ def test_as_simplex_accepts_labels_and_simplices():
     assert s.tokens() == ("1", "3")
     assert as_simplex(s) is s
     assert as_simplex("7").tokens() == ("7",)
+    # a lone label is one vertex everywhere, also with more than one character
+    assert Simplex.of("12").tokens() == ("12",)
+    assert Simplex.of(7).tokens() == ("7",)
+    assert from_facets([["1", "2"], ["12", "3"]]).facets_containing("12") == (Simplex.of(["12", "3"]),)
 
 
 # -- validate -----------------------------------------------------------------

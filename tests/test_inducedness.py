@@ -531,7 +531,20 @@ def test_scan_bound_refuses_a_facet_it_would_walk():
     for check in (classify_pair, is_strongly_induced, is_induced):
         with pytest.raises(ResourceLimitError) as err:
             check(sub, ambient)
-        assert err.value.stats == {"facet_vertices": 21, "bound": 20}
+        assert err.value.stats == {"facets": 1, "bound": 2097151, "budget": 2000000}
+
+
+def test_scan_bound_sums_the_faces_of_every_walked_facet():
+    # each 20-vertex facet alone is within the face budget, both together are not
+    ambient = from_facets([range(1, 21), [1, 2, *range(21, 39)]])
+    sub = from_facets([[1], [2]])
+    for check in (classify_pair, is_strongly_induced, is_induced):
+        with pytest.raises(ResourceLimitError) as err:
+            check(sub, ambient)
+        assert err.value.stats == {"facets": 2, "bound": 2097150, "budget": 2000000}
+    # one 20-vertex facet passes the budget: its walk is not refused
+    (walk,) = _StrongScan(sub, from_facets([range(1, 21)]))._walks()
+    assert len(walk[0]) == 20
 
 
 def test_scan_bound_spares_a_facet_it_does_not_walk():

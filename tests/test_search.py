@@ -553,6 +553,16 @@ def test_verify_script_respects_target_map():
     assert not verify_script(src, good, from_facets([["a", "z"]]))
 
 
+def test_replay_script_names_the_step_over_a_resource_limit():
+    # contracting {1,2} of a 26-vertex facet lists faces above the face budget
+    cx = from_facets([range(1, 27)])
+    script = MoveScript((Move.subdivide(("1", "3"), "m"), Move.contract(("1", "2"), "1")))
+    for replay in (lambda: replay_script(cx, script), lambda: verify_script(cx, script, cx)):
+        with pytest.raises(ResourceLimitError) as exc:
+            replay()
+        assert exc.value.stats == {"facets": 2, "bound": 2 * (2**26 - 1), "budget": 2000000, "step": 1}
+
+
 def test_replay_script_runs_moves_in_order(triangle):
     script = MoveScript(
         (
