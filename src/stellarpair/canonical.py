@@ -79,19 +79,25 @@ def _signature(cx: SimplicialComplex) -> tuple:
     return tuple(out)
 
 
-def canonical_labeling(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD) -> Labeling:
-    """The canonical form, the vertex -> canonical-index map realizing it,
-    and the automorphisms proved at equal leaves, each a vertex -> vertex
-    map carrying the facets onto the facets.  They generate a subgroup of
-    the automorphism group, not always all of it."""
-    verts = cx.vertices()
-    n = len(verts)
+def _check_guard(cx: SimplicialComplex, guard: int) -> None:
+    """Refuse a complex of more than `guard` vertices with `ResourceLimitError`."""
+    n = cx.num_vertices()
     if n > guard:
         raise ResourceLimitError(
             f"complex has {n} vertices, above the isomorphism guard of {guard}",
             vertices=n,
             guard=guard,
         )
+
+
+def canonical_labeling(cx: SimplicialComplex, *, guard: int = DEFAULT_VERTEX_GUARD) -> Labeling:
+    """The canonical form, the vertex -> canonical-index map realizing it,
+    and the automorphisms proved at equal leaves, each a vertex -> vertex
+    map carrying the facets onto the facets.  They generate a subgroup of
+    the automorphism group, not always all of it."""
+    _check_guard(cx, guard)
+    verts = cx.vertices()
+    n = len(verts)
     vid = {v: i for i, v in enumerate(verts)}
     facet_members = [tuple(map(vid.__getitem__, f)) for f in cx.facets]
     facets_of: list[list[int]] = [[] for _ in range(n)]
@@ -181,13 +187,8 @@ def isomorphism(
     guard: int = DEFAULT_VERTEX_GUARD,
 ) -> dict[VertexLabel, VertexLabel] | None:
     """A vertex bijection carrying the facets of `a` onto the facets of `b`, or None."""
-    for cx in (a, b):
-        if cx.num_vertices() > guard:
-            raise ResourceLimitError(
-                f"complex has {cx.num_vertices()} vertices, above the isomorphism guard of {guard}",
-                vertices=cx.num_vertices(),
-                guard=guard,
-            )
+    _check_guard(a, guard)
+    _check_guard(b, guard)
     if a.facets == b.facets:
         return {v: v for v in a.vertex_set()}
     if a.num_vertices() != b.num_vertices() or f_vector(a) != f_vector(b):

@@ -4,11 +4,14 @@ A :class:`Simplex` is the sorted, duplicate-free tuple of its interned
 vertex labels, and equals, hashes and compares as that tuple; canonical
 order is `key=Simplex.sort_key`.  A :class:`SimplicialComplex` is the
 downward closure of an antichain of facets.  Complexes are immutable
-values: every operation returns a new complex.  Faces are not stored:
-each face reader enumerates them from the facets.  A local question
-(membership, star, link) reads the facets at its face in one linear
-filter; no index outlives the question.  The one lazy cache, the vertex
-set, is filled by idempotent assignment, so concurrent readers are safe.
+values: every operation returns a new complex.  A move that swaps a few
+facets for others (subdivision, contraction, derivation) builds it
+through `SimplicialComplex._replace`, the one trusted edit, which copies
+the facet set once.  Faces are not stored: each face reader enumerates
+them from the facets.  A local question (membership, star, link) reads
+the facets at its face in one linear filter; no index outlives the
+question.  The one lazy cache, the vertex set, is filled by idempotent
+assignment, so concurrent readers are safe.
 
 The incidence primitives the other modules share live here only: the face
 enumerator `_face_set`, the facet incidence masks `_vertex_masks` (vertex ->
@@ -172,6 +175,15 @@ class SimplicialComplex:
         if not isinstance(facets, set):
             facets = set(facets)
         return cls(frozenset(facets), _trusted=True)
+
+    def _replace(self, removed: Iterable[Simplex], added: Iterable[Simplex]) -> "SimplicialComplex":
+        """The one trusted edit: this complex with its facets `removed`
+        swapped for `added`, from one copy of the facet set.  The caller
+        vouches that the result is an antichain."""
+        facets = set(self.facets)
+        facets.difference_update(removed)
+        facets.update(added)
+        return self._from_antichain(facets)
 
     # -- basic queries -------------------------------------------------
 

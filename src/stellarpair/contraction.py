@@ -12,13 +12,15 @@ every later question reads only them (see `_split`).
 
 from __future__ import annotations
 
-from .complexes import Simplex, SimplicialComplex, _face_set, _reduce_to_antichain, as_simplex, link
-from .errors import AbsentFaceError, DomainError, InvalidEdgeError, MalformedInputError
+from bisect import bisect_right
+
+from .complexes import _FACE_BUDGET, Simplex, SimplicialComplex, _face_set, _reduce_to_antichain, as_simplex, link
+from .errors import AbsentFaceError, DomainError, InvalidEdgeError, MalformedInputError, ResourceLimitError
 from .labels import VertexLabel, vlabel
 
 
-def _split(cx: SimplicialComplex, edge) -> tuple[Simplex, list[Simplex], list[Simplex]]:
-    """The edge, the facets at it (those holding an endpoint) and the rest.
+def _split(cx: SimplicialComplex, edge) -> tuple[Simplex, list[Simplex]]:
+    """The edge and the facets at it (those holding an endpoint).
 
     Every question about a face holding an endpoint has the same answer in
     the facets at the edge as in the whole complex, since every facet
@@ -28,19 +30,17 @@ def _split(cx: SimplicialComplex, edge) -> tuple[Simplex, list[Simplex], list[Si
     - whether a candidate s ⊇ e, or a boundary face s - x of it, is a face:
       s - x still holds an endpoint, since x is at most one of them;
     - the neighbours of an endpoint: the vertices of the facets holding it.
-    The substitution changes only facets at the edge (`_substitute`).
+    The substitution changes only facets at the edge, so it hands just
+    them to `SimplicialComplex._replace` (`_substitute`).
     """
     e = as_simplex(edge)
     if e.dim != 1:
         raise DomainError(f"expected an edge, got {e}")
     u, v = e
-    at_edge: list[Simplex] = []
-    rest: list[Simplex] = []
-    for f in cx.facets:
-        (at_edge if u in f or v in f else rest).append(f)
+    at_edge = [f for f in cx.facets if u in f or v in f]
     if not any(u in f and v in f for f in at_edge):
         raise AbsentFaceError(f"{e} is not an edge of the complex")
-    return e, at_edge, rest
+    return e, at_edge
 
 
 def _missing_through(e: Simplex, at_edge: list[Simplex]):
@@ -77,31 +77,41 @@ def missing_simplices(cx: SimplicialComplex, max_dim: int | None = None) -> set[
     """All minimal non-faces whose full boundary lies in the complex.
 
     Candidates never exceed dimension dim(cx)+1, since every proper face of a
-    missing simplex must be present; `max_dim` can lower that bound.
+    missing simplex must be present; `max_dim` can lower that bound.  Each
+    candidate is a face plus a vertex sorting after its last, so they are
+    counted first, and more than `_FACE_BUDGET` of them raise
+    `ResourceLimitError` before any is built.
     """
     top_card = cx.dim + 2 if max_dim is None else min(cx.dim + 2, max_dim + 1)
     verts = cx.vertices()
     faces = _face_set(cx.facets)
     # each candidate is a face (its shell) plus one vertex above the shell's last
+    bound = sum(len(verts) - bisect_right(verts, shell[-1]) for shell in faces if len(shell) < top_card)
+    if bound > _FACE_BUDGET:
+        raise ResourceLimitError(
+            f"the missing-simplex search could test {bound} candidates, above the budget of {_FACE_BUDGET}",
+            faces=len(faces),
+            bound=bound,
+            budget=_FACE_BUDGET,
+        )
     candidates = (
         Simplex(shell + (w,))
         for shell in faces
         if len(shell) < top_card
-        for w in verts
-        if w > shell[-1]
+        for w in verts[bisect_right(verts, shell[-1]) :]
     )
     return {s for s in candidates if s not in faces and all(b in faces for b in s.boundary())}
 
 
 def blocking_missing_simplices(cx: SimplicialComplex, edge) -> tuple[Simplex, ...]:
     """All missing simplices of the complex that contain the given edge."""
-    e, at_edge, _ = _split(cx, edge)
+    e, at_edge = _split(cx, edge)
     return tuple(sorted(_missing_through(e, at_edge), key=Simplex.sort_key))
 
 
 def is_valid_edge(cx: SimplicialComplex, edge) -> bool:
     """True iff no missing simplex of the complex contains the edge."""
-    e, at_edge, _ = _split(cx, edge)
+    e, at_edge = _split(cx, edge)
     return next(_missing_through(e, at_edge), None) is None
 
 
@@ -110,20 +120,19 @@ def link_condition(cx: SimplicialComplex, edge) -> bool:
 
     Equivalent to `is_valid_edge`; kept as an independent oracle.
     """
-    e, _, _ = _split(cx, edge)
+    e, _ = _split(cx, edge)
     u, v = e
     faces_u, faces_v, faces_e = (_face_set(link(cx, s).facets) for s in ([u], [v], e))
     return faces_u & faces_v == faces_e
 
 
-def _substitute(
-    e: Simplex, at_edge: list[Simplex], rest: list[Simplex], keep: VertexLabel
-) -> SimplicialComplex:
-    """Replace the other endpoint `lose` of e by `keep` everywhere.
+def _substitute(cx: SimplicialComplex, e: Simplex, at_edge: list[Simplex], keep: VertexLabel) -> SimplicialComplex:
+    """Replace the other endpoint `lose` of e by `keep` everywhere in `cx`.
 
     Only the facets at the edge are reduced: the images of the facets
     holding `lose`, and the facets holding `keep` but not `lose`.  The
-    reduction collapses degenerate images and merges duplicates.  Every
+    reduction collapses degenerate images and merges duplicates, and
+    `cx._replace` swaps the facets at the edge for what it keeps.  Every
     other facet g passes through as it is, since no image I = F - lose + keep
     can dominate it or be dominated by it.  I holds `keep` and g does not,
     so g cannot contain I, and g ⊆ I would give g ⊆ F - lose ⊆ F, with
@@ -132,20 +141,20 @@ def _substitute(
     """
     lose = e[1] if keep == e[0] else e[0]
     images = (Simplex(sorted(set(f) - {lose} | {keep})) if lose in f else f for f in at_edge)
-    return SimplicialComplex._from_antichain(_reduce_to_antichain(images).union(rest))
+    return cx._replace(at_edge, _reduce_to_antichain(images))
 
 
 def _contract_if_valid(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex | None:
     """The contraction of an edge of the complex onto `survivor` (default:
     the smaller endpoint), or None when the edge is invalid: one split, and
     the blocker search stops at the first blocker."""
-    e, at_edge, rest = _split(cx, edge)
+    e, at_edge = _split(cx, edge)
     if next(_missing_through(e, at_edge), None) is not None:
         return None
     keep: VertexLabel = e[0] if survivor is None else vlabel(survivor)
     if keep not in e:
         raise MalformedInputError(f"survivor {keep} is not an endpoint of {e}")
-    return _substitute(e, at_edge, rest, keep)
+    return _substitute(cx, e, at_edge, keep)
 
 
 def contract_edge(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex:

@@ -30,7 +30,9 @@ subdivision of a target complex into one containing the target itself.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import complexes
 from .complexes import (
@@ -289,6 +291,20 @@ def pair_contract_edge(pair: ComplexPair, edge, survivor=None) -> ComplexPair:
     return apply_move(pair, Move.contract(edge, survivor))
 
 
+@contextmanager
+def _at_step(i: int) -> Iterator[None]:
+    """Tag a failure of script step `i` with its index: a domain error comes
+    wrapped in `ScriptStepError`, and a `ResourceLimitError` carries it as
+    the `step` stat."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ScriptStepError(i, exc) from exc
+    except ResourceLimitError as exc:
+        exc.stats["step"] = i
+        raise
+
+
 def _step(pair: ComplexPair, stage: str, move: Move | None, f_ambient: tuple[int, ...]) -> PipelineStep:
     return PipelineStep(
         stage=stage,
@@ -314,20 +330,15 @@ def pipeline_run(
     ambient's f-vector is carried from step to step, updated from the faces
     each move's changed facets lose and gain (`complexes._f_vector_change`).
     A move's domain error comes wrapped in `ScriptStepError`, and a move's
-    `ResourceLimitError` carries its index as the `step` stat.
+    `ResourceLimitError` carries its index as the `step` stat (`_at_step`).
     """
     _require_subcomplex(sub, ambient)
     pair = _biased(*_derived(sub, ambient))
     f_ambient = f_vector(pair.ambient)
     steps = [_step(pair, "init", None, f_ambient)]
     for i, move in enumerate(script.moves):
-        try:
+        with _at_step(i):
             pair, removed, added = _move(pair, move)
-        except DomainError as exc:
-            raise ScriptStepError(i, exc) from exc
-        except ResourceLimitError as exc:
-            exc.stats["step"] = i
-            raise
         f_ambient = _f_vector_change(f_ambient, pair.ambient, removed, added)
         if complexes._DEBUG_VALIDATE:
             full = f_vector(pair.ambient)
@@ -363,16 +374,11 @@ def _target_map(
 def replay_script(source: SimplicialComplex, script: MoveScript) -> SimplicialComplex:
     """Replay a script on a bare complex; step failures carry their index: a
     domain error comes wrapped in `ScriptStepError`, and a `ResourceLimitError`
-    carries it as the `step` stat."""
+    carries it as the `step` stat (`_at_step`)."""
     cx = source
     for i, move in enumerate(script.moves):
-        try:
+        with _at_step(i):
             cx = _apply(cx, move)
-        except DomainError as exc:
-            raise ScriptStepError(i, exc) from exc
-        except ResourceLimitError as exc:
-            exc.stats["step"] = i
-            raise
     return cx
 
 

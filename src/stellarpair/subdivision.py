@@ -54,21 +54,21 @@ def stellar_subdivide(cx: SimplicialComplex, simplex, new_label) -> SimplicialCo
 
 def _subdivide_star(cx: SimplicialComplex, s: Simplex, hits: list[Simplex], new_label) -> SimplicialComplex:
     """The stellar subdivision of `cx` at `s`, given `hits`, the facets of
-    `cx` that hold `s`: each becomes the facets {new} + (F - w), one per
-    vertex w of `s`.  `NamingError` if the new label names a vertex."""
+    `cx` that hold `s`: `cx._replace` swaps them for their cells, each F
+    becoming the facets {new} + (F - w), one per vertex w of `s`.
+    `NamingError` if the new label names a vertex."""
     v = vlabel(new_label)
     if v in cx.vertex_set():
         raise NamingError(f"label {v} already names a vertex of the complex")
-    facets = set(cx.facets)
-    facets.difference_update(hits)
+    cells = []
     for f in hits:
         for w in s:
             cell = list(f)
             cell.remove(w)
             cell.append(v)
             cell.sort()
-            facets.add(Simplex(cell))
-    return SimplicialComplex._from_antichain(facets)
+            cells.append(Simplex(cell))
+    return cx._replace(hits, cells)
 
 
 def edge_subdivide(cx: SimplicialComplex, edge, new_label) -> SimplicialComplex:
@@ -84,8 +84,8 @@ def _relative_derived(
     protected: Callable[[tuple[VertexLabel, ...]], bool],
     rnd: int | None,
 ) -> tuple[SimplicialComplex, int, dict[Simplex, VertexLabel]]:
-    """Facets of the subdivision that stellar-subdivides every face outside
-    the protected set (dimension >= 1), largest faces first, with the
+    """The subdivision that stellar-subdivides every face outside the
+    protected set (dimension >= 1), largest faces first, with the
     barycenter round and the new labels.  `protected` takes a face as its
     sorted vertex tuple and must be closed under taking faces.  The round
     defaults to the next fresh one.  A given round must be a nonnegative int
@@ -98,11 +98,13 @@ def _relative_derived(
     above `_FACET_BUDGET` the subdivision raises `ResourceLimitError`
     before it makes any barycenter or cell.
 
-    A protected facet survives as-is.  An unprotected face F becomes the cone
-    from its barycenter b(F) over its boundary, each ridge subdivided the
-    same way; a protected ridge or a lone vertex is its own cone.  So a cell
-    is τ ∪ {b(σ_1), ..., b(σ_k)}: τ protected or a lone vertex, and
-    τ ⊊ σ_1 ⊊ ... ⊊ σ_k unprotected, each one vertex larger than the last.
+    A protected facet, or a lone vertex, survives as-is: only the other
+    facets and their cells are handed to `ambient._replace`.  An
+    unprotected face F becomes the cone from its barycenter b(F) over its
+    boundary, each ridge subdivided the same way; a protected ridge or a
+    lone vertex is its own cone.  So a cell is τ ∪ {b(σ_1), ..., b(σ_k)}:
+    τ protected or a lone vertex, and τ ⊊ σ_1 ⊊ ... ⊊ σ_k unprotected,
+    each one vertex larger than the last.
     The work is proportional to the cells built.  Ridges are shared between
     faces, so the cone of every face below a facet is kept; a facet's is
     not, since a facet is no ridge.
@@ -131,13 +133,7 @@ def _relative_derived(
             cells.extend([c + (b,) for c in below])
         return cells
 
-    facets: set[Simplex] = set()
-    derived: list[Simplex] = []
-    for facet in ambient.facets:
-        if len(facet) == 1 or protected(facet):
-            facets.add(facet)
-        else:
-            derived.append(facet)
+    derived = [f for f in ambient.facets if len(f) > 1 and not protected(f)]
     bound = sum(factorial(len(f)) for f in derived)
     if bound > _FACET_BUDGET:
         raise ResourceLimitError(
@@ -146,9 +142,8 @@ def _relative_derived(
             bound=bound,
             budget=_FACET_BUDGET,
         )
-    for facet in derived:
-        facets.update([Simplex(sorted(c)) for c in cone(facet)])
-    return SimplicialComplex._from_antichain(facets), rnd, recorded
+    cells = [Simplex(sorted(c)) for facet in derived for c in cone(facet)]
+    return ambient._replace(derived, cells), rnd, recorded
 
 
 def derived_subdivision(

@@ -154,6 +154,15 @@ def test_check_strong_refuses_a_facet_too_large_to_walk(tmp_path, capsys):
     assert (err["error"], err["facets"], err["bound"], err["budget"]) == ("resource-limit", 1, 2097151, 2000000)
 
 
+def test_check_missing_refuses_too_many_candidates(tmp_path, capsys):
+    # a 1500-vertex path has 2999 faces, well within the face budget, but
+    # testing each face against every later vertex is 2,242,630 candidates
+    path = write_complex(tmp_path / "path.json", [[i, i + 1] for i in range(1, 1500)])
+    assert main(["check", "missing", "--complex", path]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["faces"], err["bound"], err["budget"]) == ("resource-limit", 2999, 2242630, 2000000)
+
+
 def _library_call(call):
     def run(cx, path, capsys):
         with pytest.raises(ResourceLimitError, match="could hold") as exc:
