@@ -8,17 +8,23 @@ values: every operation returns a new complex.  A move that swaps a few
 facets for others (subdivision, contraction, derivation) builds it
 through `SimplicialComplex._replace`, the one trusted edit, which copies
 the facet set once.  Faces are not stored: each face reader enumerates
-them from the facets.  A local question (membership, star, link) reads
-the facets at its face in one linear filter; no index outlives the
-question.  The one lazy cache, the vertex set, is filled by idempotent
-assignment, so concurrent readers are safe.
+them from the facets.  A complex keeps no facet index: a local question
+(membership, star, link) on a bare complex reads the facets at its face
+in one linear filter.  The one index is owned by a pair
+(`pairs.ComplexPair`): an `_Incidence` of its ambient, vertex -> facets
+plus the next fresh barycenter round, built once and edited copy-on-write
+by each move.  `_facets_at` and `_facets_holding` answer "which facets are
+at these vertices?" from that index when one is given, and from the one
+filter otherwise.  The one lazy cache of a complex, the vertex set, is
+filled by idempotent assignment, so concurrent readers are safe.
 
 The incidence primitives the other modules share live here only: the face
 enumerator `_face_set`, the facet incidence masks `_vertex_masks` (vertex ->
 bitmask of the facets at it) and `_support` (the facets holding a simplex,
-as the AND of its vertices' masks), the one face budget
-`_check_face_budget`, the subcomplex test `is_subcomplex` (raising through
-`_require_subcomplex` and `_not_a_subcomplex`), `_degrees` and `_UnionFind`.
+as the AND of its vertices' masks), `_Incidence` with its two readers, the
+one face budget `_check_face_budget`, the subcomplex test `is_subcomplex`
+(raising through `_require_subcomplex` and `_not_a_subcomplex`), `_degrees`
+and `_UnionFind`.
 The face budget refuses a walk of more than `_FACE_BUDGET` faces with
 `ResourceLimitError` before any is built.  The face enumerator checks it,
 so every face reader (`faces`, `f_vector`, the missing-simplex and
@@ -34,7 +40,7 @@ from itertools import chain, combinations
 from typing import Collection, Iterable, Iterator
 
 from .errors import AbsentFaceError, MalformedInputError, NotASubcomplexError, ResourceLimitError, StellarPairError
-from .labels import VertexLabel, vlabel
+from .labels import BARYCENTER, VertexLabel, next_round, vlabel
 
 _DEBUG_VALIDATE = os.environ.get("STELLARPAIR_DEBUG_VALIDATE", "") == "1"
 
@@ -209,8 +215,9 @@ class SimplicialComplex:
         return len(self.vertex_set())
 
     def sorted_facets(self) -> tuple[Simplex, ...]:
-        """The facets in canonical order, sorted on each call."""
-        return tuple(sorted(self.facets, key=Simplex.sort_key))
+        """The facets in canonical order, sorted on each call: lexicographic,
+        then stably by size, which is `Simplex.sort_key` order."""
+        return tuple(sorted(sorted(self.facets), key=len))
 
     def facets_containing(self, simplex) -> tuple[Simplex, ...]:
         """All facets that contain `simplex`, in canonical order."""
@@ -311,30 +318,46 @@ def link(cx: SimplicialComplex, simplex) -> SimplicialComplex:
 
 
 def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
-    """Face counts by dimension, f_0 through f_dim."""
-    by_size = Counter(map(len, _face_set(cx.facets)))
-    return tuple(by_size[k] for k in range(1, cx.dim + 2))
+    """Face counts by dimension, f_0 through f_dim: one set of k-faces per
+    size k, after the face budget (`_check_face_budget`)."""
+    facets = cx.facets
+    _check_face_budget(facets)
+    return tuple(
+        len({c for f in facets if len(f) >= k for c in combinations(f, k)}) for k in range(1, cx.dim + 2)
+    )
 
 
 def _f_vector_change(
-    f: tuple[int, ...], cx: SimplicialComplex, removed: frozenset[Simplex], added: frozenset[Simplex]
+    f: tuple[int, ...],
+    cx: SimplicialComplex,
+    removed: frozenset[Simplex],
+    added: frozenset[Simplex],
+    inc: "_Incidence | None" = None,
 ) -> tuple[int, ...]:
     """The f-vector of `cx`, made from a complex with f-vector `f` by
-    replacing its facets `removed` with `added` (a subset of `cx.facets`).
+    replacing its facets `removed` with `added` (a subset of `cx.facets`);
+    `inc`, when given, is the incidence of `cx`.
 
     A face in an unchanged facet is a face before and after.  So the change
     is the faces of `added` in no unchanged facet, gained, less the faces of
     `removed` in no unchanged facet, lost; a face of both cancels.  Such a
-    face's vertices lie in V(removed ∪ added), so only the unchanged facets
-    meeting those vertices are masked (`_vertex_masks`), and a face is in an
-    unchanged facet iff its `_support` is nonzero.  Trailing zeros are
-    dropped when the dimension falls."""
+    face's vertices lie in near = V(removed ∪ added).  Let the hub be the
+    vertex of near with the most facets in `cx`.  Every facet holding a face
+    other than {hub} holds a vertex of near other than the hub, so only the
+    unchanged facets at those vertices are masked (`_vertex_masks`), and
+    such a face is in an unchanged facet iff its `_support` is nonzero.
+    {hub} is in one iff the hub has more facets than added facets.  So the
+    work follows the stars of the changed facets' vertices, less the
+    largest.  Trailing zeros are dropped when the dimension falls."""
     near = frozenset().union(*removed, *added)
-    masks = _vertex_masks(g for g in cx.facets if not near.isdisjoint(g) and g not in added)
+    at = inc.at if inc is not None else _incidence(_facets_at(cx, near))
+    hub = max(near, key=lambda v: len(at.get(v, ())), default=None)
+    masks = _vertex_masks({g for v in near if v != hub for g in at.get(v, ()) if g not in added})
+    hub_kept = len(at.get(hub, ())) > sum(hub in g for g in added)
     counts = list(f) + [0] * (max(map(len, added), default=0) - len(f))
     for sign, facets in ((1, added), (-1, removed)):
         for face in _face_set(facets):
-            if not _support(masks, face):
+            if not (hub_kept if face == (hub,) else _support(masks, face)):
                 counts[len(face) - 1] += sign
     while counts and not counts[-1]:
         counts.pop()
@@ -394,6 +417,99 @@ def _support(masks: dict[VertexLabel, int], simplex: Iterable[VertexLabel]) -> i
     for v in simplex:
         mask &= get(v, 0)
     return mask
+
+
+def _incidence(facets: Iterable[Simplex]) -> dict[VertexLabel, set[Simplex]]:
+    """Each vertex of `facets`, with the set of the facets at it."""
+    at: dict[VertexLabel, set[Simplex]] = {}
+    for f in facets:
+        for v in f:
+            got = at.get(v)
+            if got is None:
+                at[v] = {f}
+            else:
+                got.add(f)
+    return at
+
+
+class _Incidence:
+    """A complex's facets at each of its vertices (`at`, whose keys are its
+    vertex set), the next fresh barycenter round of those vertices, and the
+    number of its facets (`size`).
+
+    A pair owns one for its ambient (`pairs.ComplexPair`).  It is built once
+    (`of`) and then derived by each move from the facets it removed and
+    added (`edited`): the new incidence shares every untouched vertex's set
+    with the old one and copies only the touched ones, so the old pair's
+    stays valid.  The sets are never mutated once an incidence is made."""
+
+    __slots__ = ("at", "round", "size")
+
+    def __init__(self, at: dict[VertexLabel, set[Simplex]], rnd: int, size: int):
+        self.at = at
+        self.round = rnd
+        self.size = size
+
+    @classmethod
+    def of(cls, cx: SimplicialComplex) -> "_Incidence":
+        at = _incidence(cx.facets)
+        return cls(at, next_round(at), len(cx.facets))
+
+    def edited(self, removed: Collection[Simplex], added: Collection[Simplex]) -> "_Incidence":
+        """The incidence after `removed` facets are swapped for `added` ones
+        (each removed facet present, each added one new).  The round grows
+        with new barycenters; it is recounted only when a vertex of the
+        last round leaves."""
+        at = dict(self.at)
+        touched: dict[VertexLabel, set[Simplex]] = {}
+        for adding, facets in ((False, removed), (True, added)):
+            for f in facets:
+                for v in f:
+                    got = touched.get(v)
+                    if got is None:
+                        got = touched[v] = set(at.get(v, ()))
+                    if adding:
+                        got.add(f)
+                    else:
+                        got.discard(f)
+        rnd, recount = self.round, False
+        for v, got in touched.items():
+            if got:
+                if v not in at and v.kind == BARYCENTER and v.round >= rnd:
+                    rnd = v.round + 1
+                at[v] = got
+            else:
+                del at[v]
+                recount |= v.kind == BARYCENTER and v.round + 1 == rnd
+        return _Incidence(at, next_round(at) if recount else rnd, self.size - len(removed) + len(added))
+
+    def __eq__(self, other):
+        if isinstance(other, _Incidence):
+            return (self.size, self.round, self.at) == (other.size, other.round, other.at)
+        return NotImplemented
+
+    __hash__ = None
+
+
+def _facets_at(
+    cx: SimplicialComplex, vertices: Collection[VertexLabel], inc: _Incidence | None = None
+) -> Collection[Simplex]:
+    """The facets of `cx` that meet `vertices`, each once: the union of their
+    sets in `inc`, the incidence of `cx`, when given, else one filter."""
+    if inc is None:
+        verts = frozenset(vertices)
+        return [f for f in cx.facets if not verts.isdisjoint(f)]
+    at = inc.at
+    return set().union(*[at[v] for v in vertices if v in at])
+
+
+def _facets_holding(cx: SimplicialComplex, simplex: Simplex, inc: _Incidence | None = None) -> list[Simplex]:
+    """The facets of `cx` that hold the nonempty `simplex`: filtered from the
+    facets at its rarest vertex in `inc`, the incidence of `cx`, when given,
+    else from all facets."""
+    held = frozenset(simplex)
+    pool = cx.facets if inc is None else min((inc.at.get(v, ()) for v in simplex), key=len)
+    return [f for f in pool if held.issubset(f)]
 
 
 def is_subcomplex(sub: SimplicialComplex, ambient: SimplicialComplex) -> bool:

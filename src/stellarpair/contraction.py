@@ -14,13 +14,24 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .complexes import _FACE_BUDGET, Simplex, SimplicialComplex, _face_set, _reduce_to_antichain, as_simplex, link
+from .complexes import (
+    _FACE_BUDGET,
+    Simplex,
+    SimplicialComplex,
+    _face_set,
+    _facets_at,
+    _Incidence,
+    _reduce_to_antichain,
+    as_simplex,
+    link,
+)
 from .errors import AbsentFaceError, DomainError, InvalidEdgeError, MalformedInputError, ResourceLimitError
 from .labels import VertexLabel, vlabel
 
 
-def _split(cx: SimplicialComplex, edge) -> tuple[Simplex, list[Simplex]]:
-    """The edge and the facets at it (those holding an endpoint).
+def _split(cx: SimplicialComplex, edge, inc: _Incidence | None = None) -> tuple[Simplex, list[Simplex]]:
+    """The edge and the facets at it (those holding an endpoint): one filter,
+    or read off `inc`, the incidence of `cx`, when given (`_facets_at`).
 
     Every question about a face holding an endpoint has the same answer in
     the facets at the edge as in the whole complex, since every facet
@@ -30,14 +41,14 @@ def _split(cx: SimplicialComplex, edge) -> tuple[Simplex, list[Simplex]]:
     - whether a candidate s ⊇ e, or a boundary face s - x of it, is a face:
       s - x still holds an endpoint, since x is at most one of them;
     - the neighbours of an endpoint: the vertices of the facets holding it.
-    The substitution changes only facets at the edge, so it hands just
-    them to `SimplicialComplex._replace` (`_substitute`).
+    The substitution changes only facets at the edge, so its edit holds
+    just them (`_contraction`).
     """
     e = as_simplex(edge)
     if e.dim != 1:
         raise DomainError(f"expected an edge, got {e}")
     u, v = e
-    at_edge = [f for f in cx.facets if u in f or v in f]
+    at_edge = [f for f in cx.facets if u in f or v in f] if inc is None else list(_facets_at(cx, e, inc))
     if not any(u in f and v in f for f in at_edge):
         raise AbsentFaceError(f"{e} is not an edge of the complex")
     return e, at_edge
@@ -126,13 +137,13 @@ def link_condition(cx: SimplicialComplex, edge) -> bool:
     return faces_u & faces_v == faces_e
 
 
-def _substitute(cx: SimplicialComplex, e: Simplex, at_edge: list[Simplex], keep: VertexLabel) -> SimplicialComplex:
-    """Replace the other endpoint `lose` of e by `keep` everywhere in `cx`.
+def _images(e: Simplex, at_edge: list[Simplex], keep: VertexLabel) -> frozenset[Simplex]:
+    """What the facets at the edge e become when the other endpoint `lose`
+    is replaced by `keep`.
 
     Only the facets at the edge are reduced: the images of the facets
     holding `lose`, and the facets holding `keep` but not `lose`.  The
-    reduction collapses degenerate images and merges duplicates, and
-    `cx._replace` swaps the facets at the edge for what it keeps.  Every
+    reduction collapses degenerate images and merges duplicates.  Every
     other facet g passes through as it is, since no image I = F - lose + keep
     can dominate it or be dominated by it.  I holds `keep` and g does not,
     so g cannot contain I, and g ⊆ I would give g ⊆ F - lose ⊆ F, with
@@ -141,20 +152,31 @@ def _substitute(cx: SimplicialComplex, e: Simplex, at_edge: list[Simplex], keep:
     """
     lose = e[1] if keep == e[0] else e[0]
     images = (Simplex(sorted(set(f) - {lose} | {keep})) if lose in f else f for f in at_edge)
-    return cx._replace(at_edge, _reduce_to_antichain(images))
+    return _reduce_to_antichain(images)
 
 
-def _contract_if_valid(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex | None:
+def _contraction(
+    cx: SimplicialComplex, edge, survivor=None, inc: _Incidence | None = None
+) -> tuple[list[Simplex], frozenset[Simplex]] | None:
     """The contraction of an edge of the complex onto `survivor` (default:
-    the smaller endpoint), or None when the edge is invalid: one split, and
-    the blocker search stops at the first blocker."""
-    e, at_edge = _split(cx, edge)
+    the smaller endpoint) as an edit: the facets at the edge, and the
+    `_images` that replace them; or None when the edge is invalid.  One
+    split (through `inc`, the incidence of `cx`, when given), and the
+    blocker search stops at the first blocker."""
+    e, at_edge = _split(cx, edge, inc)
     if next(_missing_through(e, at_edge), None) is not None:
         return None
     keep: VertexLabel = e[0] if survivor is None else vlabel(survivor)
     if keep not in e:
         raise MalformedInputError(f"survivor {keep} is not an endpoint of {e}")
-    return _substitute(cx, e, at_edge, keep)
+    return at_edge, _images(e, at_edge, keep)
+
+
+def _contract_if_valid(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex | None:
+    """The contracted complex (`_contraction` applied through
+    `cx._replace`), or None when the edge is invalid."""
+    edit = _contraction(cx, edge, survivor)
+    return None if edit is None else cx._replace(*edit)
 
 
 def contract_edge(cx: SimplicialComplex, edge, survivor=None) -> SimplicialComplex:

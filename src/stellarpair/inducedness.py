@@ -29,9 +29,9 @@ A pair move scans less: `_classify_change` is told the facets a move
 removed from and added to an ambient whose pair was strongly induced.
 Every face outside those changed facets keeps its star, its traces and
 its verdict, so only their faces are scanned (proof sketch in
-`_StrongScan`): one linear filter over the ambient facets and one over
-the facets at the subcomplex, then work proportional to the change and
-the kept facets around it.
+`_StrongScan`).  Given the pair's incidence (`complexes._Incidence`), it
+reads the facets around the change off it, with no filter over the
+ambient, then works in proportion to the change and those facets.
 """
 
 from __future__ import annotations
@@ -40,7 +40,17 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Collection, Iterator
 
-from .complexes import Simplex, SimplicialComplex, _check_face_budget, _not_a_subcomplex, _support, _vertex_masks
+from .complexes import (
+    Simplex,
+    SimplicialComplex,
+    _check_face_budget,
+    _facets_at,
+    _facets_holding,
+    _Incidence,
+    _not_a_subcomplex,
+    _support,
+    _vertex_masks,
+)
 from .labels import VertexLabel
 
 INDUCED = "induced"
@@ -135,13 +145,21 @@ class _StrongScan:
     face iff its `support` (the AND of its vertices' facet bits) is nonzero.
 
     With `changed`, the facets a move removed from or added to the ambient,
-    the scan keeps only the facets of N that meet C = V(changed), checks
-    only the sub facets that meet C, and scans only the faces of the
-    changed facets, skipping one with `support` 0.  Every facet at such a
-    face meets C, so its `support` is exact.  An added facet that meets
-    V(sub) is kept, so it takes the dominance test as above.  A change set
-    at least as large as N would scan more than N does, so then N is
-    scanned whole.
+    the scan keeps only the facets of N that are added or hold a vertex of
+    C - V(sub), C = V(changed); checks only the sub facets that meet C; and
+    scans only the faces of the changed facets, skipping one with
+    `support` 0.  A face with a vertex x outside V(sub) has all its facets
+    at x, so its `support` is exact.  A face σ ⊆ V(sub) held by no kept
+    facet is held only by unchanged facets, so (see below) it lies in L'
+    and is no violation either way; a sub facet meeting C whose `support`
+    is 0 is looked up in the ambient (`complexes._facets_holding`).  An
+    added facet that meets V(sub) is kept, so it takes the dominance test
+    as above.  A change set at least as large as N would scan more than N
+    does, so then N is scanned whole; with the incidence `inc`, N is only
+    counted when the change set is at least the most facets at one sub
+    vertex, a lower bound of |N|.  With `inc` every kept set is read off
+    the incidence, so the scan costs the stars of C - V(sub), not the
+    ambient.
     The change-set scan is exact when the old pair (L, K) was strongly
     induced and the new pair (L', K') is a move's: no face of L - L' is a
     face of K', and every face of L' - L meets C and is no face of K.  An
@@ -160,30 +178,46 @@ class _StrongScan:
     - σ in L would put σ in L', since σ is a face of K'.  So a violation
       at σ in K' (σ outside L', not `single`) was one in K, and K had none.
     Hence every violation of K' is a face of a changed facet, held by a
-    facet of K' that meets V(sub) and so is kept: the scan finds them all,
-    the least one included.  The facets away from C keep traces that are
-    faces of L', so `induced` is exact too.  A sub facet g missing C is in
+    facet of K' that meets V(sub).  One with a vertex outside V(sub) has
+    all its facets kept; one inside V(sub) is held by an added facet, since
+    a face σ ⊆ V(L') held only by unchanged facets is a face of K inside
+    V(L) (w is new), so in L, as L is induced, and it misses the subdivided
+    edge or the removed vertex, so it is in L'.  So the scan finds them
+    all, the least one included.  The facets that are not kept are
+    unchanged, so they keep traces that are faces of L', and `induced` is
+    exact too.  A sub facet g missing C is in
     L (faces of L' - L meet C) and in no removed facet, so it is a face of
     an unchanged facet, hence of K'.
     """
 
     def __init__(
-        self, sub: SimplicialComplex, ambient: SimplicialComplex, changed: Collection[Simplex] | None = None
+        self,
+        sub: SimplicialComplex,
+        ambient: SimplicialComplex,
+        changed: Collection[Simplex] | None = None,
+        inc: _Incidence | None = None,
     ):
         self.sub = sub
         self.gamma_verts = gamma = sub.vertex_set()
-        self.facets = [f for f in ambient.facets if not gamma.isdisjoint(f)]
-        is_face = self.support
-        if changed is not None and len(changed) < len(self.facets):
+        # N, unless the change set is smaller than a lower bound of |N|: the
+        # most facets at one sub vertex, read off the incidence
+        full = None
+        if changed is None or inc is None or len(changed) >= max((len(inc.at.get(v, ())) for v in gamma), default=0):
+            full = list(_facets_at(ambient, gamma, inc))
+        if changed is not None and (full is None or len(changed) < len(full)):
             near = frozenset(chain.from_iterable(changed))
-            self.facets = [f for f in self.facets if not near.isdisjoint(f)]
-            is_face = lambda g: near.isdisjoint(g) or self.support(g)
+            pool = set(_facets_at(ambient, near - gamma, inc))
+            pool.update(f for f in changed if f in ambient.facets)
+            self.facets = [f for f in pool if not gamma.isdisjoint(f)]
+            is_face = lambda g: near.isdisjoint(g) or self.support(g) or _facets_holding(ambient, g, inc)
         else:
-            changed = None
+            self.facets, is_face, changed = full, self.support, None
         # a bit per sub vertex; the sub facets, and the kept facets, at each vertex
         self._vbit = {v: 1 << k for k, v in enumerate(gamma)}
         self._sub_at = _vertex_masks(sub.facets)
         self.vmask = vmask = _vertex_masks(self.facets)
+        # each sub vertex in a kept facet: its bit, and the kept facets at it
+        self._sub_masks = [(bit, vmask[v]) for v, bit in self._vbit.items() if v in vmask]
         # each kept facet's trace on V(sub), with whether it is a face of sub
         self.traces: list[int] = []
         self.trace_in_sub: list[bool] = []
@@ -232,10 +266,9 @@ class _StrongScan:
         got = self._aways.get(trace)
         if got is None:
             got = 0
-            get = self.vmask.get
-            for v, bit in self._vbit.items():
+            for bit, mask in self._sub_masks:
                 if not bit & trace:
-                    got |= get(v, 0)
+                    got |= mask
             self._aways[trace] = got
         return got
 
@@ -367,10 +400,13 @@ def classify_pair(sub: SimplicialComplex, ambient: SimplicialComplex) -> Induced
 
 
 def _classify_change(
-    sub: SimplicialComplex, ambient: SimplicialComplex, changed: Collection[Simplex]
+    sub: SimplicialComplex,
+    ambient: SimplicialComplex,
+    changed: Collection[Simplex],
+    inc: _Incidence | None = None,
 ) -> InducednessWitness:
     """`classify_pair` for a pair made by a move from a strongly induced pair,
     scanning only the faces of `changed`, the ambient facets the move
     removed or added (the conditions and the proof sketch are in
-    `_StrongScan`)."""
-    return _StrongScan(sub, ambient, changed).classify()
+    `_StrongScan`); `inc`, when given, is the incidence of `ambient`."""
+    return _StrongScan(sub, ambient, changed, inc).classify()

@@ -3,7 +3,13 @@
 Complexes and move scripts travel as small JSON documents with sorted
 keys and canonically sorted facets, so serializing a parsed canonical
 document reproduces it byte for byte and fixtures double as readable
-examples.
+examples.  `_canonical_json` is the one writer, for complex, script and
+report documents and the CLI's combined payloads: it writes the bytes of
+`json.dumps(data, indent=2, sort_keys=True)` through the C string
+encoder, one join per list of strings, since `indent` would send every
+label through the pure-Python encoder.  The readers turn every failure to
+decode or parse a document (bad UTF-8, bad JSON, nesting too deep, an
+integer literal too long to convert) into `MalformedInputError`.
 """
 
 from __future__ import annotations
@@ -50,9 +56,11 @@ def _expect(condition: bool, where: str, message: str) -> None:
 
 
 def _load_json(text: str) -> dict:
+    # a JSONDecodeError, or the ValueError of an integer literal above the
+    # int/str digit limit, is a ValueError; a deep nesting is a RecursionError
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedInputError(f"not valid JSON: {exc}") from exc
     _expect(isinstance(data, dict), "$", "expected a JSON object")
     return data
@@ -76,8 +84,60 @@ def complex_document_dict(doc: ComplexDocument) -> dict:
     return {"name": doc.name, "facets": facets}
 
 
+_encode = json.encoder.encode_basestring_ascii
+
+
 def _canonical_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(data, indent=2, sort_keys=True) + "\\n"`, byte for byte, for
+    documents of str, int, bool, None, lists and dicts with str keys; any
+    other type raises `TypeError`."""
+    parts: list[str] = []
+    _write(data, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, indent: str, parts: list[str]) -> None:
+    """Append `value` to `parts` as `_canonical_json` writes it, with
+    `indent` the line break and the spaces that start its own lines."""
+    if isinstance(value, str):
+        parts.append(_encode(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True or value is False:
+        parts.append("true" if value else "false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        inner = indent + "  "
+        try:
+            # a list of strings, such as a facet, is one join
+            parts += ("[", inner, ("," + inner).join(map(_encode, value)), indent, "]")
+        except TypeError:
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                _write(item, inner, parts)
+                sep = "," + inner
+            parts += (indent, "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts += (sep, _encode(key), ": ")
+            _write(value[key], inner, parts)
+            sep = "," + inner
+        parts += (indent, "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def serialize_complex_document(doc: ComplexDocument) -> str:
@@ -85,11 +145,19 @@ def serialize_complex_document(doc: ComplexDocument) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The contents of the file at `path`, or of standard input when `path` is ``-``."""
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The contents of the file at `path`, or of standard input when `path`
+    is ``-``; text that is not UTF-8 is malformed input.  Standard input is
+    decoded from its bytes when it has them, since under some locales its
+    text layer would turn bad bytes into lone surrogates instead."""
+    try:
+        if path == "-":
+            raw = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if raw is None else raw.read().decode("utf-8")
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        where = "standard input" if path == "-" else path
+        raise MalformedInputError(f"{where} is not UTF-8 text: {exc}") from exc
 
 
 def _write_text(text: str, path: str) -> None:

@@ -12,6 +12,16 @@ exactly the facets at w, so near' takes no pass over the ambient.
 The re-bias, like every derived subdivision, is bounded before it derives
 anything (`subdivision._relative_derived`).
 
+A pair carries the incidence of its ambient (`complexes._Incidence`:
+vertex -> facets, the vertex set, the next barycenter round), built at
+the first move of a pair lineage and handed on, edited copy-on-write, to
+each next pair.  Every local question of a move is read off it: the
+facets at the edge, the fresh-label test, the facets the re-bias derives
+and its round, the facets the check keeps and those the f-vector update
+masks.  A move builds each edit (the facets it removes and adds) itself
+and copies the ambient's facet set once, so its cost follows the stars it
+touches and that one copy, not the ambient.
+
 The check after a move is local too.  The move knows the ambient facets
 it removed and added, and `inducedness._classify_change` scans only the
 faces of those changed facets.  That is exact because the pair was
@@ -31,7 +41,7 @@ subdivision of a target complex into one containing the target itself.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from . import complexes
@@ -40,16 +50,18 @@ from .complexes import (
     SimplicialComplex,
     _alternating_sum,
     _f_vector_change,
+    _Incidence,
     _require_subcomplex,
     as_simplex,
     f_vector,
     relabel_complex,
 )
 from .canonical import isomorphism
-from .contraction import contract_edge
+from .contraction import _contraction, blocking_missing_simplices, contract_edge
 from .errors import (
     AbsentFaceError,
     DomainError,
+    InvalidEdgeError,
     InvariantViolationError,
     MalformedInputError,
     PreconditionError,
@@ -59,7 +71,7 @@ from .errors import (
 )
 from .inducedness import STRONGLY_INDUCED, InducednessWitness, _classify_change, classify_pair
 from .labels import VertexLabel, vlabel
-from .subdivision import _rebias_near, biased_derived, derived_subdivision, edge_subdivide
+from .subdivision import _rebias_near, _stellar_edit, biased_derived, derived_subdivision, edge_subdivide
 
 SUBDIVIDE = "subdivide"
 CONTRACT = "contract"
@@ -141,11 +153,27 @@ class MoveScript:
 
 @dataclass(frozen=True)
 class ComplexPair:
-    """A subcomplex inside an ambient complex, with cached inducedness status."""
+    """A subcomplex inside an ambient complex, with cached inducedness status.
+
+    The pair also owns the ambient's incidence (`complexes._Incidence`: the
+    facets at each vertex, and the next fresh barycenter round), which no
+    comparison reads.  It is built at the first move from the pair
+    (`_ambient_incidence`), and each move hands the next pair its edited
+    copy, so one pair lineage builds it once."""
 
     sub: SimplicialComplex
     ambient: SimplicialComplex
     status: InducednessWitness
+    _incidence: _Incidence | None = field(default=None, compare=False, repr=False)
+
+    def _ambient_incidence(self) -> _Incidence:
+        """The ambient's incidence, built on the first call and kept (by
+        idempotent assignment, like `SimplicialComplex.vertex_set`)."""
+        inc = self._incidence
+        if inc is None:
+            inc = _Incidence.of(self.ambient)
+            object.__setattr__(self, "_incidence", inc)
+        return inc
 
 
 @dataclass(frozen=True)
@@ -244,7 +272,10 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
 
 def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex], frozenset[Simplex]]:
     """`apply_move`, with the facets the move removed from the ambient and
-    those it added."""
+    those it added.  The ambient is edited through the pair's incidence:
+    each step reads the facets it changes off it and hands it the edit, so
+    the move costs the stars it touches, plus the copy of the facet set in
+    `SimplicialComplex._replace`."""
     what = "pair edge subdivision" if move.op == SUBDIVIDE else "pair edge contraction"
     if pair.status.verdict != STRONGLY_INDUCED:
         raise PreconditionError(
@@ -255,25 +286,41 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
     if e not in pair.sub:
         raise AbsentFaceError(f"{e} is not an edge of the subcomplex")
     new_sub = _apply(pair.sub, move)
-    new_ambient = _apply(pair.ambient, move)
-    old = pair.ambient.facets
+    inc = pair._ambient_incidence()
     if move.op == SUBDIVIDE:
-        # the facets the edge subdivision added are star(w)'s
-        near = set().union(*(new_ambient.facets - old)) - new_sub.vertex_set()
+        # two edits, the edge subdivision and the re-bias around w, each read
+        # off the incidence and handed to it; the facet set is copied once
+        hits, cells = _stellar_edit(pair.ambient, e, move.new_label, inc)
+        inc = inc.edited(hits, cells)
+        # the cells are star(w)'s facets
+        near = set().union(*cells) - new_sub.vertex_set()
         near.add(move.new_label)
-        new_ambient = _rebias_near(new_sub, new_ambient, near)
-    removed, added = old - new_ambient.facets, new_ambient.facets - old
-    status = _classify_change(new_sub, new_ambient, removed | added)
+        derived, rebias = _rebias_near(new_sub, None, near, inc)
+        inc = inc.edited(derived, rebias)
+        removed = frozenset(hits).union(frozenset(derived).difference(cells))
+        added = frozenset(cells).difference(derived).union(rebias)
+    else:
+        edit = _contraction(pair.ambient, e, move.survivor, inc)
+        if edit is None:
+            raise InvalidEdgeError(e, blocking_missing_simplices(pair.ambient, e))
+        at_edge, images = edit
+        removed, added = frozenset(at_edge).difference(images), images.difference(at_edge)
+        inc = inc.edited(removed, added)
+    new_ambient = pair.ambient._replace(removed, added)
+    status = _classify_change(new_sub, new_ambient, removed | added, inc)
     if complexes._DEBUG_VALIDATE:
         full = classify_pair(new_sub, new_ambient)
         if full != status:
             raise InvariantViolationError(
                 f"{what}: the change-set scan says {status}, the full scan {full}", witness=full
             )
+        if inc != _Incidence.of(new_ambient):
+            raise InvariantViolationError(f"{what}: the carried incidence is not the ambient's")
     if status.verdict == STRONGLY_INDUCED:
-        return ComplexPair(new_sub, new_ambient, status), removed, added
+        return ComplexPair(new_sub, new_ambient, status, inc), removed, added
     if move.op == CONTRACT:
         raise InvariantViolationError(f"{what} lost strong inducedness: {status}", witness=status)
+    old = pair.ambient.facets
     out = _biased(new_sub, new_ambient, f"{what}'s fallback")
     return out, old - out.ambient.facets, out.ambient.facets - old
 
@@ -339,7 +386,7 @@ def pipeline_run(
     for i, move in enumerate(script.moves):
         with _at_step(i):
             pair, removed, added = _move(pair, move)
-        f_ambient = _f_vector_change(f_ambient, pair.ambient, removed, added)
+        f_ambient = _f_vector_change(f_ambient, pair.ambient, removed, added, pair._incidence)
         if complexes._DEBUG_VALIDATE:
             full = f_vector(pair.ambient)
             if full != f_ambient:

@@ -13,9 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
-from .complexes import Simplex, SimplicialComplex, _face_set, _require_subcomplex, as_simplex
+from .complexes import (
+    Simplex,
+    SimplicialComplex,
+    _face_set,
+    _facets_at,
+    _facets_holding,
+    _Incidence,
+    _require_subcomplex,
+    as_simplex,
+)
 from .errors import AbsentFaceError, DomainError, NamingError, ResourceLimitError
 from .labels import VertexLabel, _check_round, next_round, vlabel
 
@@ -45,20 +54,34 @@ def stellar_subdivide(cx: SimplicialComplex, simplex, new_label) -> SimplicialCo
         raise DomainError(
             f"stellar subdivision at {s} rejected: at a vertex it is the identity"
         )
-    held = frozenset(s)
-    hits = [f for f in cx.facets if held.issubset(f)]
+    return cx._replace(*_stellar_edit(cx, s, new_label))
+
+
+def _stellar_edit(
+    cx: SimplicialComplex, s: Simplex, new_label, inc: _Incidence | None = None
+) -> tuple[list[Simplex], list[Simplex]]:
+    """The stellar subdivision of `cx` at `s` as an edit: the facets holding
+    `s` and the cells that replace them (`_star_cells`), read off `inc`, the
+    incidence of `cx`, when given.  `AbsentFaceError` if `s` is no face."""
+    hits = _facets_holding(cx, s, inc)
     if not hits:
         raise AbsentFaceError(f"{s} is not a face of the complex")
-    return _subdivide_star(cx, s, hits, new_label)
+    return hits, _star_cells(s, hits, new_label, cx.vertex_set() if inc is None else inc.at)
 
 
 def _subdivide_star(cx: SimplicialComplex, s: Simplex, hits: list[Simplex], new_label) -> SimplicialComplex:
     """The stellar subdivision of `cx` at `s`, given `hits`, the facets of
-    `cx` that hold `s`: `cx._replace` swaps them for their cells, each F
-    becoming the facets {new} + (F - w), one per vertex w of `s`.
-    `NamingError` if the new label names a vertex."""
+    `cx` that hold `s`: `cx._replace` swaps them for their cells."""
+    return cx._replace(hits, _star_cells(s, hits, new_label, cx.vertex_set()))
+
+
+def _star_cells(s: Simplex, hits: list[Simplex], new_label, vertices: Collection[VertexLabel]) -> list[Simplex]:
+    """The cells of the stellar subdivision at `s` over the facets `hits`
+    that hold it: each F becomes the facets {new} + (F - w), one per vertex w
+    of `s`.  `NamingError` if the new label is among `vertices`, the
+    complex's vertices."""
     v = vlabel(new_label)
-    if v in cx.vertex_set():
+    if v in vertices:
         raise NamingError(f"label {v} already names a vertex of the complex")
     cells = []
     for f in hits:
@@ -68,7 +91,7 @@ def _subdivide_star(cx: SimplicialComplex, s: Simplex, hits: list[Simplex], new_
             cell.append(v)
             cell.sort()
             cells.append(Simplex(cell))
-    return cx._replace(hits, cells)
+    return cells
 
 
 def edge_subdivide(cx: SimplicialComplex, edge, new_label) -> SimplicialComplex:
@@ -79,42 +102,52 @@ def edge_subdivide(cx: SimplicialComplex, edge, new_label) -> SimplicialComplex:
     return stellar_subdivide(cx, e, new_label)
 
 
-def _relative_derived(
-    ambient: SimplicialComplex,
-    protected: Callable[[tuple[VertexLabel, ...]], bool],
-    rnd: int | None,
-) -> tuple[SimplicialComplex, int, dict[Simplex, VertexLabel]]:
-    """The subdivision that stellar-subdivides every face outside the
-    protected set (dimension >= 1), largest faces first, with the
-    barycenter round and the new labels.  `protected` takes a face as its
-    sorted vertex tuple and must be closed under taking faces.  The round
-    defaults to the next fresh one.  A given round must be a nonnegative int
+def _round(cx: SimplicialComplex, rnd: int | None) -> int:
+    """The barycenter round of a derivation of `cx`: `rnd`, or by default the
+    next fresh one.  A given round must be a nonnegative int
     (`MalformedInputError`, checked before anything else) and no older than
     the fresh one (`NamingError`), since an older round could reuse a label
-    of the ambient.  `VertexLabel.barycenter` rejects a non-barycenter label
-    with `,`, `{` or `}` in a face that is subdivided.
+    of `cx`."""
+    if rnd is not None:
+        _check_round(rnd)
+    fresh = next_round(cx.vertex_set())
+    if rnd is None:
+        return fresh
+    if rnd < fresh:
+        raise NamingError(f"round {rnd} is not fresh for the complex: the next fresh round is {fresh}")
+    return rnd
+
+
+def _relative_derived(
+    facets: Collection[Simplex],
+    protected: Callable[[tuple[VertexLabel, ...]], bool],
+    rnd: int,
+    total: int,
+) -> tuple[list[Simplex], list[Simplex], dict[Simplex, VertexLabel]]:
+    """The subdivision that stellar-subdivides every face outside the
+    protected set (dimension >= 1), largest faces first, as an edit of a
+    complex of `total` facets: the facets of `facets` (all the complex's,
+    or every one that may hold an unprotected face) that it derives, the
+    cells that replace them, and the new labels, all of round `rnd`.
+    `protected` takes a face as its sorted vertex tuple and must be closed
+    under taking faces.  `VertexLabel.barycenter` rejects a non-barycenter
+    label with `,`, `{` or `}` in a face that is subdivided.
 
     An unprotected facet F derives at most |F|! cells; when their sum is
     above `_FACET_BUDGET` the subdivision raises `ResourceLimitError`
     before it makes any barycenter or cell.
 
     A protected facet, or a lone vertex, survives as-is: only the other
-    facets and their cells are handed to `ambient._replace`.  An
-    unprotected face F becomes the cone from its barycenter b(F) over its
-    boundary, each ridge subdivided the same way; a protected ridge or a
-    lone vertex is its own cone.  So a cell is τ ∪ {b(σ_1), ..., b(σ_k)}:
-    τ protected or a lone vertex, and τ ⊊ σ_1 ⊊ ... ⊊ σ_k unprotected,
-    each one vertex larger than the last.
+    facets and their cells are in the edit.  An unprotected face F becomes
+    the cone from its barycenter b(F) over its boundary, each ridge
+    subdivided the same way; a protected ridge or a lone vertex is its own
+    cone.  So a cell is τ ∪ {b(σ_1), ..., b(σ_k)}: τ protected or a lone
+    vertex, and τ ⊊ σ_1 ⊊ ... ⊊ σ_k unprotected, each one vertex larger
+    than the last.
     The work is proportional to the cells built.  Ridges are shared between
     faces, so the cone of every face below a facet is kept; a facet's is
     not, since a facet is no ridge.
     """
-    if rnd is not None:
-        _check_round(rnd)
-    fresh = next_round(ambient.vertex_set())
-    rnd = fresh if rnd is None else rnd
-    if rnd < fresh:
-        raise NamingError(f"round {rnd} is not fresh for the complex: the next fresh round is {fresh}")
     recorded: dict[Simplex, VertexLabel] = {}
     ridge_cones: dict[tuple[VertexLabel, ...], list[tuple[VertexLabel, ...]]] = {}
 
@@ -133,17 +166,27 @@ def _relative_derived(
             cells.extend([c + (b,) for c in below])
         return cells
 
-    derived = [f for f in ambient.facets if len(f) > 1 and not protected(f)]
+    derived = [f for f in facets if len(f) > 1 and not protected(f)]
     bound = sum(factorial(len(f)) for f in derived)
     if bound > _FACET_BUDGET:
         raise ResourceLimitError(
             f"the subdivision could derive {bound} facets, above the budget of {_FACET_BUDGET}",
-            facets=len(ambient.facets),
+            facets=total,
             bound=bound,
             budget=_FACET_BUDGET,
         )
     cells = [Simplex(sorted(c)) for facet in derived for c in cone(facet)]
-    return ambient._replace(derived, cells), rnd, recorded
+    return derived, cells, recorded
+
+
+def _derive_complex(
+    cx: SimplicialComplex, protected: Callable[[tuple[VertexLabel, ...]], bool], rnd: int | None
+) -> tuple[SimplicialComplex, SubdivisionRecord]:
+    """`_relative_derived` over all the facets of `cx`, in round `rnd` (see
+    `_round`), applied through `cx._replace`."""
+    rnd = _round(cx, rnd)
+    derived, cells, labels = _relative_derived(cx.facets, protected, rnd, len(cx.facets))
+    return cx._replace(derived, cells), SubdivisionRecord(round=rnd, new_labels=labels)
 
 
 def derived_subdivision(
@@ -158,8 +201,7 @@ def derived_subdivision(
     More than `_FACET_BUDGET` cells raise `ResourceLimitError` (see
     `_relative_derived`).
     """
-    result, rnd, labels = _relative_derived(cx, lambda t: False, round)
-    return result, SubdivisionRecord(round=rnd, new_labels=labels)
+    return _derive_complex(cx, lambda t: False, round)
 
 
 def biased_derived(
@@ -174,12 +216,14 @@ def biased_derived(
     `derived_subdivision`."""
     _require_subcomplex(sub, ambient)
     sub_faces = _face_set(sub.facets)
-    result, rnd, labels = _relative_derived(ambient, sub_faces.__contains__, round)
-    return result, SubdivisionRecord(round=rnd, new_labels=labels)
+    return _derive_complex(ambient, sub_faces.__contains__, round)
 
 
-def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, near: set[VertexLabel]) -> SimplicialComplex:
-    """The biased derived subdivision of `ambient` that subdivides only the
+def _rebias_near(
+    sub: SimplicialComplex, ambient: SimplicialComplex | None, near: set[VertexLabel], inc: _Incidence | None = None
+) -> tuple[list[Simplex], list[Simplex]]:
+    """As an edit of `ambient` (the facets it derives, and their cells; see
+    `_relative_derived`): the biased derived subdivision of `ambient` that subdivides only the
     faces outside `sub` that meet `near = (V(star(w)) - V(sub)) ∪ {w}` for
     the new vertex w: `biased_derived(P, ambient)` with the protected
     complex `P = sub ∪ induced_subcomplex(ambient, V - near)`.  The caller
@@ -190,10 +234,15 @@ def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, near: set[V
     `_relative_derived` only asks about ambient faces, and an ambient face
     lies in that induced subcomplex iff it misses `near`, so the protected
     set is a predicate and no union complex is built.  Facets missing `near`
-    come through unchanged.  A face meeting `near` lies in `sub` only inside
-    a facet of `sub` that meets `near`, so only those facets' faces are
-    enumerated.  `sub` must be a subcomplex of `ambient`; it is not checked
-    here.
+    come through unchanged, so only the facets at `near` are handed to
+    `_relative_derived`.  They, the next fresh round and the facet count
+    are read off `inc`, the incidence of the complex to re-bias, when it is
+    given (`pairs._move` then passes no `ambient`, and builds no complex
+    between the edge subdivision and the re-bias), else off `ambient`,
+    through one filter.
+    A face meeting `near` lies in `sub` only inside a facet of `sub` that
+    meets `near`, so only those facets' faces are enumerated.  `sub` must
+    be a subcomplex of `ambient`; it is not checked here.
 
     Use: (K, L) is a strongly induced pair, ab an edge of L, and `ambient`
     K' and `sub` L' are K and L with ab subdivided at the new vertex `w`.
@@ -228,5 +277,8 @@ def _rebias_near(sub: SimplicialComplex, ambient: SimplicialComplex, near: set[V
     stars of the edge's endpoints.
     """
     sub_faces = _face_set([f for f in sub.facets if not near.isdisjoint(f)])
-    result, _, _ = _relative_derived(ambient, lambda t: near.isdisjoint(t) or t in sub_faces, None)
-    return result
+    rnd, total = (_round(ambient, None), len(ambient.facets)) if inc is None else (inc.round, inc.size)
+    derived, cells, _ = _relative_derived(
+        _facets_at(ambient, near, inc), lambda t: near.isdisjoint(t) or t in sub_faces, rnd, total
+    )
+    return derived, cells

@@ -124,6 +124,33 @@ def test_malformed_document_exits_two(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
 
 
+def test_deeply_nested_document_exits_two(tmp_path, capsys):
+    # 100,000 nested arrays overflow the decoder's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"facets": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["info", "--complex", str(deep)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
+
+
+def test_integer_literal_over_the_digit_limit_exits_two(tmp_path, capsys):
+    # an ignored field still has to be decoded, and 5000 digits exceed the int/str limit
+    big = tmp_path / "big.json"
+    big.write_text('{"facets": [["1", "2"]], "extra": ' + "9" * 5000 + "}")
+    assert main(["info", "--complex", str(big)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
+
+
+def test_document_that_is_not_utf8_exits_two(tmp_path, monkeypatch, capsys):
+    # a Latin-1 byte, in a file and on standard input
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"facets": [["caf\u00e9", "2"]]}'.encode("latin-1"))
+    assert main(["info", "--complex", str(latin)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(latin.read_bytes()), encoding="utf-8"))
+    assert main(["info", "--complex", "-"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     path = str(tmp_path / "nope.json")
     assert main(["info", "--complex", path]) == 2
@@ -371,7 +398,7 @@ def test_pair_run_fallback_over_budget_exits_three(tmp_path, capsys, monkeypatch
     # with the identity re-bias the move falls back to the global biased
     # derived subdivision, whose bound of 828 cells is over a budget of 144:
     # the bound of the pipeline's own biased derived step, which still runs
-    monkeypatch.setattr("stellarpair.pairs._rebias_near", lambda sub, ambient, near: ambient)
+    monkeypatch.setattr("stellarpair.pairs._rebias_near", lambda sub, ambient, near, inc: ([], []))
     monkeypatch.setattr("stellarpair.subdivision._FACET_BUDGET", 144)
     ambient = write_complex(tmp_path / "m.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], "tetra")
     sub = write_complex(tmp_path / "x.json", [[1, 2], [2, 3]], "path")

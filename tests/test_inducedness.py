@@ -376,7 +376,7 @@ def _moved_pair(kind: str, dim: int, seed: int):
         sub, ambient = edge_subdivide(pair.sub, e, "w"), edge_subdivide(pair.ambient, e, "w")
         if kind == "rebias":
             near = (star(ambient, ["w"]).vertex_set() - sub.vertex_set()) | {vlabel("w")}
-            ambient = _rebias_near(sub, ambient, near)
+            ambient = ambient._replace(*_rebias_near(sub, ambient, near))
     old = pair.ambient.facets
     return sub, ambient, (old - ambient.facets) | (ambient.facets - old)
 

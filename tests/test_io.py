@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stellarpair import (
     Move,
@@ -17,6 +19,7 @@ from stellarpair.inducedness import INDUCED, STRONGLY_INDUCED
 from stellarpair.io import (
     ComplexDocument,
     VERTEX_CAP_ENV,
+    _canonical_json,
     complex_document_dict,
     parse_complex_document,
     parse_script_document,
@@ -170,3 +173,63 @@ def test_pair_generators_are_deterministic():
     a = random_induced_pair(6, 2, 0.5, 7)
     b = random_induced_pair(6, 2, 0.5, 7)
     assert a.sub == b.sub and a.ambient == b.ambient
+
+
+# -- the canonical writer ------------------------------------------------------
+
+# labels with non-ASCII characters, lone surrogates, quotes, backslashes and
+# control characters
+LABELS = st.text(
+    st.one_of(st.characters(), st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x7f", "\ud800", "\udfff", "é"])),
+    max_size=6,
+)
+INTS = st.one_of(st.integers(-5, 5), st.integers(-(10**30), 10**30))
+FACETS = st.lists(st.lists(LABELS, max_size=4), max_size=4)
+STEP = st.fixed_dictionaries(
+    {
+        "stage": st.sampled_from(["init", "subdivide", "contract"]),
+        "move": st.one_of(st.none(), LABELS),
+        "f_sub": st.lists(INTS, max_size=3),
+        "f_ambient": st.lists(INTS, max_size=3),
+        "euler_ambient": INTS,
+        "strongly_induced": st.booleans(),
+    }
+)
+COMPLEX = st.fixed_dictionaries({"name": LABELS, "facets": FACETS})
+SCRIPT = st.fixed_dictionaries(
+    {"moves": st.lists(st.fixed_dictionaries({"op": LABELS, "edge": st.lists(LABELS, max_size=2), "new_label": LABELS}), max_size=3)},
+    optional={"target_map": st.dictionaries(LABELS, LABELS, max_size=3)},
+)
+REPORT = st.fixed_dictionaries(
+    {"steps": st.lists(STEP, max_size=3), "final_isomorphism": st.one_of(st.none(), st.dictionaries(LABELS, LABELS, max_size=3))}
+)
+COMBINED = st.one_of(
+    st.fixed_dictionaries({"report": REPORT, "result": COMPLEX}),
+    st.fixed_dictionaries({"ambient": COMPLEX, "status": LABELS, "sub": COMPLEX}),
+)
+ANY = st.recursive(
+    st.one_of(st.none(), st.booleans(), INTS, LABELS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(LABELS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(st.one_of(COMPLEX, SCRIPT, REPORT, COMBINED, st.dictionaries(LABELS, ANY, max_size=4)))
+@settings(max_examples=300, deadline=None)
+def test_canonical_writer_matches_json_dumps(data):
+    # the join writer is byte-identical to the pure-Python encoder it replaces
+    assert _canonical_json(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_canonical_writer_on_empty_documents_and_other_types():
+    for data in ({}, {"facets": []}, {"name": "", "facets": [[]]}, {"a": {}, "b": [[], {}]}):
+        assert _canonical_json(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    for bad in ({"x": 1.5}, {"x": (1, 2)}, {1: "a"}):
+        with pytest.raises(TypeError):
+            _canonical_json(bad)
+
+
+@pytest.mark.parametrize("path", sorted((pathlib.Path(__file__).parent / "fixtures").glob("*.json")), ids=lambda p: p.name)
+def test_every_fixture_round_trips_through_the_writer(path):
+    text = path.read_text()
+    assert _canonical_json(json.loads(text)) == text

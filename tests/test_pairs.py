@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import oracles
+import stellarpair.complexes as complexes_module
 import stellarpair.pairs as pairs_module
 import stellarpair.subdivision as subdivision_module
 from stellarpair import (
@@ -42,7 +43,7 @@ from stellarpair import (
     verify_script,
     vlabel,
 )
-from stellarpair.complexes import _f_vector_change
+from stellarpair.complexes import _f_vector_change, _Incidence
 from stellarpair.errors import (
     AbsentFaceError,
     InvalidEdgeError,
@@ -222,9 +223,9 @@ def test_failed_local_rebias_falls_back_to_global(monkeypatch):
     # induced, so the move has to take the global biased derived subdivision
     calls = []
 
-    def no_rebias(sub, ambient, near):
+    def no_rebias(sub, ambient, near, inc):
         calls.append(near)
-        return ambient
+        return [], []
 
     monkeypatch.setattr(pairs_module, "_rebias_near", no_rebias)
     pair = edge_in_triangle_pair()
@@ -242,7 +243,7 @@ def test_global_fallback_is_budgeted(monkeypatch, barycenters_made):
     # the subdivided edge-in-triangle ambient has 6 triangles, none in the
     # subcomplex, so the fallback could derive up to 6 * 3! = 36 facets; over
     # the budget it raises before making any barycenter
-    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near: ambient)
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near, inc: ([], []))
     monkeypatch.setattr(subdivision_module, "_FACET_BUDGET", 35)
     pair = edge_in_triangle_pair()
     barycenters_made.clear()
@@ -338,10 +339,10 @@ def test_change_set_scan_is_local_on_the_tetrahedron_chain(monkeypatch):
     scanned, at_sub = [], []
     real = pairs_module._classify_change
 
-    def counting(sub, ambient, changed):
-        scanned.append(len(_StrongScan(sub, ambient, changed).scope))
+    def counting(sub, ambient, changed, inc):
+        scanned.append(len(_StrongScan(sub, ambient, changed, inc).scope))
         at_sub.append(len(_StrongScan(sub, ambient).facets))
-        return real(sub, ambient, changed)
+        return real(sub, ambient, changed, inc)
 
     monkeypatch.setattr(pairs_module, "_classify_change", counting)
     sizes = [len(pair.ambient.facets) for pair in tetrahedron_chain(30)]
@@ -349,6 +350,50 @@ def test_change_set_scan_is_local_on_the_tetrahedron_chain(monkeypatch):
     assert scanned[9] == scanned[29] == 70
     assert (sizes[10], sizes[30]) == (636, 1636)
     assert at_sub[9] < at_sub[29]
+
+
+def test_subdivision_chain_moves_read_a_constant_star(monkeypatch):
+    # the pair's incidence answers each move's local questions, so the facets a
+    # move reads stay the same while the ambient grows by 50 facets a move:
+    # those handed to `_relative_derived`, those the change-set scan keeps, and
+    # the unchanged facets the f-vector update masks, at move 10 as at move 60
+    pair = next(tetrahedron_chain(0))
+    f = f_vector(pair.ambient)
+    derived, kept, masked = [], [], []
+    real_derive, real_classify, real_masks = (
+        subdivision_module._relative_derived,
+        pairs_module._classify_change,
+        complexes_module._vertex_masks,
+    )
+
+    def derive(facets, protected, rnd, total):
+        derived.append(len(facets))
+        return real_derive(facets, protected, rnd, total)
+
+    def classify(sub, ambient, changed, inc):
+        kept.append(len(_StrongScan(sub, ambient, changed, inc).facets))
+        return real_classify(sub, ambient, changed, inc)
+
+    def masks(facets):
+        facets = list(facets)
+        masked.append(len(facets))
+        return real_masks(facets)
+
+    monkeypatch.setattr(subdivision_module, "_relative_derived", derive)
+    monkeypatch.setattr(pairs_module, "_classify_change", classify)
+    monkeypatch.setattr(complexes_module, "_vertex_masks", masks)
+    prev, sizes = "b{1,2}@0", []
+    for j in range(60):
+        pair, removed, added = pairs_module._move(pair, Move.subdivide(["1", prev], f"w{j}"))
+        f = _f_vector_change(f, pair.ambient, removed, added, pair._incidence)
+        prev = f"w{j}"
+        sizes.append(len(pair.ambient.facets))
+    assert (sizes[9], sizes[59]) == (636, 3136)
+    assert f == f_vector(pair.ambient)
+    assert len(derived) == len(kept) == len(masked) == 60
+    assert derived[9] == derived[59]
+    assert kept[9] == kept[59]
+    assert masked[9] == masked[59]
 
 
 def test_fallback_tests_still_reach_the_fallback(monkeypatch, barycenters_made):
@@ -394,7 +439,7 @@ def test_local_rebias_is_budgeted_before_it_derives(monkeypatch, barycenters_mad
     assert apply_move(pair, move).status.verdict == STRONGLY_INDUCED
     assert barycenters_made
     barycenters_made.clear()
-    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near: ambient)
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near, inc: ([], []))
     with pytest.raises(ResourceLimitError, match="the subdivision could derive") as exc:
         apply_move(pair, move)
     assert exc.value.stats == {"facets": len(ambient.facets), "bound": whole, "budget": local}
@@ -404,11 +449,11 @@ def test_local_rebias_is_budgeted_before_it_derives(monkeypatch, barycenters_mad
 def test_debug_validation_cross_checks_the_change_set(monkeypatch, debug_validation):
     # under STELLARPAIR_DEBUG_VALIDATE=1 the move re-runs the full scan and the
     # pipeline the full f-vector; a disagreement is an invariant violation
-    monkeypatch.setattr(pairs_module, "_classify_change", lambda sub, ambient, changed: InducednessWitness(INDUCED))
+    monkeypatch.setattr(pairs_module, "_classify_change", lambda sub, ambient, changed, inc: InducednessWitness(INDUCED))
     with pytest.raises(InvariantViolationError, match="the change-set scan says induced"):
         apply_move(edge_in_triangle_pair(), Move.subdivide([1, 2], "v"))
     monkeypatch.undo()
-    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added: f)
+    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added, inc: f)
     with pytest.raises(InvariantViolationError, match="the updated f-vector"):
         pipeline_run(*tetra_path_setup())
     set_debug_validation(False)
@@ -644,8 +689,8 @@ def test_change_set_report_is_byte_identical_to_a_full_recomputation(monkeypatch
     # change-set scan and the carried f-vector, and the one from full scans and
     # full face counts at every step
     final, report = pipeline_run(*grow_setup(facets, k))
-    monkeypatch.setattr(pairs_module, "_classify_change", lambda sub, ambient, changed: classify_pair(sub, ambient))
-    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added: f_vector(cx))
+    monkeypatch.setattr(pairs_module, "_classify_change", lambda sub, ambient, changed, inc: classify_pair(sub, ambient))
+    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added, inc: f_vector(cx))
     full_final, full_report = pipeline_run(*grow_setup(facets, k))
     assert serialize_report(report) == serialize_report(full_report)
     assert final == full_final
@@ -734,6 +779,11 @@ class StatefulPairMoves(RuleBasedStateMachine):
     def agrees_with_full_recomputation(self):
         pair = self.pair
         assert pair.status == classify_pair(pair.sub, pair.ambient)
+        # the carried incidence, vertex set and round are a rebuild's, once a move made them
+        if self.moves:
+            assert pair._incidence == _Incidence.of(pair.ambient)
+            assert pair._incidence.at.keys() == pair.ambient.vertex_set()
+            assert pair._incidence.round == next_round(pair.ambient.vertex_set())
         assert pair.status.verdict == STRONGLY_INDUCED
         assert pair.sub == replay_script(self.source, MoveScript(tuple(self.moves)))
         assert euler_characteristic(pair.ambient) == self.chi
