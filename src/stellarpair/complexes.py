@@ -12,16 +12,17 @@ them from the facets.  A complex keeps no facet index: a local question
 (membership, star, link) on a bare complex reads the facets at its face
 in one linear filter.  The one index is owned by a pair
 (`pairs.ComplexPair`): an `_Incidence` of its ambient, vertex -> facets
-plus the next fresh barycenter round, built once and edited copy-on-write
-by each move.  `_facets_at` and `_facets_holding` answer "which facets are
-at these vertices?" from that index when one is given, and from the one
-filter otherwise.  The one lazy cache of a complex, the vertex set, is
+plus the next fresh barycenter round, built once per pair lineage and
+edited copy-on-write by each move.  `_facets_at`, `_facets_holding` and
+`_fresh_round` answer "which facets are at these vertices?" and "which
+barycenter round is fresh?" from that index when one is given, and from
+the one filter (or count) otherwise.  The one lazy cache of a complex, the vertex set, is
 filled by idempotent assignment, so concurrent readers are safe.
 
 The incidence primitives the other modules share live here only: the face
 enumerator `_face_set`, the facet incidence masks `_vertex_masks` (vertex ->
 bitmask of the facets at it) and `_support` (the facets holding a simplex,
-as the AND of its vertices' masks), `_Incidence` with its two readers, the
+as the AND of its vertices' masks), `_Incidence` with its three readers, the
 one face budget `_check_face_budget`, the subcomplex test `is_subcomplex`
 (raising through `_require_subcomplex` and `_not_a_subcomplex`), `_degrees`
 and `_UnionFind`.
@@ -434,8 +435,7 @@ def _incidence(facets: Iterable[Simplex]) -> dict[VertexLabel, set[Simplex]]:
 
 class _Incidence:
     """A complex's facets at each of its vertices (`at`, whose keys are its
-    vertex set), the next fresh barycenter round of those vertices, and the
-    number of its facets (`size`).
+    vertex set), and the next fresh barycenter round of those vertices.
 
     A pair owns one for its ambient (`pairs.ComplexPair`).  It is built once
     (`of`) and then derived by each move from the facets it removed and
@@ -443,17 +443,16 @@ class _Incidence:
     with the old one and copies only the touched ones, so the old pair's
     stays valid.  The sets are never mutated once an incidence is made."""
 
-    __slots__ = ("at", "round", "size")
+    __slots__ = ("at", "round")
 
-    def __init__(self, at: dict[VertexLabel, set[Simplex]], rnd: int, size: int):
+    def __init__(self, at: dict[VertexLabel, set[Simplex]], rnd: int):
         self.at = at
         self.round = rnd
-        self.size = size
 
     @classmethod
     def of(cls, cx: SimplicialComplex) -> "_Incidence":
         at = _incidence(cx.facets)
-        return cls(at, next_round(at), len(cx.facets))
+        return cls(at, next_round(at))
 
     def edited(self, removed: Collection[Simplex], added: Collection[Simplex]) -> "_Incidence":
         """The incidence after `removed` facets are swapped for `added` ones
@@ -481,11 +480,11 @@ class _Incidence:
             else:
                 del at[v]
                 recount |= v.kind == BARYCENTER and v.round + 1 == rnd
-        return _Incidence(at, next_round(at) if recount else rnd, self.size - len(removed) + len(added))
+        return _Incidence(at, next_round(at) if recount else rnd)
 
     def __eq__(self, other):
         if isinstance(other, _Incidence):
-            return (self.size, self.round, self.at) == (other.size, other.round, other.at)
+            return (self.round, self.at) == (other.round, other.at)
         return NotImplemented
 
     __hash__ = None
@@ -501,6 +500,12 @@ def _facets_at(
         return [f for f in cx.facets if not verts.isdisjoint(f)]
     at = inc.at
     return set().union(*[at[v] for v in vertices if v in at])
+
+
+def _fresh_round(cx: SimplicialComplex, inc: _Incidence | None = None) -> int:
+    """The next fresh barycenter round of the vertices of `cx`: the round of
+    `inc`, the incidence of `cx`, when given, else counted over them."""
+    return next_round(cx.vertex_set()) if inc is None else inc.round
 
 
 def _facets_holding(cx: SimplicialComplex, simplex: Simplex, inc: _Incidence | None = None) -> list[Simplex]:

@@ -155,11 +155,12 @@ class _StrongScan:
     is 0 is looked up in the ambient (`complexes._facets_holding`).  An
     added facet that meets V(sub) is kept, so it takes the dominance test
     as above.  A change set at least as large as N would scan more than N
-    does, so then N is scanned whole; with the incidence `inc`, N is only
-    counted when the change set is at least the most facets at one sub
-    vertex, a lower bound of |N|.  With `inc` every kept set is read off
-    the incidence, so the scan costs the stars of C - V(sub), not the
-    ambient.
+    does, so then N is scanned whole.  Without the incidence `inc` (the
+    first move of a pair lineage), N is listed by one filter and the kept
+    facets are filtered from it.  With `inc`, N is only listed when the
+    change set is at least the most facets at one sub vertex, a lower bound
+    of |N|; otherwise every kept set is read off the incidence, so the scan
+    costs the stars of C - V(sub), not the ambient.
     The change-set scan is exact when the old pair (L, K) was strongly
     induced and the new pair (L', K') is a move's: no face of L - L' is a
     face of K', and every face of L' - L meets C and is no face of K.  An
@@ -201,14 +202,20 @@ class _StrongScan:
         self.gamma_verts = gamma = sub.vertex_set()
         # N, unless the change set is smaller than a lower bound of |N|: the
         # most facets at one sub vertex, read off the incidence
-        full = None
-        if changed is None or inc is None or len(changed) >= max((len(inc.at.get(v, ())) for v in gamma), default=0):
-            full = list(_facets_at(ambient, gamma, inc))
+        least = 0 if inc is None else max((len(inc.at.get(v, ())) for v in gamma), default=0)
+        full = None if changed is not None and len(changed) < least else list(_facets_at(ambient, gamma, inc))
         if changed is not None and (full is None or len(changed) < len(full)):
+            changed = frozenset(changed)
             near = frozenset(chain.from_iterable(changed))
-            pool = set(_facets_at(ambient, near - gamma, inc))
-            pool.update(f for f in changed if f in ambient.facets)
-            self.facets = [f for f in pool if not gamma.isdisjoint(f)]
+            outside = near - gamma
+            # the added facets of N and those at C - V(sub): filtered from N
+            # when it is listed, else read off the incidence
+            if full is None:
+                pool = set(_facets_at(ambient, outside, inc))
+                pool.update(f for f in changed if f in ambient.facets)
+                self.facets = [f for f in pool if not gamma.isdisjoint(f)]
+            else:
+                self.facets = [f for f in full if f in changed or not outside.isdisjoint(f)]
             is_face = lambda g: near.isdisjoint(g) or self.support(g) or _facets_holding(ambient, g, inc)
         else:
             self.facets, is_face, changed = full, self.support, None

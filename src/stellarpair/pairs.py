@@ -14,12 +14,15 @@ anything (`subdivision._relative_derived`).
 
 A pair carries the incidence of its ambient (`complexes._Incidence`:
 vertex -> facets, the vertex set, the next barycenter round), built at
-the first move of a pair lineage and handed on, edited copy-on-write, to
+the second move of a pair lineage and handed on, edited copy-on-write, to
 each next pair.  Every local question of a move is read off it: the
 facets at the edge, the fresh-label test, the facets the re-bias derives
 and its round, the facets the check keeps and those the f-vector update
-masks.  A move builds each edit (the facets it removes and adds) itself
-and copies the ambient's facet set once, so its cost follows the stars it
+masks.  The first move of a lineage asks the same questions of the bare
+ambient, one filter each, which costs less than the build when no move
+follows (`ComplexPair`).  A move builds its edit (the facets it removes
+and adds) itself, the edge subdivision and its re-bias as one, and
+copies the ambient's facet set once, so its cost follows the stars it
 touches and that one copy, not the ambient.
 
 The check after a move is local too.  The move knows the ambient facets
@@ -50,6 +53,8 @@ from .complexes import (
     SimplicialComplex,
     _alternating_sum,
     _f_vector_change,
+    _facets_at,
+    _fresh_round,
     _Incidence,
     _require_subcomplex,
     as_simplex,
@@ -70,7 +75,7 @@ from .errors import (
     ScriptStepError,
 )
 from .inducedness import STRONGLY_INDUCED, InducednessWitness, _classify_change, classify_pair
-from .labels import VertexLabel, vlabel
+from .labels import VertexLabel, next_round, vlabel
 from .subdivision import _rebias_near, _stellar_edit, biased_derived, derived_subdivision, edge_subdivide
 
 SUBDIVIDE = "subdivide"
@@ -155,22 +160,28 @@ class MoveScript:
 class ComplexPair:
     """A subcomplex inside an ambient complex, with cached inducedness status.
 
-    The pair also owns the ambient's incidence (`complexes._Incidence`: the
-    facets at each vertex, and the next fresh barycenter round), which no
-    comparison reads.  It is built at the first move from the pair
-    (`_ambient_incidence`), and each move hands the next pair its edited
-    copy, so one pair lineage builds it once."""
+    A pair that a move made also owns the ambient's incidence
+    (`complexes._Incidence`: the facets at each vertex, and the next fresh
+    barycenter round), which no comparison reads.  A pair lineage builds it
+    once, at its second move: the first move from a pair no move made (a
+    fresh, derived or biased pair) reads its few local facets by filter,
+    since the build costs more than one move's filters, and the pair it
+    returns is marked `_moved`.  A move from that pair builds the incidence
+    (`_ambient_incidence`), and each move from then on hands the next pair
+    its edited copy, so a lineage that keeps moving pays for it once."""
 
     sub: SimplicialComplex
     ambient: SimplicialComplex
     status: InducednessWitness
     _incidence: _Incidence | None = field(default=None, compare=False, repr=False)
+    _moved: bool = field(default=False, compare=False, repr=False)
 
-    def _ambient_incidence(self) -> _Incidence:
-        """The ambient's incidence, built on the first call and kept (by
-        idempotent assignment, like `SimplicialComplex.vertex_set`)."""
+    def _ambient_incidence(self) -> _Incidence | None:
+        """The ambient's incidence: the carried one, else, on a pair a move
+        made, built on the first call and kept (by idempotent assignment,
+        like `SimplicialComplex.vertex_set`); else None."""
         inc = self._incidence
-        if inc is None:
+        if inc is None and self._moved:
             inc = _Incidence.of(self.ambient)
             object.__setattr__(self, "_incidence", inc)
         return inc
@@ -272,10 +283,11 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
 
 def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex], frozenset[Simplex]]:
     """`apply_move`, with the facets the move removed from the ambient and
-    those it added.  The ambient is edited through the pair's incidence:
-    each step reads the facets it changes off it and hands it the edit, so
-    the move costs the stars it touches, plus the copy of the facet set in
-    `SimplicialComplex._replace`."""
+    those it added.  The ambient is edited through the pair's incidence
+    (`ComplexPair._ambient_incidence`; on a lineage's first move, filters):
+    each step reads the facets it changes off it, and the incidence takes
+    the move's one edit, so the move costs the stars it touches, plus the
+    copy of the facet set in `SimplicialComplex._replace`."""
     what = "pair edge subdivision" if move.op == SUBDIVIDE else "pair edge contraction"
     if pair.status.verdict != STRONGLY_INDUCED:
         raise PreconditionError(
@@ -288,15 +300,17 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
     new_sub = _apply(pair.sub, move)
     inc = pair._ambient_incidence()
     if move.op == SUBDIVIDE:
-        # two edits, the edge subdivision and the re-bias around w, each read
-        # off the incidence and handed to it; the facet set is copied once
+        # one edit: the edge subdivision, then the re-bias around w of the
+        # complex it makes, whose facets at near' are the ambient's less the
+        # hits, and the cells (each holds w); its round is fresh for w too
         hits, cells = _stellar_edit(pair.ambient, e, move.new_label, inc)
-        inc = inc.edited(hits, cells)
-        # the cells are star(w)'s facets
         near = set().union(*cells) - new_sub.vertex_set()
         near.add(move.new_label)
-        derived, rebias = _rebias_near(new_sub, None, near, inc)
-        inc = inc.edited(derived, rebias)
+        around = set(_facets_at(pair.ambient, near, inc)).difference(hits)
+        around.update(cells)
+        rnd = max(_fresh_round(pair.ambient, inc), next_round((move.new_label,)))
+        total = len(pair.ambient.facets) - len(hits) + len(cells)
+        derived, rebias = _rebias_near(new_sub, near, around, rnd, total)
         removed = frozenset(hits).union(frozenset(derived).difference(cells))
         added = frozenset(cells).difference(derived).union(rebias)
     else:
@@ -305,6 +319,7 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
             raise InvalidEdgeError(e, blocking_missing_simplices(pair.ambient, e))
         at_edge, images = edit
         removed, added = frozenset(at_edge).difference(images), images.difference(at_edge)
+    if inc is not None:
         inc = inc.edited(removed, added)
     new_ambient = pair.ambient._replace(removed, added)
     status = _classify_change(new_sub, new_ambient, removed | added, inc)
@@ -314,10 +329,10 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
             raise InvariantViolationError(
                 f"{what}: the change-set scan says {status}, the full scan {full}", witness=full
             )
-        if inc != _Incidence.of(new_ambient):
+        if inc is not None and inc != _Incidence.of(new_ambient):
             raise InvariantViolationError(f"{what}: the carried incidence is not the ambient's")
     if status.verdict == STRONGLY_INDUCED:
-        return ComplexPair(new_sub, new_ambient, status, inc), removed, added
+        return ComplexPair(new_sub, new_ambient, status, inc, _moved=True), removed, added
     if move.op == CONTRACT:
         raise InvariantViolationError(f"{what} lost strong inducedness: {status}", witness=status)
     old = pair.ambient.facets

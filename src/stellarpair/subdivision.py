@@ -19,7 +19,6 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     _face_set,
-    _facets_at,
     _facets_holding,
     _Incidence,
     _require_subcomplex,
@@ -220,26 +219,26 @@ def biased_derived(
 
 
 def _rebias_near(
-    sub: SimplicialComplex, ambient: SimplicialComplex | None, near: set[VertexLabel], inc: _Incidence | None = None
+    sub: SimplicialComplex, near: set[VertexLabel], facets: Collection[Simplex], rnd: int, total: int
 ) -> tuple[list[Simplex], list[Simplex]]:
-    """As an edit of `ambient` (the facets it derives, and their cells; see
-    `_relative_derived`): the biased derived subdivision of `ambient` that subdivides only the
-    faces outside `sub` that meet `near = (V(star(w)) - V(sub)) ∪ {w}` for
-    the new vertex w: `biased_derived(P, ambient)` with the protected
-    complex `P = sub ∪ induced_subcomplex(ambient, V - near)`.  The caller
-    (`pairs._move`) reads V(star(w)) off the facets the edge subdivision
-    added: w is new, so the facets at w are exactly the cone cells
-    {w} + (F - a) and {w} + (F - b) over the facets F at the edge ab.
+    """The re-bias of `ambient`, after an edge subdivision at the new vertex
+    w, as an edit (the facets it derives, and their cells, of round `rnd`;
+    see `_relative_derived`): the biased derived subdivision of `ambient`
+    that subdivides only the faces outside `sub` that meet
+    `near = (V(star(w)) - V(sub)) ∪ {w}`: `biased_derived(P, ambient)` with
+    the protected complex `P = sub ∪ induced_subcomplex(ambient, V - near)`.
 
     `_relative_derived` only asks about ambient faces, and an ambient face
     lies in that induced subcomplex iff it misses `near`, so the protected
     set is a predicate and no union complex is built.  Facets missing `near`
-    come through unchanged, so only the facets at `near` are handed to
-    `_relative_derived`.  They, the next fresh round and the facet count
-    are read off `inc`, the incidence of the complex to re-bias, when it is
-    given (`pairs._move` then passes no `ambient`, and builds no complex
-    between the edge subdivision and the re-bias), else off `ambient`,
-    through one filter.
+    come through unchanged, so `ambient` itself is not passed: `facets`
+    holds its facets at `near` (and maybe others), `rnd` is a round fresh
+    for it, and `total` its facet count (a stat of the budget error).  The
+    caller (`pairs._move`) reads them off the ambient before the edge
+    subdivision and the cells it adds, so it builds no complex between the
+    two.  It reads V(star(w)) off those cells: w is new, so the facets at w
+    are exactly the cone cells {w} + (F - a) and {w} + (F - b) over the
+    facets F at the edge ab.
     A face meeting `near` lies in `sub` only inside a facet of `sub` that
     meets `near`, so only those facets' faces are enumerated.  `sub` must
     be a subcomplex of `ambient`; it is not checked here.
@@ -277,8 +276,5 @@ def _rebias_near(
     stars of the edge's endpoints.
     """
     sub_faces = _face_set([f for f in sub.facets if not near.isdisjoint(f)])
-    rnd, total = (_round(ambient, None), len(ambient.facets)) if inc is None else (inc.round, inc.size)
-    derived, cells, _ = _relative_derived(
-        _facets_at(ambient, near, inc), lambda t: near.isdisjoint(t) or t in sub_faces, rnd, total
-    )
+    derived, cells, _ = _relative_derived(facets, lambda t: near.isdisjoint(t) or t in sub_faces, rnd, total)
     return derived, cells

@@ -398,7 +398,7 @@ def test_pair_run_fallback_over_budget_exits_three(tmp_path, capsys, monkeypatch
     # with the identity re-bias the move falls back to the global biased
     # derived subdivision, whose bound of 828 cells is over a budget of 144:
     # the bound of the pipeline's own biased derived step, which still runs
-    monkeypatch.setattr("stellarpair.pairs._rebias_near", lambda sub, ambient, near, inc: ([], []))
+    monkeypatch.setattr("stellarpair.pairs._rebias_near", lambda sub, near, facets, rnd, total: ([], []))
     monkeypatch.setattr("stellarpair.subdivision._FACET_BUDGET", 144)
     ambient = write_complex(tmp_path / "m.json", [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], "tetra")
     sub = write_complex(tmp_path / "x.json", [[1, 2], [2, 3]], "path")

@@ -27,6 +27,7 @@ from stellarpair import (
     star,
     vlabel,
 )
+from stellarpair.complexes import _fresh_round, _Incidence
 from stellarpair.errors import InvalidEdgeError, NotASubcomplexError, ResourceLimitError
 from stellarpair.inducedness import (
     INDUCED,
@@ -376,9 +377,17 @@ def _moved_pair(kind: str, dim: int, seed: int):
         sub, ambient = edge_subdivide(pair.sub, e, "w"), edge_subdivide(pair.ambient, e, "w")
         if kind == "rebias":
             near = (star(ambient, ["w"]).vertex_set() - sub.vertex_set()) | {vlabel("w")}
-            ambient = ambient._replace(*_rebias_near(sub, ambient, near))
+            ambient = ambient._replace(
+                *_rebias_near(sub, near, ambient.facets, _fresh_round(ambient), len(ambient.facets))
+            )
     old = pair.ambient.facets
     return sub, ambient, (old - ambient.facets) | (ambient.facets - old)
+
+
+def _incidences(ambient):
+    """What a move hands the change-set scan: no incidence (the first move of
+    a pair lineage), or the ambient's (every later move)."""
+    return (None, _Incidence.of(ambient))
 
 
 def _scans_the_change(sub, ambient, changed) -> bool:
@@ -394,9 +403,10 @@ def test_change_set_scan_agrees_with_the_full_scan(kind, dim, seed):
     if moved is None:
         return
     sub, ambient, changed = moved
-    assert _classify_change(sub, ambient, changed) == classify_pair(sub, ambient)
-    # the least local violation is the global least, intersection faces and all
-    assert _StrongScan(sub, ambient, changed).witness() == is_strongly_induced(sub, ambient)
+    for inc in _incidences(ambient):
+        assert _classify_change(sub, ambient, changed, inc) == classify_pair(sub, ambient)
+        # the least local violation is the global least, intersection faces and all
+        assert _StrongScan(sub, ambient, changed, inc).witness() == is_strongly_induced(sub, ambient)
 
 
 def test_change_set_scan_sources_reach_both_verdicts_on_the_change_path():
@@ -410,9 +420,10 @@ def test_change_set_scan_sources_reach_both_verdicts_on_the_change_path():
             if moved is None or not _scans_the_change(*moved):
                 continue
             sub, ambient, changed = moved
-            got = _classify_change(sub, ambient, changed)
-            assert got == classify_pair(sub, ambient)
-            assert _StrongScan(sub, ambient, changed).witness() == is_strongly_induced(sub, ambient)
+            for inc in _incidences(ambient):
+                got = _classify_change(sub, ambient, changed, inc)
+                assert got == classify_pair(sub, ambient)
+                assert _StrongScan(sub, ambient, changed, inc).witness() == is_strongly_induced(sub, ambient)
             seen.add((kind, got.verdict == STRONGLY_INDUCED))
     assert seen == {("bare", True), ("bare", False), ("rebias", True), ("contract", True)}
 
@@ -447,10 +458,11 @@ def test_change_set_scan_on_hand_made_changes(sub, old, new, verdict):
     assert classify_pair(sub, old).verdict == STRONGLY_INDUCED
     changed = (old.facets - new.facets) | (new.facets - old.facets)
     assert _scans_the_change(sub, new, changed)
-    got = _classify_change(sub, new, changed)
-    assert got.verdict == verdict
-    assert got == classify_pair(sub, new)
-    assert _StrongScan(sub, new, changed).witness() == is_strongly_induced(sub, new)
+    for inc in _incidences(new):
+        got = _classify_change(sub, new, changed, inc)
+        assert got.verdict == verdict
+        assert got == classify_pair(sub, new)
+        assert _StrongScan(sub, new, changed, inc).witness() == is_strongly_induced(sub, new)
 
 
 def test_change_set_scan_checks_the_sub_facets_it_can_see():
@@ -459,7 +471,8 @@ def test_change_set_scan_checks_the_sub_facets_it_can_see():
     sub, ambient = from_facets([[1, 2], [2, 3]]), from_facets([[1, 2], [2, 4], [3, 4]])
     changed = {Simplex.of([2, 4]), Simplex.of([3, 4])}
     assert _scans_the_change(sub, ambient, changed)
-    for check in (classify_pair, lambda sub, ambient: _classify_change(sub, ambient, changed)):
+    checks = [lambda sub, ambient, inc=inc: _classify_change(sub, ambient, changed, inc) for inc in _incidences(ambient)]
+    for check in [classify_pair, *checks]:
         with pytest.raises(NotASubcomplexError) as err:
             check(sub, ambient)
         assert str(err.value) == "facet {2,3} of the subcomplex is not a face of the ambient complex"

@@ -223,7 +223,7 @@ def test_failed_local_rebias_falls_back_to_global(monkeypatch):
     # induced, so the move has to take the global biased derived subdivision
     calls = []
 
-    def no_rebias(sub, ambient, near, inc):
+    def no_rebias(sub, near, facets, rnd, total):
         calls.append(near)
         return [], []
 
@@ -243,7 +243,7 @@ def test_global_fallback_is_budgeted(monkeypatch, barycenters_made):
     # the subdivided edge-in-triangle ambient has 6 triangles, none in the
     # subcomplex, so the fallback could derive up to 6 * 3! = 36 facets; over
     # the budget it raises before making any barycenter
-    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near, inc: ([], []))
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, near, facets, rnd, total: ([], []))
     monkeypatch.setattr(subdivision_module, "_FACET_BUDGET", 35)
     pair = edge_in_triangle_pair()
     barycenters_made.clear()
@@ -439,7 +439,7 @@ def test_local_rebias_is_budgeted_before_it_derives(monkeypatch, barycenters_mad
     assert apply_move(pair, move).status.verdict == STRONGLY_INDUCED
     assert barycenters_made
     barycenters_made.clear()
-    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, ambient, near, inc: ([], []))
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, near, facets, rnd, total: ([], []))
     with pytest.raises(ResourceLimitError, match="the subdivision could derive") as exc:
         apply_move(pair, move)
     assert exc.value.stats == {"facets": len(ambient.facets), "bound": whole, "budget": local}
@@ -760,7 +760,7 @@ class StatefulPairMoves(RuleBasedStateMachine):
     def _move(self, move):
         self.pair, removed, added = pairs_module._move(self.pair, move)
         self.moves.append(move)
-        self.f = _f_vector_change(self.f, self.pair.ambient, removed, added)
+        self.f = _f_vector_change(self.f, self.pair.ambient, removed, added, self.pair._incidence)
 
     @rule(k=st.integers(0, 10**6))
     def subdivide(self, k):
@@ -779,8 +779,10 @@ class StatefulPairMoves(RuleBasedStateMachine):
     def agrees_with_full_recomputation(self):
         pair = self.pair
         assert pair.status == classify_pair(pair.sub, pair.ambient)
-        # the carried incidence, vertex set and round are a rebuild's, once a move made them
-        if self.moves:
+        # the first move reads by filter and carries no incidence; from the
+        # second on, the carried incidence, vertex set and round are a rebuild's
+        assert (pair._incidence is None) == (len(self.moves) < 2)
+        if len(self.moves) >= 2:
             assert pair._incidence == _Incidence.of(pair.ambient)
             assert pair._incidence.at.keys() == pair.ambient.vertex_set()
             assert pair._incidence.round == next_round(pair.ambient.vertex_set())
