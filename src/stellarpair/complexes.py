@@ -16,8 +16,9 @@ plus the next fresh barycenter round, built once per pair lineage and
 edited copy-on-write by each move.  `_facets_at`, `_facets_holding` and
 `_fresh_round` answer "which facets are at these vertices?" and "which
 barycenter round is fresh?" from that index when one is given, and from
-the one filter (or count) otherwise.  The one lazy cache of a complex, the vertex set, is
-filled by idempotent assignment, so concurrent readers are safe.
+the one filter (or count) otherwise.  The one lazy cache of a complex, the
+vertex set, is filled by idempotent assignment, so concurrent readers are
+safe.
 
 The incidence primitives the other modules share live here only: the face
 enumerator `_face_set`, the facet incidence masks `_vertex_masks` (vertex ->
