@@ -320,13 +320,20 @@ def link(cx: SimplicialComplex, simplex) -> SimplicialComplex:
 
 
 def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
-    """Face counts by dimension, f_0 through f_dim: one set of k-faces per
-    size k, after the face budget (`_check_face_budget`)."""
+    """Face counts by dimension, f_0 through f_dim, after the face budget
+    (`_check_face_budget`): f_0 counts the vertices, f_dim the facets of
+    size dim + 1 (every top-dimensional face is a facet, since the facets
+    form an antichain), and each dimension between them one set of faces."""
     facets = cx.facets
     _check_face_budget(facets)
-    return tuple(
-        len({c for f in facets if len(f) >= k for c in combinations(f, k)}) for k in range(1, cx.dim + 2)
-    )
+    top = cx.dim + 1
+    if top < 1:
+        return ()
+    counts = [len(set(chain.from_iterable(facets)))]
+    counts += [len({c for f in facets if len(f) >= k for c in combinations(f, k)}) for k in range(2, top)]
+    if top > 1:
+        counts.append(sum(len(f) == top for f in facets))
+    return tuple(counts)
 
 
 def _f_vector_change(
@@ -335,12 +342,27 @@ def _f_vector_change(
     removed: frozenset[Simplex],
     added: frozenset[Simplex],
     inc: "_Incidence | None" = None,
+    contracted: Collection[VertexLabel] | None = None,
 ) -> tuple[int, ...]:
     """The f-vector of `cx`, made from a complex with f-vector `f` by
     replacing its facets `removed` with `added` (a subset of `cx.facets`);
-    `inc`, when given, is the incidence of `cx`.
+    `inc`, when given, is the incidence of `cx`, and `contracted`, when
+    given, is the valid edge whose contraction made the change.
 
-    A face in an unchanged facet is a face before and after.  So the change
+    A contraction's change comes from the link of its edge e = {keep, lose}
+    alone: Δf_k = -(f_{k-1}(lk e) + f_{k-2}(lk e)), where f_{-1}(lk e) = 1
+    counts the empty face and lk e = {F - e : F in removed, F ⊇ e} (every
+    facet at e is removed).  Derivation: the faces lost are {lose} + τ for τ
+    in lk(lose), the empty face included.  Those with keep in τ are
+    e + ρ for ρ in lk e, of dimension dim ρ + 2.  Each other lost face,
+    {lose} + τ with keep not in τ, is matched by the face τ + keep gained in
+    its dimension, unless τ + keep was a face already, i.e. unless τ is in
+    lk(lose) ∩ lk(keep), which is lk e by the link condition; and every
+    gained face is such a τ + keep.  So the net loss is e + ρ and
+    {lose} + ρ over ρ in lk e: f_{k-2} and f_{k-1} of lk e in dimension k.
+
+    Any other change is counted from the faces of the changed facets.  A
+    face in an unchanged facet is a face before and after.  So the change
     is the faces of `added` in no unchanged facet, gained, less the faces of
     `removed` in no unchanged facet, lost; a face of both cancels.  Such a
     face's vertices lie in near = V(removed ∪ added).  Let the hub be the
@@ -351,16 +373,23 @@ def _f_vector_change(
     {hub} is in one iff the hub has more facets than added facets.  So the
     work follows the stars of the changed facets' vertices, less the
     largest.  Trailing zeros are dropped when the dimension falls."""
-    near = frozenset().union(*removed, *added)
-    at = inc.at if inc is not None else _incidence(_facets_at(cx, near))
-    hub = max(near, key=lambda v: len(at.get(v, ())), default=None)
-    masks = _vertex_masks({g for v in near if v != hub for g in at.get(v, ()) if g not in added})
-    hub_kept = len(at.get(hub, ())) > sum(hub in g for g in added)
-    counts = list(f) + [0] * (max(map(len, added), default=0) - len(f))
-    for sign, facets in ((1, added), (-1, removed)):
-        for face in _face_set(facets):
-            if not (hub_kept if face == (hub,) else _support(masks, face)):
-                counts[len(face) - 1] += sign
+    if contracted is not None:
+        u, v = contracted
+        lk = [tuple(w for w in g if w != u and w != v) for g in removed if u in g and v in g]
+        sizes = Counter(map(len, _face_set(lk)))  # faces of lk e by size
+        sizes[0] = 1
+        counts = [n - sizes[k] - sizes[k - 1] for k, n in enumerate(f)]
+    else:
+        near = frozenset().union(*removed, *added)
+        at = inc.at if inc is not None else _incidence(_facets_at(cx, near))
+        hub = max(near, key=lambda v: len(at.get(v, ())), default=None)
+        masks = _vertex_masks({g for v in near if v != hub for g in at.get(v, ()) if g not in added})
+        hub_kept = len(at.get(hub, ())) > sum(hub in g for g in added)
+        counts = list(f) + [0] * (max(map(len, added), default=0) - len(f))
+        for sign, facets in ((1, added), (-1, removed)):
+            for face in _face_set(facets):
+                if not (hub_kept if face == (hub,) else _support(masks, face)):
+                    counts[len(face) - 1] += sign
     while counts and not counts[-1]:
         counts.pop()
     return tuple(counts)

@@ -8,6 +8,26 @@ error carrying the blocking missing simplices.
 The facets at the edge (those holding an endpoint) decide validity and
 carry the whole change, so one pass over the facets splits them off and
 every later question reads only them (see `_split`).
+
+Validity is equivalent to the link condition lk(u) ∩ lk(v) = lk(uv) (Dey,
+Edelsbrunner, Guha and Nekhayev, "Topology preserving edge contraction",
+1999; `link_condition` is the oracle), and under it a contraction onto `keep` of the edge e = {keep, lose} needs only
+the facets at e to build its result:
+- the image F - lose + keep of a facet F holding lose but not keep is a
+  facet of the result;
+- so is every facet holding keep but not lose;
+- a collapsed image F - lose of a facet F ⊇ e can only be dominated, and
+  only by one of those facets through keep.
+Proof sketch.  Write I = F - lose + keep for the first kind, H for the
+second and C = F - lose for a collapsed image.  I ⊆ H puts a face above a
+facet: τ = F - lose is in lk(lose) (τ + lose = F) and in lk(keep)
+(τ + keep ⊆ H), so by the link condition τ is in lk(e), and τ + e = F + keep
+is a face strictly above the facet F.  So does H ⊆ I: ρ = H - keep lies in
+F - lose, so in lk(lose), and it is in lk(keep), so ρ + e ⊋ H is a face.
+Two of the first kind, I ⊆ C, H ⊆ C and two collapsed images nest only if
+the facets they come from nest (each pair adds or drops the same vertex),
+and facets do not.  What is left is C under I or H.
+Facets away from e pass through (`_images`).
 """
 
 from __future__ import annotations
@@ -18,10 +38,10 @@ from .complexes import (
     _FACE_BUDGET,
     Simplex,
     SimplicialComplex,
+    _check_face_budget,
     _face_set,
     _facets_at,
     _Incidence,
-    _reduce_to_antichain,
     as_simplex,
     link,
 )
@@ -63,12 +83,22 @@ def _missing_through(e: Simplex, at_edge: list[Simplex]):
     a larger common neighbour of the endpoints, keeps the extensions that
     are faces and yields those whose boundary is present.  The rounds stop
     when no extension is a face, past the dimension of the facets at e.
+
+    Every face asked about lies in W = e ∪ the common neighbours, and holds
+    an endpoint (a boundary face s - x of a candidate keeps one).  Such a
+    face is in a facet F at e, so it lies in F ∩ W: the faces of the traces
+    F ∩ W answer every question, and only they are built.  The face budget
+    is checked on the facets at e themselves, as for every face walk of
+    them.
     """
     u, v = e
-    faces = _face_set(at_edge)
+    _check_face_budget(at_edge)
     near_u = {w for f in at_edge if u in f for w in f}
     near_v = {w for f in at_edge if v in f for w in f}
     common = sorted(near_u & near_v - {u, v})
+    inside = set(common)
+    inside.update(e)
+    faces = _face_set([tuple(w for w in f if w in inside) for f in at_edge])
     level: list[tuple[VertexLabel, ...]] = [()]
     while level:
         grown = []
@@ -91,8 +121,11 @@ def missing_simplices(cx: SimplicialComplex, max_dim: int | None = None) -> set[
     missing simplex must be present; `max_dim` can lower that bound.  Each
     candidate is a face plus a vertex sorting after its last, so they are
     counted first, and more than `_FACE_BUDGET` of them raise
-    `ResourceLimitError` before any is built.
+    `ResourceLimitError` before any is built.  A negative `max_dim` is
+    malformed.
     """
+    if max_dim is not None and max_dim < 0:
+        raise MalformedInputError("max_dim must be at least 0")
     top_card = cx.dim + 2 if max_dim is None else min(cx.dim + 2, max_dim + 1)
     verts = cx.vertices()
     faces = _face_set(cx.facets)
@@ -137,27 +170,37 @@ def link_condition(cx: SimplicialComplex, edge) -> bool:
     return faces_u & faces_v == faces_e
 
 
-def _images(e: Simplex, at_edge: list[Simplex], keep: VertexLabel) -> frozenset[Simplex]:
-    """What the facets at the edge e become when the other endpoint `lose`
-    is replaced by `keep`.
+def _images(e: Simplex, at_edge: list[Simplex], keep: VertexLabel) -> list[Simplex]:
+    """What the facets at the valid edge e become when the other endpoint
+    `lose` is replaced by `keep`: the facets of the result at `keep`.
 
-    Only the facets at the edge are reduced: the images of the facets
-    holding `lose`, and the facets holding `keep` but not `lose`.  The
-    reduction collapses degenerate images and merges duplicates.  Every
-    other facet g passes through as it is, since no image I = F - lose + keep
-    can dominate it or be dominated by it.  I holds `keep` and g does not,
-    so g cannot contain I, and g ⊆ I would give g ⊆ F - lose ⊆ F, with
-    g ≠ F because F holds `lose` and g does not; the facets of the complex
-    form an antichain, so that is impossible.
+    By the lemma in the module docstring, the image F - lose + keep of a
+    facet holding lose but not keep, and each facet holding keep but not
+    lose, is a facet of the result.  A facet F ⊇ e collapses to F - lose,
+    which holds keep, and is kept unless one of those facets contains it.
+    Every other facet g passes through as it is, since no image
+    I = F - lose + keep can dominate it or be dominated by it.  I holds
+    `keep` and g does not, so g cannot contain I, and g ⊆ I would give
+    g ⊆ F - lose ⊆ F, with g ≠ F because F holds `lose` and g does not; the
+    facets of the complex form an antichain, so that is impossible.
     """
     lose = e[1] if keep == e[0] else e[0]
-    images = (Simplex(sorted(set(f) - {lose} | {keep})) if lose in f else f for f in at_edge)
-    return _reduce_to_antichain(images)
+    images: list[Simplex] = []
+    collapsed: list[Simplex] = []
+    for f in at_edge:
+        if lose not in f:
+            images.append(f)
+        elif keep in f:
+            collapsed.append(Simplex(w for w in f if w != lose))
+        else:
+            images.append(Simplex(sorted(set(f) - {lose} | {keep})))
+    images += [c for c in collapsed if not any(frozenset(c).issubset(g) for g in images)]
+    return images
 
 
 def _contraction(
     cx: SimplicialComplex, edge, survivor=None, inc: _Incidence | None = None
-) -> tuple[list[Simplex], frozenset[Simplex]] | None:
+) -> tuple[list[Simplex], list[Simplex]] | None:
     """The contraction of an edge of the complex onto `survivor` (default:
     the smaller endpoint) as an edit: the facets at the edge, and the
     `_images` that replace them; or None when the edge is invalid.  One

@@ -273,10 +273,12 @@ def _check_cap(n_vertices: int) -> None:
 def random_complex(n_vertices: int, max_dim: int, density: float, seed: int) -> SimplicialComplex:
     """A random complex on labels "1".."n": every vertex is present, and each
     candidate k-set is a facet candidate with probability density^(k-1).
-    Deterministic for a fixed seed."""
+    Deterministic for a fixed seed.  A negative `max_dim` is malformed."""
     _check_cap(n_vertices)
     if not 0.0 <= density <= 1.0:
         raise MalformedInputError("density must lie in [0, 1]")
+    if max_dim < 0:
+        raise MalformedInputError("max_dim must be at least 0")
     rng = random.Random(seed)
     labels = [str(i) for i in range(1, n_vertices + 1)]
     facets: list[list[str]] = [[l] for l in labels]

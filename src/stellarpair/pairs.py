@@ -20,10 +20,12 @@ facets at the edge, the fresh-label test, the facets the re-bias derives
 and its round, the facets the check keeps and those the f-vector update
 masks.  The first move of a lineage asks the same questions of the bare
 ambient, one filter each, which costs less than the build when no move
-follows (`ComplexPair`).  A move builds its edit (the facets it removes
-and adds) itself, the edge subdivision and its re-bias as one, and
-copies the ambient's facet set once, so its cost follows the stars it
-touches and that one copy, not the ambient.
+follows (`ComplexPair`).  `pipeline_run` knows what follows: when its
+script has two or more moves it marks the biased pair as moved, so the
+first move builds the incidence instead of filtering.  A move builds its
+edit (the facets it removes and adds) itself, the edge subdivision and
+its re-bias as one, and copies the ambient's facet set once, so its cost
+follows the stars it touches and that one copy, not the ambient.
 
 The check after a move is local too.  The move knows the ambient facets
 it removed and added, and `inducedness._classify_change` scans only the
@@ -35,9 +37,10 @@ strongly induced (a proof sketch in `subdivision._rebias_near` says it
 always is), the move falls back once to the global biased derived
 subdivision of the new pair, within the same budget, and checks that with
 the full scan.  `pipeline_run` likewise carries the ambient's f-vector
-from step to step, updated from the faces the changed facets lose and
-gain.  Under `STELLARPAIR_DEBUG_VALIDATE=1` both are checked against a
-full recomputation.  The pipeline turns a triangulation containing a
+from step to step: a contraction's change comes from the link of its edge
+alone, any other from the faces the changed facets lose and gain.  Under
+`STELLARPAIR_DEBUG_VALIDATE=1` both are checked against a full
+recomputation.  The pipeline turns a triangulation containing a
 subdivision of a target complex into one containing the target itself.
 """
 
@@ -168,7 +171,10 @@ class ComplexPair:
     since the build costs more than one move's filters, and the pair it
     returns is marked `_moved`.  A move from that pair builds the incidence
     (`_ambient_incidence`), and each move from then on hands the next pair
-    its edited copy, so a lineage that keeps moving pays for it once."""
+    its edited copy, so a lineage that keeps moving pays for it once.
+    `pipeline_run` marks its biased pair `_moved` itself when the script has
+    two or more moves, since it knows that a second move follows the first;
+    a one-move script's move reads by filter."""
 
     sub: SimplicialComplex
     ambient: SimplicialComplex
@@ -318,7 +324,7 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
         if edit is None:
             raise InvalidEdgeError(e, blocking_missing_simplices(pair.ambient, e))
         at_edge, images = edit
-        removed, added = frozenset(at_edge).difference(images), images.difference(at_edge)
+        removed, added = frozenset(at_edge).difference(images), frozenset(images).difference(at_edge)
     if inc is not None:
         inc = inc.edited(removed, added)
     new_ambient = pair.ambient._replace(removed, added)
@@ -390,18 +396,23 @@ def pipeline_run(
     Returns the final ambient complex together with a per-step report of
     f-vectors, Euler characteristics and strong-inducedness verdicts.  The
     ambient's f-vector is carried from step to step, updated from the faces
-    each move's changed facets lose and gain (`complexes._f_vector_change`).
+    each move's changed facets lose and gain, or for a contraction from the
+    link of its edge (`complexes._f_vector_change`).
     A move's domain error comes wrapped in `ScriptStepError`, and a move's
     `ResourceLimitError` carries its index as the `step` stat (`_at_step`).
     """
     _require_subcomplex(sub, ambient)
     pair = _biased(*_derived(sub, ambient))
+    if len(script.moves) >= 2:
+        # a lineage that keeps moving: its first move builds the incidence
+        pair = ComplexPair(pair.sub, pair.ambient, pair.status, _moved=True)
     f_ambient = f_vector(pair.ambient)
     steps = [_step(pair, "init", None, f_ambient)]
     for i, move in enumerate(script.moves):
         with _at_step(i):
             pair, removed, added = _move(pair, move)
-        f_ambient = _f_vector_change(f_ambient, pair.ambient, removed, added, pair._incidence)
+        edge = move.edge if move.op == CONTRACT else None
+        f_ambient = _f_vector_change(f_ambient, pair.ambient, removed, added, pair._incidence, contracted=edge)
         if complexes._DEBUG_VALIDATE:
             full = f_vector(pair.ambient)
             if full != f_ambient:

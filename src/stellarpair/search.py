@@ -98,7 +98,7 @@ from .canonical import (
 )
 from .complexes import Simplex, SimplicialComplex, _degrees, _UnionFind
 from .contraction import _contract_if_valid
-from .errors import ResourceLimitError
+from .errors import MalformedInputError, ResourceLimitError
 from .labels import VertexLabel, _digit_limit
 from .pairs import Move, MoveScript
 from .subdivision import _subdivide_star
@@ -188,8 +188,12 @@ def search_script(
     built and labeled; the result is the script that labeling every
     successor gives, but pruned states take no share of the budget, so a
     search can finish within a `max_states` that labeling every successor
-    would exhaust.
+    would exhaust.  A negative bound raises MalformedInputError; a bound of
+    0 is valid.
     """
+    for bound, name in ((max_depth, "max_depth"), (max_vertices, "max_vertices"), (max_states, "max_states")):
+        if bound < 0:
+            raise MalformedInputError(f"{name} must be at least 0")
     for cx, name in ((source, "source"), (target, "target")):
         if cx.num_vertices() > max_vertices:
             raise ResourceLimitError(

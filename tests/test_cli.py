@@ -168,6 +168,29 @@ def test_info_reads_stdin(monkeypatch, capsys):
     assert data["f_vector"] == [4, 6, 4]
 
 
+@pytest.mark.parametrize(
+    "command, zero_exit",
+    [
+        (["random", "complex", "--vertices", "5", "--seed", "1", "--max-dim"], 0),
+        (["check", "missing", "--complex", "{path}", "--max-dim"], 0),
+        (["search", "--source", "{path}", "--to", "{path}", "--max-depth", "1", "--max-states"], 0),
+        (["search", "--source", "{path}", "--to", "{path}", "--max-vertices"], 3),
+        (["search", "--source", "{path}", "--to", "{path}", "--max-depth"], 0),
+    ],
+    ids=["random-max-dim", "missing-max-dim", "search-max-states", "search-max-vertices", "search-max-depth"],
+)
+def test_negative_bound_exits_two(tmp_path, capsys, command, zero_exit):
+    # a negative bound is malformed input, not an answer or a resource limit;
+    # a bound of 0 is valid (the search's source is its target, so a search
+    # answers before its first expansion unless the vertex bound refuses it)
+    path = write_complex(tmp_path / "c.json", [[1, 2], [2, 3]])
+    argv = [path if arg == "{path}" else arg for arg in command]
+    assert main(argv + ["-1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "malformed-input"
+    assert main(argv + ["0"]) == zero_exit
+    capsys.readouterr()
+
+
 def test_resource_limit_exits_three(tmp_path, capsys):
     assert main(["random", "complex", "--vertices", "99", "--seed", "1"]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "resource-limit"
@@ -391,6 +414,27 @@ def test_pair_run_standard_output_is_byte_stable(tmp_path, capsys, readme_pipeli
     assert (tmp_path / "final.json").read_text() == result
     assert main(readme_pipeline + ["--report", str(tmp_path / "report.json")]) == 0
     assert capsys.readouterr().out == result
+    assert (tmp_path / "report.json").read_text() == report
+
+
+def test_pair_run_octahedron_output_is_byte_stable(tmp_path, capsys):
+    # the octahedron growth script: one pair subdivision, its contraction back
+    # and the README's three contractions; the report's per-step f-vectors pin
+    # the carried f-vector through a subdivision and four contractions
+    octahedron = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 5], [2, 3, 6], [2, 4, 6], [3, 5, 6], [4, 5, 6]]
+    ambient = write_complex(tmp_path / "m.json", octahedron, "octa")
+    sub = write_complex(tmp_path / "x.json", [[1, 2], [2, 3]], "path")
+    target = write_complex(tmp_path / "X.json", [["a", "c"]], "edge")
+    script = tmp_path / "s.json"
+    moves = [{"op": "subdivide", "edge": ["1", "b{1,2}@0"], "new_label": "w0"}]
+    moves += [{"op": "contract", "edge": ["1", v], "survivor": "1"} for v in ("w0", "b{1,2}@0", "2", "b{2,3}@0")]
+    script.write_text(json.dumps({"moves": moves, "target_map": {"1": "a", "3": "c"}}))
+    run = ["pair", "run", "--ambient", ambient, "--sub", sub, "--target", target, "--script", str(script)]
+    expected = (FIXTURES / "pair_run_octahedron.json").read_text()
+    assert main(run) == 0
+    assert capsys.readouterr().out == expected
+    assert main(run + ["--report", str(tmp_path / "report.json")]) == 0
+    report = json.dumps(json.loads(expected)["report"], indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "report.json").read_text() == report
 
 

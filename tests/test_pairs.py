@@ -9,6 +9,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 import oracles
 import stellarpair.complexes as complexes_module
+import stellarpair.contraction as contraction_module
 import stellarpair.pairs as pairs_module
 import stellarpair.subdivision as subdivision_module
 from stellarpair import (
@@ -43,7 +44,8 @@ from stellarpair import (
     verify_script,
     vlabel,
 )
-from stellarpair.complexes import _f_vector_change, _Incidence
+from stellarpair.complexes import Simplex, _f_vector_change, _Incidence, _reduce_to_antichain
+from stellarpair.contraction import link_condition
 from stellarpair.errors import (
     AbsentFaceError,
     InvalidEdgeError,
@@ -63,7 +65,7 @@ from stellarpair.inducedness import (
     _StrongScan,
     classify_pair,
 )
-from stellarpair.io import random_induced_pair, random_strongly_induced_pair, serialize_report
+from stellarpair.io import random_complex, random_induced_pair, random_strongly_induced_pair, serialize_report
 
 
 def edge_in_triangle_pair():
@@ -453,7 +455,7 @@ def test_debug_validation_cross_checks_the_change_set(monkeypatch, debug_validat
     with pytest.raises(InvariantViolationError, match="the change-set scan says induced"):
         apply_move(edge_in_triangle_pair(), Move.subdivide([1, 2], "v"))
     monkeypatch.undo()
-    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added, inc: f)
+    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added, inc, contracted=None: f)
     with pytest.raises(InvariantViolationError, match="the updated f-vector"):
         pipeline_run(*tetra_path_setup())
     set_debug_validation(False)
@@ -690,7 +692,7 @@ def test_change_set_report_is_byte_identical_to_a_full_recomputation(monkeypatch
     # full face counts at every step
     final, report = pipeline_run(*grow_setup(facets, k))
     monkeypatch.setattr(pairs_module, "_classify_change", lambda sub, ambient, changed, inc: classify_pair(sub, ambient))
-    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added, inc: f_vector(cx))
+    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added, inc, contracted=None: f_vector(cx))
     full_final, full_report = pipeline_run(*grow_setup(facets, k))
     assert serialize_report(report) == serialize_report(full_report)
     assert final == full_final
@@ -805,6 +807,45 @@ def test_change_set_f_vector_drops_trailing_zeros_when_the_dimension_falls(trian
     out, removed, added = pairs_module._move(pair_new(triangle, triangle), Move.contract([1, 2], 1))
     assert out.ambient == from_facets([[1, 3]])
     assert _f_vector_change(f_vector(triangle), out.ambient, removed, added) == (2, 1) == f_vector(out.ambient)
+    assert _f_vector_change(f_vector(triangle), out.ambient, removed, added, contracted=("1", "2")) == (2, 1)
+    assert _contraction_identities(triangle) == 6
+
+
+def _contraction_identities(cx: SimplicialComplex) -> int:
+    """Check the three identities a contraction reads off star(e), on every
+    edge of `cx` and both survivors; returns the valid (edge, survivor) cases.
+    The blocker search restricted to the common neighbours agrees with the
+    `link_condition` oracle; on a valid edge, `_images` equals the reduction
+    of every substituted facet at the edge, and the f-vector change from the
+    edge's link equals a full count of the result."""
+    f, valid = f_vector(cx), 0
+    for e in sorted(cx.faces().get(1, ())):
+        e, at_edge = contraction_module._split(cx, e)
+        blocked = next(contraction_module._missing_through(e, at_edge), None) is not None
+        assert blocked != link_condition(cx, e)
+        if blocked:
+            continue
+        for keep in e:
+            lose = e[1] if keep == e[0] else e[0]
+            images = contraction_module._images(e, at_edge, keep)
+            substituted = (Simplex(sorted(set(g) - {lose} | {keep})) if lose in g else g for g in at_edge)
+            assert len(set(images)) == len(images) and frozenset(images) == _reduce_to_antichain(substituted)
+            out = cx._replace(at_edge, images)
+            removed, added = frozenset(at_edge).difference(images), frozenset(images).difference(at_edge)
+            assert _f_vector_change(f, out, removed, added, contracted=e) == f_vector(out)
+            valid += 1
+    return valid
+
+
+@given(st.integers(1, 4), st.integers(0, 10_000), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_change_set_contraction_identities_match_their_references(dim, seed, derive):
+    # random complexes, dims 1-4, non-pure, derived or not (a derived 4-simplex
+    # has 120 cells, so only dims 1-3 are derived)
+    cx = random_complex(4 + seed % 4, dim, 0.5, seed)
+    if derive and dim <= 3:
+        cx = derived_subdivision(cx)[0]
+    _contraction_identities(cx)
 
 
 @given(st.integers(0, 300))
