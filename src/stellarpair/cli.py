@@ -136,22 +136,21 @@ def _cmd_pair_run(args) -> int:
     target = sio.load_complex(args.target)
     script = sio.load_script(args.script)
     final, report = pipeline_run(ambient.complex, sub.complex, target.complex, script)
-    result_text = sio.serialize_complex_document(sio.ComplexDocument(ambient.name, final))
-    report_text = sio.serialize_report(report)
-    if args.out:
-        _emit(result_text, args.out)
-    if args.report:
-        _emit(report_text, args.report)
+    result = sio.ComplexDocument(ambient.name, final)
     if not args.out and not args.report:
-        combined = {
-            "report": sio.report_dict(report),
-            "result": sio.complex_document_dict(sio.ComplexDocument(ambient.name, final)),
-        }
+        combined = {"report": sio.report_dict(report), "result": sio.complex_document_dict(result)}
         _emit(sio._canonical_json(combined), None)
-    elif not args.report:
-        _emit(report_text, None)
+        return EXIT_OK
+    # each document is built once, where it is written: the files first, then
+    # the one without a file of its own on standard output
+    if args.out:
+        _emit(sio.serialize_complex_document(result), args.out)
+    if args.report:
+        _emit(sio.serialize_report(report), args.report)
+    if not args.report:
+        _emit(sio.serialize_report(report), None)
     elif not args.out:
-        _emit(result_text, None)
+        _emit(sio.serialize_complex_document(result), None)
     return EXIT_OK
 
 

@@ -32,6 +32,13 @@ The face budget refuses a walk of more than `_FACE_BUDGET` faces with
 so every face reader (`faces`, `f_vector`, the missing-simplex and
 validity searches) is bounded, and so does the strong-inducedness scan,
 summed over the facets it walks.
+
+`f_vector` counts the faces of a complex; `_f_vector_change` carries an
+f-vector through an edge move without one.  It reads only what the move
+built: the facets at the edge, whose link gives the change of an edge
+subdivision and of a contraction by one signed formula, and for a
+subdivision's re-bias its new labels and cells.  It takes no complex and
+no incidence.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from itertools import chain, combinations
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import AbsentFaceError, MalformedInputError, NotASubcomplexError, ResourceLimitError, StellarPairError
 from .labels import BARYCENTER, VertexLabel, next_round, vlabel
@@ -338,58 +345,53 @@ def f_vector(cx: SimplicialComplex) -> tuple[int, ...]:
 
 def _f_vector_change(
     f: tuple[int, ...],
-    cx: SimplicialComplex,
-    removed: frozenset[Simplex],
-    added: frozenset[Simplex],
-    inc: "_Incidence | None" = None,
-    contracted: Collection[VertexLabel] | None = None,
+    edge: Simplex,
+    at_edge: Iterable[Simplex],
+    sign: int,
+    barycenters: Mapping[Simplex, VertexLabel] | None = None,
+    cells: Collection[Simplex] = (),
 ) -> tuple[int, ...]:
-    """The f-vector of `cx`, made from a complex with f-vector `f` by
-    replacing its facets `removed` with `added` (a subset of `cx.facets`);
-    `inc`, when given, is the incidence of `cx`, and `contracted`, when
-    given, is the valid edge whose contraction made the change.
+    """The f-vector after an edge move on a complex with f-vector `f`: the
+    subdivision (`sign` +1) or the contraction (`sign` -1) of the edge
+    e = {a, b}, whose facets `at_edge` hold every facet at e (and maybe
+    other facets); then, for a subdivision, the derivation
+    (`subdivision._relative_derived`) of the result that gave the faces in
+    `barycenters` their new labels and made `cells`.  It reads only these,
+    no complex and no incidence.
 
-    A contraction's change comes from the link of its edge e = {keep, lose}
-    alone: Δf_k = -(f_{k-1}(lk e) + f_{k-2}(lk e)), where f_{-1}(lk e) = 1
-    counts the empty face and lk e = {F - e : F in removed, F ⊇ e} (every
-    facet at e is removed).  Derivation: the faces lost are {lose} + τ for τ
-    in lk(lose), the empty face included.  Those with keep in τ are
-    e + ρ for ρ in lk e, of dimension dim ρ + 2.  Each other lost face,
-    {lose} + τ with keep not in τ, is matched by the face τ + keep gained in
-    its dimension, unless τ + keep was a face already, i.e. unless τ is in
-    lk(lose) ∩ lk(keep), which is lk e by the link condition; and every
-    gained face is such a τ + keep.  So the net loss is e + ρ and
-    {lose} + ρ over ρ in lk e: f_{k-2} and f_{k-1} of lk e in dimension k.
-
-    Any other change is counted from the faces of the changed facets.  A
-    face in an unchanged facet is a face before and after.  So the change
-    is the faces of `added` in no unchanged facet, gained, less the faces of
-    `removed` in no unchanged facet, lost; a face of both cancels.  Such a
-    face's vertices lie in near = V(removed ∪ added).  Let the hub be the
-    vertex of near with the most facets in `cx`.  Every facet holding a face
-    other than {hub} holds a vertex of near other than the hub, so only the
-    unchanged facets at those vertices are masked (`_vertex_masks`), and
-    such a face is in an unchanged facet iff its `_support` is nonzero.
-    {hub} is in one iff the hub has more facets than added facets.  So the
-    work follows the stars of the changed facets' vertices, less the
-    largest.  Trailing zeros are dropped when the dimension falls."""
-    if contracted is not None:
-        u, v = contracted
-        lk = [tuple(w for w in g if w != u and w != v) for g in removed if u in g and v in g]
-        sizes = Counter(map(len, _face_set(lk)))  # faces of lk e by size
-        sizes[0] = 1
-        counts = [n - sizes[k] - sizes[k - 1] for k, n in enumerate(f)]
-    else:
-        near = frozenset().union(*removed, *added)
-        at = inc.at if inc is not None else _incidence(_facets_at(cx, near))
-        hub = max(near, key=lambda v: len(at.get(v, ())), default=None)
-        masks = _vertex_masks({g for v in near if v != hub for g in at.get(v, ()) if g not in added})
-        hub_kept = len(at.get(hub, ())) > sum(hub in g for g in added)
-        counts = list(f) + [0] * (max(map(len, added), default=0) - len(f))
-        for sign, facets in ((1, added), (-1, removed)):
-            for face in _face_set(facets):
-                if not (hub_kept if face == (hub,) else _support(masks, face)):
-                    counts[len(face) - 1] += sign
+    The two edge moves are inverse stellar moves, so one formula counts
+    both from the link of e alone, lk e = {F - e : F ⊇ e}:
+    Δf_k = sign · (f_{k-1}(lk e) + f_{k-2}(lk e)), where f_{-1}(lk e) = 1
+    counts the empty face.
+    - A subdivision at the new vertex w loses e + ρ and gains w + ρ,
+      w + a + ρ and w + b + ρ, for ρ in lk e (the empty face included).
+      In dimension k that is -f_{k-2} + f_{k-1} + 2 f_{k-2}.
+    - A contraction of a valid e onto `keep` loses {lose} + τ for τ in
+      lk(lose).  Those with keep in τ are e + ρ for ρ in lk e, of dimension
+      dim ρ + 2.  Each other lost face, {lose} + τ with keep not in τ, is
+      matched by the face τ + keep gained in its dimension, unless τ + keep
+      was a face already, i.e. unless τ is in lk(lose) ∩ lk(keep), which is
+      lk e by the link condition; and every gained face is such a τ + keep.
+      So the net loss is e + ρ and {lose} + ρ over ρ in lk e (Dey,
+      Edelsbrunner, Guha and Nekhayev, 1999).
+    A derivation keeps every protected face and every vertex and subdivides
+    every other face, so the faces it loses are the keys of `barycenters`.
+    Those it gains are the faces of `cells` that hold one of its new
+    labels: a face of a cell without one is a face of its protected part
+    (or a lone vertex), a face before; and no older face holds a label of a
+    fresh round.  Trailing zeros are dropped when the dimension falls."""
+    a, b = edge
+    lk = [tuple(v for v in g if v != a and v != b) for g in at_edge if a in g and b in g]
+    sizes = Counter(map(len, _face_set(lk)))  # faces of lk e by size
+    sizes[0] = 1
+    counts = [n + sign * (sizes[k] + sizes[k - 1]) for k, n in enumerate(f)]
+    if barycenters:
+        new = frozenset(barycenters.values())
+        for face in _face_set(cells):
+            if not new.isdisjoint(face):
+                counts[len(face) - 1] += 1
+        for face in barycenters:
+            counts[len(face) - 1] -= 1
     while counts and not counts[-1]:
         counts.pop()
     return tuple(counts)
@@ -450,19 +452,6 @@ def _support(masks: dict[VertexLabel, int], simplex: Iterable[VertexLabel]) -> i
     return mask
 
 
-def _incidence(facets: Iterable[Simplex]) -> dict[VertexLabel, set[Simplex]]:
-    """Each vertex of `facets`, with the set of the facets at it."""
-    at: dict[VertexLabel, set[Simplex]] = {}
-    for f in facets:
-        for v in f:
-            got = at.get(v)
-            if got is None:
-                at[v] = {f}
-            else:
-                got.add(f)
-    return at
-
-
 class _Incidence:
     """A complex's facets at each of its vertices (`at`, whose keys are its
     vertex set), and the next fresh barycenter round of those vertices.
@@ -481,7 +470,14 @@ class _Incidence:
 
     @classmethod
     def of(cls, cx: SimplicialComplex) -> "_Incidence":
-        at = _incidence(cx.facets)
+        at: dict[VertexLabel, set[Simplex]] = {}
+        for f in cx.facets:
+            for v in f:
+                got = at.get(v)
+                if got is None:
+                    at[v] = {f}
+                else:
+                    got.add(f)
         return cls(at, next_round(at))
 
     def edited(self, removed: Collection[Simplex], added: Collection[Simplex]) -> "_Incidence":

@@ -17,15 +17,15 @@ vertex -> facets, the vertex set, the next barycenter round), built at
 the second move of a pair lineage and handed on, edited copy-on-write, to
 each next pair.  Every local question of a move is read off it: the
 facets at the edge, the fresh-label test, the facets the re-bias derives
-and its round, the facets the check keeps and those the f-vector update
-masks.  The first move of a lineage asks the same questions of the bare
-ambient, one filter each, which costs less than the build when no move
-follows (`ComplexPair`).  `pipeline_run` knows what follows: when its
-script has two or more moves it marks the biased pair as moved, so the
-first move builds the incidence instead of filtering.  A move builds its
-edit (the facets it removes and adds) itself, the edge subdivision and
-its re-bias as one, and copies the ambient's facet set once, so its cost
-follows the stars it touches and that one copy, not the ambient.
+and its round, and the facets the check keeps.  The first move of a
+lineage asks the same questions of the bare ambient, one filter each,
+which costs less than the build when no move follows (`ComplexPair`).
+`pipeline_run` knows what follows: when its script has two or more moves
+it marks the biased pair as moved, so the first move builds the incidence
+instead of filtering.  A move builds its edit (the facets it removes and
+adds) itself, the edge subdivision and its re-bias as one, and copies the
+ambient's facet set once, so its cost follows the stars it touches and
+that one copy, not the ambient.
 
 The check after a move is local too.  The move knows the ambient facets
 it removed and added, and `inducedness._classify_change` scans only the
@@ -37,11 +37,14 @@ strongly induced (a proof sketch in `subdivision._rebias_near` says it
 always is), the move falls back once to the global biased derived
 subdivision of the new pair, within the same budget, and checks that with
 the full scan.  `pipeline_run` likewise carries the ambient's f-vector
-from step to step: a contraction's change comes from the link of its edge
-alone, any other from the faces the changed facets lose and gain.  Under
-`STELLARPAIR_DEBUG_VALIDATE=1` both are checked against a full
-recomputation.  The pipeline turns a triangulation containing a
-subdivision of a target complex into one containing the target itself.
+from step to step, from what each move built and nothing else: one
+signed formula over the link of the edge counts both edge moves, and the
+re-bias's new labels and cells count its own change
+(`complexes._f_vector_change`); after the global fallback, which never
+runs, it recounts.  Under `STELLARPAIR_DEBUG_VALIDATE=1` both are checked
+against a full recomputation.  The pipeline turns a triangulation
+containing a subdivision of a target complex into one containing the
+target itself.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ from typing import Iterator
 
 from . import complexes
 from .complexes import (
-    Simplex,
     SimplicialComplex,
     _alternating_sum,
     _f_vector_change,
@@ -287,13 +289,17 @@ def apply_move(pair: ComplexPair, move: Move) -> ComplexPair:
     return _move(pair, move)[0]
 
 
-def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex], frozenset[Simplex]]:
-    """`apply_move`, with the facets the move removed from the ambient and
-    those it added.  The ambient is edited through the pair's incidence
-    (`ComplexPair._ambient_incidence`; on a lineage's first move, filters):
-    each step reads the facets it changes off it, and the incidence takes
-    the move's one edit, so the move costs the stars it touches, plus the
-    copy of the facet set in `SimplicialComplex._replace`."""
+def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, tuple | None]:
+    """`apply_move`, with what the move built that carries the ambient's
+    f-vector through it: the arguments of `complexes._f_vector_change` after
+    the old f-vector (the edge, the facets at it, the sign, and for a
+    subdivision the re-bias's new labels and cells), or None after the
+    global fallback, whose ambient is recounted.  The ambient is edited
+    through the pair's incidence (`ComplexPair._ambient_incidence`; on a
+    lineage's first move, filters): each step reads the facets it changes
+    off it, and the incidence takes the move's one edit, so the move costs
+    the stars it touches, plus the copy of the facet set in
+    `SimplicialComplex._replace`."""
     what = "pair edge subdivision" if move.op == SUBDIVIDE else "pair edge contraction"
     if pair.status.verdict != STRONGLY_INDUCED:
         raise PreconditionError(
@@ -316,15 +322,17 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
         around.update(cells)
         rnd = max(_fresh_round(pair.ambient, inc), next_round((move.new_label,)))
         total = len(pair.ambient.facets) - len(hits) + len(cells)
-        derived, rebias = _rebias_near(new_sub, near, around, rnd, total)
+        derived, rebias, barycenters = _rebias_near(new_sub, near, around, rnd, total)
         removed = frozenset(hits).union(frozenset(derived).difference(cells))
         added = frozenset(cells).difference(derived).union(rebias)
+        change = (e, hits, 1, barycenters, rebias)
     else:
         edit = _contraction(pair.ambient, e, move.survivor, inc)
         if edit is None:
             raise InvalidEdgeError(e, blocking_missing_simplices(pair.ambient, e))
         at_edge, images = edit
         removed, added = frozenset(at_edge).difference(images), frozenset(images).difference(at_edge)
+        change = (e, at_edge, -1)
     if inc is not None:
         inc = inc.edited(removed, added)
     new_ambient = pair.ambient._replace(removed, added)
@@ -338,12 +346,10 @@ def _move(pair: ComplexPair, move: Move) -> tuple[ComplexPair, frozenset[Simplex
         if inc is not None and inc != _Incidence.of(new_ambient):
             raise InvariantViolationError(f"{what}: the carried incidence is not the ambient's")
     if status.verdict == STRONGLY_INDUCED:
-        return ComplexPair(new_sub, new_ambient, status, inc, _moved=True), removed, added
+        return ComplexPair(new_sub, new_ambient, status, inc, _moved=True), change
     if move.op == CONTRACT:
         raise InvariantViolationError(f"{what} lost strong inducedness: {status}", witness=status)
-    old = pair.ambient.facets
-    out = _biased(new_sub, new_ambient, f"{what}'s fallback")
-    return out, old - out.ambient.facets, out.ambient.facets - old
+    return _biased(new_sub, new_ambient, f"{what}'s fallback"), None
 
 
 def pair_subdivide_edge(pair: ComplexPair, edge, new_label) -> ComplexPair:
@@ -395,9 +401,11 @@ def pipeline_run(
 
     Returns the final ambient complex together with a per-step report of
     f-vectors, Euler characteristics and strong-inducedness verdicts.  The
-    ambient's f-vector is carried from step to step, updated from the faces
-    each move's changed facets lose and gain, or for a contraction from the
-    link of its edge (`complexes._f_vector_change`).
+    ambient's f-vector is carried from step to step, updated from what each
+    move built (`_move`): the link of its edge, and for a subdivision the
+    re-bias's new labels and cells (`complexes._f_vector_change`).  After
+    the global fallback, which never runs, the ambient is recounted
+    (`f_vector`).
     A move's domain error comes wrapped in `ScriptStepError`, and a move's
     `ResourceLimitError` carries its index as the `step` stat (`_at_step`).
     """
@@ -410,9 +418,8 @@ def pipeline_run(
     steps = [_step(pair, "init", None, f_ambient)]
     for i, move in enumerate(script.moves):
         with _at_step(i):
-            pair, removed, added = _move(pair, move)
-        edge = move.edge if move.op == CONTRACT else None
-        f_ambient = _f_vector_change(f_ambient, pair.ambient, removed, added, pair._incidence, contracted=edge)
+            pair, change = _move(pair, move)
+        f_ambient = f_vector(pair.ambient) if change is None else _f_vector_change(f_ambient, *change)
         if complexes._DEBUG_VALIDATE:
             full = f_vector(pair.ambient)
             if full != f_ambient:

@@ -220,11 +220,11 @@ def biased_derived(
 
 def _rebias_near(
     sub: SimplicialComplex, near: set[VertexLabel], facets: Collection[Simplex], rnd: int, total: int
-) -> tuple[list[Simplex], list[Simplex]]:
+) -> tuple[list[Simplex], list[Simplex], dict[Simplex, VertexLabel]]:
     """The re-bias of `ambient`, after an edge subdivision at the new vertex
-    w, as an edit (the facets it derives, and their cells, of round `rnd`;
-    see `_relative_derived`): the biased derived subdivision of `ambient`
-    that subdivides only the faces outside `sub` that meet
+    w, as an edit (the facets it derives, their cells and the new labels, of
+    round `rnd`; see `_relative_derived`): the biased derived subdivision of
+    `ambient` that subdivides only the faces outside `sub` that meet
     `near = (V(star(w)) - V(sub)) ∪ {w}`: `biased_derived(P, ambient)` with
     the protected complex `P = sub ∪ induced_subcomplex(ambient, V - near)`.
 
@@ -276,5 +276,4 @@ def _rebias_near(
     stars of the edge's endpoints.
     """
     sub_faces = _face_set([f for f in sub.facets if not near.isdisjoint(f)])
-    derived, cells, _ = _relative_derived(facets, lambda t: near.isdisjoint(t) or t in sub_faces, rnd, total)
-    return derived, cells
+    return _relative_derived(facets, lambda t: near.isdisjoint(t) or t in sub_faces, rnd, total)

@@ -378,7 +378,7 @@ def _moved_pair(kind: str, dim: int, seed: int):
         if kind == "rebias":
             near = (star(ambient, ["w"]).vertex_set() - sub.vertex_set()) | {vlabel("w")}
             ambient = ambient._replace(
-                *_rebias_near(sub, near, ambient.facets, _fresh_round(ambient), len(ambient.facets))
+                *_rebias_near(sub, near, ambient.facets, _fresh_round(ambient), len(ambient.facets))[:2]
             )
     old = pair.ambient.facets
     return sub, ambient, (old - ambient.facets) | (ambient.facets - old)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import oracles
-import stellarpair.complexes as complexes_module
 import stellarpair.contraction as contraction_module
 import stellarpair.pairs as pairs_module
 import stellarpair.subdivision as subdivision_module
@@ -44,7 +43,7 @@ from stellarpair import (
     verify_script,
     vlabel,
 )
-from stellarpair.complexes import Simplex, _f_vector_change, _Incidence, _reduce_to_antichain
+from stellarpair.complexes import Simplex, _f_vector_change, _face_set, _Incidence, _reduce_to_antichain
 from stellarpair.contraction import link_condition
 from stellarpair.errors import (
     AbsentFaceError,
@@ -227,7 +226,7 @@ def test_failed_local_rebias_falls_back_to_global(monkeypatch):
 
     def no_rebias(sub, near, facets, rnd, total):
         calls.append(near)
-        return [], []
+        return [], [], {}
 
     monkeypatch.setattr(pairs_module, "_rebias_near", no_rebias)
     pair = edge_in_triangle_pair()
@@ -245,7 +244,7 @@ def test_global_fallback_is_budgeted(monkeypatch, barycenters_made):
     # the subdivided edge-in-triangle ambient has 6 triangles, none in the
     # subcomplex, so the fallback could derive up to 6 * 3! = 36 facets; over
     # the budget it raises before making any barycenter
-    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, near, facets, rnd, total: ([], []))
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, near, facets, rnd, total: ([], [], {}))
     monkeypatch.setattr(subdivision_module, "_FACET_BUDGET", 35)
     pair = edge_in_triangle_pair()
     barycenters_made.clear()
@@ -358,15 +357,12 @@ def test_subdivision_chain_moves_read_a_constant_star(monkeypatch):
     # the pair's incidence answers each move's local questions, so the facets a
     # move reads stay the same while the ambient grows by 50 facets a move:
     # those handed to `_relative_derived`, those the change-set scan keeps, and
-    # the unchanged facets the f-vector update masks, at move 10 as at move 60
+    # those the f-vector update reads (the facets at the edge and the re-bias's
+    # cells), at move 10 as at move 60
     pair = next(tetrahedron_chain(0))
     f = f_vector(pair.ambient)
-    derived, kept, masked = [], [], []
-    real_derive, real_classify, real_masks = (
-        subdivision_module._relative_derived,
-        pairs_module._classify_change,
-        complexes_module._vertex_masks,
-    )
+    derived, kept, read = [], [], []
+    real_derive, real_classify = subdivision_module._relative_derived, pairs_module._classify_change
 
     def derive(facets, protected, rnd, total):
         derived.append(len(facets))
@@ -376,26 +372,21 @@ def test_subdivision_chain_moves_read_a_constant_star(monkeypatch):
         kept.append(len(_StrongScan(sub, ambient, changed, inc).facets))
         return real_classify(sub, ambient, changed, inc)
 
-    def masks(facets):
-        facets = list(facets)
-        masked.append(len(facets))
-        return real_masks(facets)
-
     monkeypatch.setattr(subdivision_module, "_relative_derived", derive)
     monkeypatch.setattr(pairs_module, "_classify_change", classify)
-    monkeypatch.setattr(complexes_module, "_vertex_masks", masks)
     prev, sizes = "b{1,2}@0", []
     for j in range(60):
-        pair, removed, added = pairs_module._move(pair, Move.subdivide(["1", prev], f"w{j}"))
-        f = _f_vector_change(f, pair.ambient, removed, added, pair._incidence)
+        pair, (e, hits, sign, barycenters, cells) = pairs_module._move(pair, Move.subdivide(["1", prev], f"w{j}"))
+        f = _f_vector_change(f, e, hits, sign, barycenters, cells)
+        read.append(len(hits) + len(cells))
         prev = f"w{j}"
         sizes.append(len(pair.ambient.facets))
     assert (sizes[9], sizes[59]) == (636, 3136)
     assert f == f_vector(pair.ambient)
-    assert len(derived) == len(kept) == len(masked) == 60
+    assert len(derived) == len(kept) == len(read) == 60
     assert derived[9] == derived[59]
     assert kept[9] == kept[59]
-    assert masked[9] == masked[59]
+    assert read[9] == read[59]
 
 
 def test_fallback_tests_still_reach_the_fallback(monkeypatch, barycenters_made):
@@ -441,7 +432,7 @@ def test_local_rebias_is_budgeted_before_it_derives(monkeypatch, barycenters_mad
     assert apply_move(pair, move).status.verdict == STRONGLY_INDUCED
     assert barycenters_made
     barycenters_made.clear()
-    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, near, facets, rnd, total: ([], []))
+    monkeypatch.setattr(pairs_module, "_rebias_near", lambda sub, near, facets, rnd, total: ([], [], {}))
     with pytest.raises(ResourceLimitError, match="the subdivision could derive") as exc:
         apply_move(pair, move)
     assert exc.value.stats == {"facets": len(ambient.facets), "bound": whole, "budget": local}
@@ -455,7 +446,7 @@ def test_debug_validation_cross_checks_the_change_set(monkeypatch, debug_validat
     with pytest.raises(InvariantViolationError, match="the change-set scan says induced"):
         apply_move(edge_in_triangle_pair(), Move.subdivide([1, 2], "v"))
     monkeypatch.undo()
-    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added, inc, contracted=None: f)
+    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, *change: f)
     with pytest.raises(InvariantViolationError, match="the updated f-vector"):
         pipeline_run(*tetra_path_setup())
     set_debug_validation(False)
@@ -689,10 +680,11 @@ OCTA = [[1, 2, 3], [1, 2, 4], [1, 5, 3], [1, 5, 4], [6, 2, 3], [6, 2, 4], [6, 5,
 def test_change_set_report_is_byte_identical_to_a_full_recomputation(monkeypatch, facets, k):
     # the README script (k = 0) and the growth scripts: the report from the
     # change-set scan and the carried f-vector, and the one from full scans and
-    # full face counts at every step
+    # full face counts at every step (each move returns the recount marker)
     final, report = pipeline_run(*grow_setup(facets, k))
+    real_move = pairs_module._move
     monkeypatch.setattr(pairs_module, "_classify_change", lambda sub, ambient, changed, inc: classify_pair(sub, ambient))
-    monkeypatch.setattr(pairs_module, "_f_vector_change", lambda f, cx, removed, added, inc, contracted=None: f_vector(cx))
+    monkeypatch.setattr(pairs_module, "_move", lambda pair, move: (real_move(pair, move)[0], None))
     full_final, full_report = pipeline_run(*grow_setup(facets, k))
     assert serialize_report(report) == serialize_report(full_report)
     assert final == full_final
@@ -715,10 +707,10 @@ def test_change_set_f_vector_matches_a_full_count(dim, seed):
         e = rng.choice(edges)
         move = Move.subdivide(e, f"m{j}") if rng.random() < 0.5 else Move.contract(e, e[j % 2])
         try:
-            pair, removed, added = pairs_module._move(pair, move)
+            pair, change = pairs_module._move(pair, move)
         except InvalidEdgeError:
             continue
-        f = _f_vector_change(f, pair.ambient, removed, added)
+        f = _f_vector_change(f, *change)
         assert f == f_vector(pair.ambient)
 
 
@@ -760,9 +752,10 @@ class StatefulPairMoves(RuleBasedStateMachine):
         return sorted(self.pair.sub.faces().get(1, ()))
 
     def _move(self, move):
-        self.pair, removed, added = pairs_module._move(self.pair, move)
+        self.pair, change = pairs_module._move(self.pair, move)
         self.moves.append(move)
-        self.f = _f_vector_change(self.f, self.pair.ambient, removed, added, self.pair._incidence)
+        # None after the global fallback, which `agrees_with_full_recomputation` rules out
+        self.f = f_vector(self.pair.ambient) if change is None else _f_vector_change(self.f, *change)
 
     @rule(k=st.integers(0, 10**6))
     def subdivide(self, k):
@@ -804,10 +797,10 @@ TestStatefulPairMoves.settings = settings(max_examples=25, stateful_step_count=8
 
 def test_change_set_f_vector_drops_trailing_zeros_when_the_dimension_falls(triangle):
     # contracting an edge of the solid triangle leaves an edge: (3, 3, 1) -> (2, 1)
-    out, removed, added = pairs_module._move(pair_new(triangle, triangle), Move.contract([1, 2], 1))
+    out, change = pairs_module._move(pair_new(triangle, triangle), Move.contract([1, 2], 1))
     assert out.ambient == from_facets([[1, 3]])
-    assert _f_vector_change(f_vector(triangle), out.ambient, removed, added) == (2, 1) == f_vector(out.ambient)
-    assert _f_vector_change(f_vector(triangle), out.ambient, removed, added, contracted=("1", "2")) == (2, 1)
+    assert _f_vector_change(f_vector(triangle), *change) == (2, 1) == f_vector(out.ambient)
+    assert _f_vector_change(f_vector(triangle), Simplex.of([1, 2]), triangle.facets, -1) == (2, 1)
     assert _contraction_identities(triangle) == 6
 
 
@@ -831,21 +824,50 @@ def _contraction_identities(cx: SimplicialComplex) -> int:
             substituted = (Simplex(sorted(set(g) - {lose} | {keep})) if lose in g else g for g in at_edge)
             assert len(set(images)) == len(images) and frozenset(images) == _reduce_to_antichain(substituted)
             out = cx._replace(at_edge, images)
-            removed, added = frozenset(at_edge).difference(images), frozenset(images).difference(at_edge)
-            assert _f_vector_change(f, out, removed, added, contracted=e) == f_vector(out)
+            assert _f_vector_change(f, e, at_edge, -1) == f_vector(out)
             valid += 1
     return valid
+
+
+def _subdivision_identities(cx: SimplicialComplex, pick: int) -> None:
+    """Check the f-vector change of an edge subdivision, from the edge's link
+    alone, against a full count, on every edge of `cx`; and on the edge at
+    `pick`, the change of each `_relative_derived` edit of the subdivided
+    complex (a derived subdivision, the biased one that protects the two half
+    edges, and the pair move's re-bias around the new vertex w), from the new
+    labels and the cells alone."""
+    f, w = f_vector(cx), vlabel("w")
+    edges = sorted(cx.faces().get(1, ()))
+    for i, e in enumerate(edges):
+        hits = cx.facets_containing(e)
+        out = edge_subdivide(cx, e, w)
+        assert _f_vector_change(f, e, hits, 1) == f_vector(out)
+        if i != pick % len(edges):
+            continue
+        halves = from_facets([[e[0], w], [w, e[1]]])
+        near = (star(out, [w]).vertex_set() - halves.vertex_set()) | {w}
+        rnd, total = next_round(out.vertex_set()), len(out.facets)
+        sub_faces = _face_set(halves.facets)
+        for derived, cells, barycenters in (
+            subdivision_module._relative_derived(out.facets, lambda t: False, rnd, total),
+            subdivision_module._relative_derived(out.facets, sub_faces.__contains__, rnd, total),
+            subdivision_module._rebias_near(halves, near, out.facets, rnd, total),
+        ):
+            assert _f_vector_change(f, e, hits, 1, barycenters, cells) == f_vector(out._replace(derived, cells))
 
 
 @given(st.integers(1, 4), st.integers(0, 10_000), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_change_set_contraction_identities_match_their_references(dim, seed, derive):
     # random complexes, dims 1-4, non-pure, derived or not (a derived 4-simplex
-    # has 120 cells, so only dims 1-3 are derived)
+    # has 120 cells, so only dims 1-3 are derived); the subdivision identities
+    # derive once more, so only on complexes not derived already
     cx = random_complex(4 + seed % 4, dim, 0.5, seed)
     if derive and dim <= 3:
         cx = derived_subdivision(cx)[0]
     _contraction_identities(cx)
+    if not derive:
+        _subdivision_identities(cx, seed)
 
 
 @given(st.integers(0, 300))
